@@ -10,6 +10,7 @@ from .augment import (
     Perturbation,
     PerturbedGmm,
     apply_perturbation,
+    augment_draws,
     augment_volume,
     component_values,
     provenance_dict,
@@ -35,7 +36,7 @@ from .gmm import VARIANCE_FLOOR, EmConfig, GmmParams, fit_em, log_likelihood, re
 from .metrics import OverlapReport, outlier_fraction, overlap, summarize
 from .phantom import PhantomSpec, generate_phantom
 from .population import PopulationStats, estimate_population, load_stats, save_stats
-from .preprocess import ClipNormReport, clip_normalize, robust_zscore
+from .preprocess import ClipNormReport, clip_normalize
 from .volume import (
     LabelVolume,
     Volume,
@@ -74,6 +75,7 @@ __all__ = [
     "VARIANCE_FLOOR",
     "Volume",
     "apply_perturbation",
+    "augment_draws",
     "augment_volume",
     "clip_normalize",
     "component_values",
@@ -90,7 +92,6 @@ __all__ = [
     "read_volume",
     "remap",
     "responsibilities",
-    "robust_zscore",
     "sample_perturbation",
     "save_stats",
     "summarize",

@@ -20,6 +20,7 @@ everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -74,25 +75,23 @@ class PerturbedGmm:
         object.__setattr__(self, "variances", variances)
 
 
-def _draw_offsets(rng: np.random.Generator, stats: PopulationStats):
-    """One uniform draw per bound, component-major order."""
-    q_mu = np.empty(stats.k)
-    q_var = np.empty(stats.k)
-    for i in range(stats.k):
-        q_mu[i] = (2.0 * rng.random() - 1.0) * stats.mu_std[i]
-        q_var[i] = (2.0 * rng.random() - 1.0) * stats.var_std[i]
-    return q_mu, q_var
-
-
-def sample_perturbation(stats: PopulationStats, seed: int) -> Perturbation:
+def sample_perturbation(stats: PopulationStats, seed: int,
+                        means: np.ndarray | None = None) -> Perturbation:
     """Draw q_mu[i] ~ U(-mu_std[i], +mu_std[i]) and likewise q_var.
 
     Philox keyed with ``seed``; the same seed always reproduces the
-    same draw, on any platform.
+    same draw, on any platform. Given the fitted component ``means``,
+    draws that would leave ``means + q_mu`` out of ascending order are
+    discarded and redrawn from the same stream.
     """
     rng = np.random.Generator(np.random.Philox(int(seed)))
-    q_mu, q_var = _draw_offsets(rng, stats)
-    return Perturbation(q_mu=q_mu, q_var=q_var, seed=int(seed))
+    for _ in range(_MAX_REDRAWS):
+        # one (mu, var) pair per component, component-major order
+        unit = 2.0 * rng.random((stats.k, 2)) - 1.0
+        q_mu = unit[:, 0] * stats.mu_std
+        if means is None or np.all(np.diff(means + q_mu) >= 0):
+            return Perturbation(q_mu=q_mu, q_var=unit[:, 1] * stats.var_std, seed=int(seed))
+    raise NumericalError(f"no order-preserving perturbation found in {_MAX_REDRAWS} draws")
 
 
 def apply_perturbation(params: GmmParams, pert: Perturbation) -> PerturbedGmm:
@@ -156,6 +155,35 @@ def remap(
     return Volume(vol.dims, vol.spacing, out)
 
 
+def augment_draws(
+    vol: Volume,
+    stats: PopulationStats,
+    seeds: Iterable[int],
+    cfg: EmConfig | None = None,
+    *,
+    hard_assign: bool = False,
+    reject_order_inversion: bool = False,
+    clip: bool = True,
+) -> Iterator[tuple[Volume, Perturbation, PerturbedGmm]]:
+    """Mask, normalize and fit ``vol`` once, then yield one draw per seed.
+
+    The volume must be skull-stripped (foreground derivable from
+    positive intensities); normalization uses the percentiles recorded
+    in ``stats``. Each draw is (remapped volume, perturbation, perturbed
+    mixture), and ``perturbed.base`` is the fit. With
+    ``reject_order_inversion`` perturbations that would invert the order
+    of the fitted means are redrawn from the same seed's stream.
+    """
+    mask = foreground_mask(vol)
+    normalized, _ = clip_normalize(vol, mask, stats.clip_lo_pct, stats.clip_hi_pct)
+    params = fit_em(normalized.data[mask], stats.k, cfg)
+    for seed in seeds:
+        pert = sample_perturbation(stats, seed, params.means if reject_order_inversion else None)
+        perturbed = apply_perturbation(params, pert)
+        out = remap(normalized, mask, params, perturbed, hard_assign=hard_assign, clip=clip)
+        yield out, pert, perturbed
+
+
 def augment_volume(
     vol: Volume,
     stats: PopulationStats,
@@ -166,44 +194,18 @@ def augment_volume(
     reject_order_inversion: bool = False,
     clip: bool = True,
 ) -> tuple[Volume, GmmParams, Perturbation]:
-    """Full pipeline: mask, normalize, fit, perturb, remap.
-
-    The volume must be skull-stripped (foreground derivable from
-    positive intensities). Normalization percentiles follow the ones
-    recorded in ``stats`` so augmentation matches the corpus
-    preprocessing. Returns the remapped volume plus the fit and the
-    perturbation actually applied, for provenance.
-
-    With ``reject_order_inversion`` draws that invert the order of the
-    perturbed means are discarded and redrawn from the same stream.
-    """
-    mask = foreground_mask(vol)
-    normalized, _ = clip_normalize(vol, mask, stats.clip_lo_pct, stats.clip_hi_pct)
-    params = fit_em(normalized.data[mask], stats.k, cfg)
-
-    rng = np.random.Generator(np.random.Philox(int(seed)))
-    for _ in range(_MAX_REDRAWS):
-        q_mu, q_var = _draw_offsets(rng, stats)
-        if not reject_order_inversion or np.all(np.diff(params.means + q_mu) >= 0):
-            break
-    else:
-        raise NumericalError(
-            f"no order-preserving perturbation found in {_MAX_REDRAWS} draws"
-        )
-    pert = Perturbation(q_mu=q_mu, q_var=q_var, seed=int(seed))
-
-    perturbed = apply_perturbation(params, pert)
-    out = remap(normalized, mask, params, perturbed, hard_assign=hard_assign, clip=clip)
-    return out, params, pert
+    """:func:`augment_draws` for one seed: (remapped volume, fit, perturbation)."""
+    draws = augment_draws(vol, stats, (seed,), cfg, hard_assign=hard_assign,
+                          reject_order_inversion=reject_order_inversion, clip=clip)
+    out, pert, perturbed = next(draws)
+    return out, perturbed.base, pert
 
 
-def provenance_dict(
-    seed: int, params: GmmParams, pert: Perturbation, perturbed: PerturbedGmm
-) -> dict:
+def provenance_dict(pert: Perturbation, perturbed: PerturbedGmm) -> dict:
     """Sidecar payload describing one augmentation draw."""
     return {
-        "seed": int(seed),
-        "fit": params.to_json_dict(),
+        "seed": pert.seed,
+        "fit": perturbed.base.to_json_dict(),
         "perturbation": {
             "q_mu": pert.q_mu.tolist(),
             "q_var": pert.q_var.tolist(),

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import augment as aug
 from . import metrics as met
-from .errors import InputError, InsufficientDataError, NumericalError
+from .errors import InputError, NumericalError
 from .gmm import EmConfig, fit_em
 from .phantom import PhantomSpec, generate_phantom
 from .population import estimate_population, load_stats, save_stats
@@ -68,40 +68,36 @@ def cmd_fit(args) -> int:
     return 0
 
 
+def _readable_volumes(paths):
+    for path in paths:
+        try:
+            yield read_volume(path)
+        except InputError as exc:
+            print(f"skipping {path}: {exc}", file=sys.stderr)
+
+
 def cmd_stats(args) -> int:
     directory = Path(args.input_dir)
     if not directory.is_dir():
         raise InputError(f"{directory} is not a directory")
-    paths = sorted(directory.glob("*.nii")) + sorted(directory.glob("*.nii.gz"))
-    paths = sorted(paths, key=lambda p: p.name)
-    volumes = []
-    for path in paths:
-        try:
-            volumes.append(read_volume(path))
-        except InputError as exc:
-            print(f"skipping {path}: {exc}", file=sys.stderr)
-    if len(volumes) < 2:
-        raise InsufficientDataError(f"found {len(volumes)} readable volumes in {directory}")
-    stats = estimate_population(volumes, args.k, _em_config(args),
+    paths = sorted([*directory.glob("*.nii"), *directory.glob("*.nii.gz")], key=lambda p: p.name)
+    stats = estimate_population(_readable_volumes(paths), args.k, _em_config(args),
                                 args.clip_lo, args.clip_hi)
     save_stats(stats, args.out)
     return 0
 
 
 def cmd_augment(args) -> int:
+    if args.n < 1 or args.seed < 0:
+        raise InputError(f"need --n >= 1 and --seed >= 0, got --n {args.n} --seed {args.seed}")
     vol = read_volume(args.input)
     stats = load_stats(args.stats)
-    for i in range(args.n):
-        seed = args.seed + i
-        out_vol, params, pert = aug.augment_volume(
-            vol, stats, seed, _em_config(args),
-            hard_assign=args.hard_assign,
-            reject_order_inversion=args.reject_order_inversion,
-            clip=not args.no_clip,
-        )
-        perturbed = aug.apply_perturbation(params, pert)
+    draws = aug.augment_draws(vol, stats, range(args.seed, args.seed + args.n), _em_config(args),
+                              hard_assign=args.hard_assign, clip=not args.no_clip,
+                              reject_order_inversion=args.reject_order_inversion)
+    for i, (out_vol, pert, perturbed) in enumerate(draws):
         write_volume(out_vol, f"{args.out_prefix}_{i}.nii")
-        sidecar = aug.provenance_dict(seed, params, pert, perturbed)
+        sidecar = aug.provenance_dict(pert, perturbed)
         Path(f"{args.out_prefix}_{i}.json").write_text(json.dumps(sidecar, indent=2) + "\n")
     return 0
 

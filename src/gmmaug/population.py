@@ -56,6 +56,11 @@ class PopulationStats:
             raise InvalidStatsError("mu_mean must be ascending")
         if self.n_images < 2:
             raise InvalidStatsError("n_images must be >= 2")
+        if self.normalize != NORMALIZE_MODE:
+            raise InvalidStatsError(
+                f"normalize must be {NORMALIZE_MODE!r}, the only mode implemented; "
+                f"got {self.normalize!r}"
+            )
         for name, arr in arrays.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)

@@ -22,16 +22,6 @@ class ClipNormReport:
 
     p_low: float
     p_high: float
-    applied_range: tuple[float, float]
-
-
-def _masked_values(vol: Volume, mask: np.ndarray) -> np.ndarray:
-    mask = np.asarray(mask, dtype=bool).ravel()
-    if mask.size != vol.n_voxels:
-        raise InputError(f"mask length {mask.size} != voxel count {vol.n_voxels}")
-    if not mask.any():
-        raise EmptyMaskError("mask selects no voxels")
-    return vol.data[mask]
 
 
 def clip_normalize(
@@ -52,34 +42,18 @@ def clip_normalize(
     """
     if not 0.0 <= lo_pct < hi_pct <= 100.0:
         raise InputError(f"need 0 <= lo_pct < hi_pct <= 100, got ({lo_pct}, {hi_pct})")
-    values = _masked_values(vol, mask)
+    mask = np.asarray(mask, dtype=bool).ravel()
+    if mask.size != vol.n_voxels:
+        raise InputError(f"mask length {mask.size} != voxel count {vol.n_voxels}")
+    if not mask.any():
+        raise EmptyMaskError("mask selects no voxels")
+    values = vol.data[mask]
     p_low, p_high = np.percentile(values, [lo_pct, hi_pct])
     if p_low == p_high:
         raise DegenerateIntensityError(
             f"percentiles {lo_pct} and {hi_pct} coincide at {p_low}"
         )
     out = np.zeros(vol.n_voxels)
-    out[np.asarray(mask, dtype=bool).ravel()] = (
-        np.clip(values, p_low, p_high) - p_low
-    ) / (p_high - p_low)
-    report = ClipNormReport(float(p_low), float(p_high), (float(p_low), float(p_high)))
-    return Volume(vol.dims, vol.spacing, out), report
+    out[mask] = (np.clip(values, p_low, p_high) - p_low) / (p_high - p_low)
+    return Volume(vol.dims, vol.spacing, out), ClipNormReport(float(p_low), float(p_high))
 
-
-def robust_zscore(vol: Volume, mask: np.ndarray) -> Volume:
-    """Outlier-robust standardisation of masked intensities.
-
-    Centre is the masked median; scale is the standard deviation of the
-    masked values lying within their own 10th-90th percentile window.
-    Voxels outside the mask are set to 0.
-    """
-    values = _masked_values(vol, mask)
-    median = np.median(values)
-    p10, p90 = np.percentile(values, [10.0, 90.0])
-    inner = values[(values >= p10) & (values <= p90)]
-    scale = float(np.std(inner))
-    if scale == 0.0:
-        raise DegenerateIntensityError("inner-percentile spread is zero")
-    out = np.zeros(vol.n_voxels)
-    out[np.asarray(mask, dtype=bool).ravel()] = (values - median) / scale
-    return Volume(vol.dims, vol.spacing, out)

@@ -293,7 +293,7 @@ def test_criterion_09_file_format_conformance(tmp_path):
     stats = ga.load_stats(stats_path)
     vol, _ = ga.generate_phantom(ga.PhantomSpec(dims=(32, 32, 32), seed=9))
     out, params, pert = ga.augment_volume(vol, stats, seed=4, cfg=ga.EmConfig(subsample_cap=20_000))
-    sidecar = ga.provenance_dict(4, params, pert, ga.apply_perturbation(params, pert))
+    sidecar = ga.provenance_dict(pert, ga.apply_perturbation(params, pert))
     drive_ok = (
         out.data.min() >= 0.0
         and out.data.max() <= 1.0

@@ -259,12 +259,31 @@ class TestAugmentVolume:
         assert np.all(np.diff(params2.means + redrawn.q_mu) >= 0)
         assert not np.array_equal(redrawn.q_mu, natural.q_mu)
 
+    def test_order_inversion_redraw_in_sample_perturbation(self, separated_phantom):
+        vol, _ = separated_phantom
+        stats = make_stats((0.4, 0.4, 0.4), (5e-4, 5e-4, 5e-4))
+        _, params, redrawn = augment_volume(vol, stats, seed=15, reject_order_inversion=True)
+        # reference: scalar draws, component-major, first ascending draw wins
+        rng = np.random.Generator(np.random.Philox(15))
+        for _ in range(100):
+            pairs = [(2.0 * rng.random() - 1.0, 2.0 * rng.random() - 1.0) for _ in range(3)]
+            q_mu = np.array([u for u, _ in pairs]) * stats.mu_std
+            if np.all(np.diff(params.means + q_mu) >= 0):
+                break
+        else:
+            pytest.fail("reference found no order-preserving draw")
+        q_var = np.array([u for _, u in pairs]) * stats.var_std
+        direct = sample_perturbation(stats, 15, params.means)
+        assert np.array_equal(direct.q_mu, q_mu) and np.array_equal(direct.q_var, q_var)
+        assert np.array_equal(redrawn.q_mu, q_mu) and np.array_equal(redrawn.q_var, q_var)
+        assert not np.array_equal(sample_perturbation(stats, 15).q_mu, q_mu)
+
     def test_provenance_payload(self, separated_phantom):
         vol, _ = separated_phantom
         stats = make_stats((0.02, 0.02, 0.02), (2e-4, 2e-4, 2e-4))
         out, params, pert = augment_volume(vol, stats, seed=11)
         perturbed = apply_perturbation(params, pert)
-        payload = provenance_dict(11, params, pert, perturbed)
+        payload = provenance_dict(pert, perturbed)
         assert payload["seed"] == 11
         assert payload["fit"]["k"] == 3
         assert payload["perturbation"]["q_mu"] == pert.q_mu.tolist()

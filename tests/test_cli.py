@@ -4,6 +4,7 @@ import shutil
 import numpy as np
 import pytest
 
+import gmmaug.augment
 from gmmaug import (
     PhantomSpec,
     Volume,
@@ -23,21 +24,28 @@ def phantom_file(tmp_path):
     return path
 
 
-@pytest.fixture()
-def zero_stats_file(tmp_path):
+def write_stats(path, mu_std, var_std):
     stats = {
         "k": 3,
         "components": [
-            {"mu_mean": 0.1, "mu_std": 0.0, "var_mean": 2e-3, "var_std": 0.0},
-            {"mu_mean": 0.2, "mu_std": 0.0, "var_mean": 1e-3, "var_std": 0.0},
-            {"mu_mean": 0.3, "mu_std": 0.0, "var_mean": 1e-3, "var_std": 0.0},
+            {"mu_mean": mu, "mu_std": s_mu, "var_mean": var, "var_std": s_var}
+            for mu, s_mu, var, s_var in zip((0.1, 0.2, 0.3), mu_std, (2e-3, 1e-3, 1e-3), var_std)
         ],
         "n_images": 2,
         "preprocessing": {"clip_lo_pct": 1.0, "clip_hi_pct": 99.0, "normalize": "minmax01"},
     }
-    path = tmp_path / "zero_stats.json"
     path.write_text(json.dumps(stats))
     return path
+
+
+@pytest.fixture()
+def zero_stats_file(tmp_path):
+    return write_stats(tmp_path / "zero_stats.json", (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+
+
+@pytest.fixture()
+def spread_stats_file(tmp_path):
+    return write_stats(tmp_path / "spread_stats.json", (0.03, 0.06, 0.08), (1e-3, 1e-3, 3e-3))
 
 
 class TestFit:
@@ -207,6 +215,43 @@ class TestAugment:
             main(["augment", str(phantom_file), "--stats", str(zero_stats_file),
                   "--out-prefix", str(tmp_path / "x")])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("flags", [[], ["--hard-assign"]])
+    def test_batch_fits_once_and_replays_single_seed_runs(
+        self, tmp_path, phantom_file, spread_stats_file, monkeypatch, flags
+    ):
+        fits = []
+        real_fit_em = gmmaug.augment.fit_em
+
+        def counting_fit_em(*args, **kwargs):
+            fits.append(1)
+            return real_fit_em(*args, **kwargs)
+
+        monkeypatch.setattr(gmmaug.augment, "fit_em", counting_fit_em)
+        common = ["augment", str(phantom_file), "--stats", str(spread_stats_file),
+                  "--subsample-cap", "25000", *flags]
+        assert main([*common, "--seed", "40", "--n", "3",
+                     "--out-prefix", str(tmp_path / "batch")]) == 0
+        assert len(fits) == 1
+        for i in range(3):
+            single = tmp_path / f"single{i}"
+            assert main([*common, "--seed", str(40 + i), "--out-prefix", str(single)]) == 0
+            for ext in ("nii", "json"):
+                batch_bytes = (tmp_path / f"batch_{i}.{ext}").read_bytes()
+                assert batch_bytes == (tmp_path / f"single{i}_0.{ext}").read_bytes()
+
+    @pytest.mark.parametrize("flag,value", [("--n", "0"), ("--n", "-3"), ("--seed", "-1")])
+    def test_bad_count_or_seed_exit_2(
+        self, tmp_path, phantom_file, zero_stats_file, capsys, flag, value
+    ):
+        args = {"--seed": "5", "--n": "1", flag: value}
+        code = main(["augment", str(phantom_file), "--stats", str(zero_stats_file),
+                     "--out-prefix", str(tmp_path / "bad"),
+                     *(tok for pair in args.items() for tok in pair)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and flag in err
+        assert not list(tmp_path.glob("bad_*"))
 
 
 class TestWorkflow:

@@ -165,6 +165,14 @@ class TestStatsIO:
         with pytest.raises(InvalidStatsError):
             load_stats(path)
 
+    def test_unimplemented_normalize_rejected(self, tmp_path):
+        broken = dict(REFERENCE_STATS, preprocessing=dict(
+            REFERENCE_STATS["preprocessing"], normalize="zscore"))
+        path = tmp_path / "zscore.json"
+        path.write_text(json.dumps(broken))
+        with pytest.raises(InvalidStatsError, match="zscore"):
+            load_stats(path)
+
     def test_validation(self):
         with pytest.raises(InvalidStatsError):
             PopulationStats(

@@ -7,7 +7,6 @@ from gmmaug import (
     InputError,
     Volume,
     clip_normalize,
-    robust_zscore,
 )
 
 
@@ -26,7 +25,6 @@ class TestClipNormalize:
         # linear-interpolation percentiles of 0..999: (n-1) * q
         assert report.p_low == pytest.approx(9.99, abs=1e-9)
         assert report.p_high == pytest.approx(989.01, abs=1e-9)
-        assert report.applied_range == (report.p_low, report.p_high)
         masked = out.data[mask]
         assert masked.min() == 0.0
         assert masked.max() == 1.0
@@ -87,38 +85,3 @@ class TestClipNormalize:
         with pytest.raises(InputError):
             clip_normalize(vol, np.ones(3, dtype=bool))
 
-
-class TestRobustZscore:
-    def test_symmetric_values_centre_at_zero(self):
-        values = 5.0 + np.array([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
-        vol, mask = volume_with_mask(values)
-        out = robust_zscore(vol, mask)
-        assert np.median(out.data[mask]) == 0.0
-
-    def test_monte_carlo_standard_normal(self):
-        rng = np.random.Generator(np.random.Philox(6))
-        values = rng.standard_normal(100_000)
-        vol, mask = volume_with_mask(values, pad_zeros=64)
-        out = robust_zscore(vol, mask)
-        # direct recomputation of the same statistic
-        med = np.median(values)
-        p10, p90 = np.percentile(values, [10, 90])
-        scale = np.std(values[(values >= p10) & (values <= p90)])
-        assert np.allclose(out.data[mask], (values - med) / scale, atol=0, rtol=1e-12)
-        assert abs(np.median(out.data[mask])) < 0.02
-        assert np.all(out.data[~mask] == 0.0)
-
-    def test_inner_window_shrugs_off_outliers(self):
-        base = np.linspace(0.0, 10.0, 101)
-        spiked = np.concatenate([base, [1e6]])
-        out_base = robust_zscore(*volume_with_mask(base))
-        out_spiked = robust_zscore(*volume_with_mask(spiked))
-        # the spike shifts the median slot a little but the scale barely moves
-        scale_base = (base.max() - np.median(base)) / out_base.data[100]
-        scale_spiked = (spiked[100] - np.median(spiked)) / out_spiked.data[100]
-        assert scale_spiked == pytest.approx(scale_base, rel=0.02)
-
-    def test_constant_image_degenerate(self):
-        vol, mask = volume_with_mask(np.full(20, 1.5))
-        with pytest.raises(DegenerateIntensityError):
-            robust_zscore(vol, mask)
