@@ -35,9 +35,6 @@ def _add_em_options(parser):
     group = parser.add_argument_group("EM options")
     group.add_argument("--tol", type=float, default=1e-6, help="relative log-likelihood tolerance")
     group.add_argument("--max-iter", type=int, default=500, help="EM iteration cap")
-    group.add_argument("--subsample-cap", type=int, default=2_000_000,
-                       help="max voxels fitted per volume (0 disables subsampling)")
-    group.add_argument("--subsample-seed", type=int, default=0, help="seed for voxel subsampling")
 
 
 def _add_clip_options(parser):
@@ -46,9 +43,7 @@ def _add_clip_options(parser):
 
 
 def _em_config(args) -> EmConfig:
-    cap = None if args.subsample_cap == 0 else args.subsample_cap
-    return EmConfig(tol=args.tol, max_iter=args.max_iter,
-                    subsample_cap=cap, subsample_seed=args.subsample_seed)
+    return EmConfig(tol=args.tol, max_iter=args.max_iter)
 
 
 def _print_config(args) -> None:

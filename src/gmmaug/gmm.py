@@ -5,10 +5,13 @@ posterior and likelihood computations run in log space with log-sum-exp
 normalization, so widely separated components and tiny variances do not
 underflow.
 
-Fitting is fully deterministic for a given (values, config) pair:
-initial means sit at equally spaced sample quantiles, initial variances
-at sample variance / k^2, initial weights uniform. Optional subsampling
-of large inputs is driven by a seeded Philox generator.
+EM runs on each distinct value and its count (the grouped-data EM of
+McLachlan & Jones, Biometrics 1988), which is exact: quantised volumes
+collapse to a few hundred columns, and every input is fitted in full.
+Fitting is fully deterministic for a given (values, config) pair, and
+on data with repeated values it does not depend on their order: initial
+means sit at equally spaced sample quantiles, initial variances at
+sample variance / k^2, initial weights uniform.
 """
 
 from __future__ import annotations
@@ -34,28 +37,22 @@ _MASS_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class EmConfig:
-    """Convergence and subsampling knobs for :func:`fit_em`.
+    """Convergence knobs for :func:`fit_em`.
 
     ``tol`` bounds the relative log-likelihood change between
-    iterations (denominator ``max(1, |previous|)``). Inputs longer than
-    ``subsample_cap`` are reduced to that many values drawn without
-    replacement by a Philox generator keyed with ``subsample_seed``;
-    set the cap to ``None`` to always fit every value.
+    iterations (denominator ``max(1, |previous|)``); ``max_iter`` caps
+    the EM sweeps; no variance falls below ``variance_floor``.
     """
 
     tol: float = 1e-6
     max_iter: int = 500
     variance_floor: float = VARIANCE_FLOOR
-    subsample_cap: int | None = 2_000_000
-    subsample_seed: int = 0
 
     def __post_init__(self):
         if self.tol <= 0 or self.max_iter < 1:
             raise InputError("tol must be > 0 and max_iter >= 1")
         if self.variance_floor < VARIANCE_FLOOR:
             raise InputError(f"variance_floor below the global floor {VARIANCE_FLOOR}")
-        if self.subsample_cap is not None and self.subsample_cap < 1:
-            raise InputError("subsample_cap must be None or >= 1")
 
 
 @dataclass(frozen=True)
@@ -63,8 +60,12 @@ class GmmParams:
     """Fitted mixture, components sorted ascending by mean.
 
     On T1w brain data the sort realises the CSF < GM < WM intensity
-    convention. ``ll_trajectory`` keeps the per-iteration log-likelihood
-    for monotonicity checks; it is not serialized.
+    convention. ``converged`` says whether the last EM step changed the
+    log-likelihood by less than the tolerance, and ``final_rel_change``
+    is that relative change; parameters not made by :func:`fit_em` (or
+    read from JSON without these keys) count as converged with change 0.
+    ``ll_trajectory`` keeps the per-iteration log-likelihood for
+    monotonicity checks; it is not serialized.
     """
 
     k: int
@@ -73,6 +74,8 @@ class GmmParams:
     variances: np.ndarray
     log_likelihood: float
     iterations: int
+    converged: bool = True
+    final_rel_change: float = 0.0
     ll_trajectory: tuple[float, ...] | None = field(
         default=None, repr=False, compare=False
     )
@@ -101,6 +104,8 @@ class GmmParams:
             "variances": self.variances.tolist(),
             "log_likelihood": self.log_likelihood,
             "iterations": self.iterations,
+            "converged": self.converged,
+            "final_rel_change": self.final_rel_change,
         }
 
     @classmethod
@@ -113,6 +118,8 @@ class GmmParams:
                 variances=np.asarray(obj["variances"], dtype=np.float64),
                 log_likelihood=float(obj["log_likelihood"]),
                 iterations=int(obj["iterations"]),
+                converged=bool(obj.get("converged", True)),
+                final_rel_change=float(obj.get("final_rel_change", 0.0)),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed mixture parameters: {exc}") from exc
@@ -145,13 +152,16 @@ def _component_log_prob(weights, means, variances, values) -> np.ndarray:
 def _posterior(log_prob: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Normalize (k, n) log probabilities: (responsibilities, log-evidence).
 
-    One shared exp pass; rows where every density underflows still
-    resolve, and exact ties split evenly.
+    The responsibilities overwrite ``log_prob``, so no second (k, n)
+    buffer is held. One shared exp pass; rows where every density
+    underflows still resolve, and exact ties split evenly.
     """
     top = log_prob.max(axis=0)
-    unnorm = np.exp(log_prob - top[None, :])
+    log_prob -= top
+    unnorm = np.exp(log_prob, out=log_prob)
     total = unnorm.sum(axis=0)
-    return unnorm / total[None, :], top + np.log(total)
+    unnorm /= total
+    return unnorm, top + np.log(total)
 
 
 def log_likelihood(params: GmmParams, values) -> float:
@@ -170,20 +180,16 @@ def responsibilities(params: GmmParams, values) -> np.ndarray:
     return np.ascontiguousarray(_posterior(lp)[0].T)
 
 
-def _subsample(v: np.ndarray, cfg: EmConfig) -> np.ndarray:
-    if cfg.subsample_cap is None or v.size <= cfg.subsample_cap:
-        return v
-    rng = np.random.Generator(np.random.Philox(cfg.subsample_seed))
-    return v[rng.choice(v.size, size=cfg.subsample_cap, replace=False)]
-
-
 def fit_em(values, k: int = 3, cfg: EmConfig | None = None) -> GmmParams:
     """Fit a k-component mixture to 1-D samples by EM.
 
-    Iterates until the relative log-likelihood change drops below
-    ``cfg.tol`` or ``cfg.max_iter`` sweeps have run. The reported
-    ``log_likelihood`` always refers to the returned parameters, and
-    ``ll_trajectory`` holds every evaluation in order.
+    Each sweep runs over the distinct values weighted by their counts;
+    when no value repeats, over the values in their given order. It
+    iterates until the relative log-likelihood change drops below
+    ``cfg.tol`` or ``cfg.max_iter`` sweeps have run; ``converged`` on
+    the result tells the two apart. The reported ``log_likelihood``
+    always refers to the returned parameters, and ``ll_trajectory``
+    holds every evaluation in order.
 
     Raises:
         InsufficientDataError: fewer than ``10 * k`` values.
@@ -194,32 +200,33 @@ def fit_em(values, k: int = 3, cfg: EmConfig | None = None) -> GmmParams:
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
     v = _as_values(values)
-    if v.size < 10 * k:
-        raise InsufficientDataError(f"need at least {10 * k} values, got {v.size}")
-    v = _subsample(v, cfg)
-    if v.size < 10 * k:
-        raise InsufficientDataError(
-            f"subsample cap {cfg.subsample_cap} leaves fewer than {10 * k} values"
-        )
     n = v.size
+    if n < 10 * k:
+        raise InsufficientDataError(f"need at least {10 * k} values, got {n}")
+    x, counts = np.unique(v, return_counts=True)
+    if x.size == n:  # nothing to group: keep the given order
+        x, counts = v, np.ones(n)
 
     quantiles = 100.0 * np.arange(1, k + 1) / (k + 1)
     means = np.percentile(v, quantiles)
-    variances = np.full(k, max(float(np.var(v)) / (k * k), cfg.variance_floor))
+    centred = x - (counts * x).sum() / n
+    variance = (counts * centred * centred).sum() / n  # np.var(v), but order-free
+    variances = np.full(k, max(float(variance) / (k * k), cfg.variance_floor))
     weights = np.full(k, 1.0 / k)
 
     trajectory: list[float] = []
-    ll_prev = None
-    sweeps = 0
-    for _ in range(cfg.max_iter):
-        log_prob = _component_log_prob(weights, means, variances, v)
-        resp, log_evidence = _posterior(log_prob)
-        ll = float(log_evidence.sum())
-        trajectory.append(ll)
-        if ll_prev is not None and abs(ll - ll_prev) < cfg.tol * max(1.0, abs(ll_prev)):
-            break
-        ll_prev = ll
+    for sweeps in range(cfg.max_iter + 1):
+        resp, log_evidence = _posterior(_component_log_prob(weights, means, variances, x))
+        log_evidence *= counts
+        trajectory.append(float(log_evidence.sum()))
+        if sweeps:
+            scale = max(1.0, abs(trajectory[-2]))
+            change = abs(trajectory[-1] - trajectory[-2])
+            converged = change < cfg.tol * scale
+            if converged or sweeps == cfg.max_iter:
+                break
 
+        resp *= counts
         mass = resp.sum(axis=1)
         if np.any(mass < _MASS_FLOOR):
             dead = int(np.argmin(mass))
@@ -227,17 +234,11 @@ def fit_em(values, k: int = 3, cfg: EmConfig | None = None) -> GmmParams:
                 f"component {dead} responsibility mass {mass[dead]:.3e} collapsed"
             )
         weights = mass / n
-        means = (resp * v[None, :]).sum(axis=1) / mass
-        diff = v[None, :] - means[:, None]
+        means = (resp * x[None, :]).sum(axis=1) / mass
+        diff = x[None, :] - means[:, None]
         variances = np.maximum(
             (resp * diff * diff).sum(axis=1) / mass, cfg.variance_floor
         )
-        sweeps += 1
-    else:
-        # max_iter exhausted after an M-step: evaluate the final params
-        log_prob = _component_log_prob(weights, means, variances, v)
-        ll = float(_posterior(log_prob)[1].sum())
-        trajectory.append(ll)
 
     order = np.lexsort((variances, means))  # stable tie-break on variance
     return GmmParams(
@@ -245,7 +246,9 @@ def fit_em(values, k: int = 3, cfg: EmConfig | None = None) -> GmmParams:
         weights=weights[order],
         means=means[order],
         variances=variances[order],
-        log_likelihood=ll,
+        log_likelihood=trajectory[-1],
         iterations=sweeps,
+        converged=converged,
+        final_rel_change=change / scale,
         ll_trajectory=tuple(trajectory),
     )

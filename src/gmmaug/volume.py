@@ -14,6 +14,7 @@ transparently; gzip input is also auto-detected from its magic bytes.
 from __future__ import annotations
 
 import gzip
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -130,7 +131,8 @@ def read_volume(path) -> Volume:
         NotNiftiError: bad sizeof_hdr or magic.
         UnsupportedDatatypeError: datatype outside {2, 4, 16, 64} or
             more than three spatial dims.
-        CorruptFileError: truncated header/body or non-finite values.
+        CorruptFileError: truncated header/body, a non-finite or
+            header-overlapping ``vox_offset``, or non-finite values.
     """
     raw = _read_file_bytes(path)
     if len(raw) < HEADER_SIZE:
@@ -166,6 +168,8 @@ def read_volume(path) -> Volume:
 
     spacing = tuple(p if p > 0 else 1.0 for p in pixdim[1:4])
 
+    if not math.isfinite(vox_offset):
+        raise CorruptFileError(f"{path}: vox_offset {vox_offset} is not finite")
     offset = int(round(vox_offset))
     if offset < HEADER_SIZE:
         raise CorruptFileError(f"{path}: vox_offset {vox_offset} overlaps the header")

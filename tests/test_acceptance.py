@@ -162,7 +162,7 @@ def test_criterion_05_structure_preservation():
     vol, truth = ga.generate_phantom(spec)  # inter-mean gap is 10 sigma
     mask = ga.foreground_mask(vol)
     normalized, _ = ga.clip_normalize(vol, mask)
-    params = ga.fit_em(normalized.data[mask], 3, ga.EmConfig(subsample_cap=100_000))
+    params = ga.fit_em(normalized.data[mask], 3)
     stats = ga.PopulationStats(
         k=3, mu_mean=TISSUE_MEANS, mu_std=(0.015, 0.015, 0.015),
         var_mean=(1.8e-3,) * 3, var_std=(2e-4,) * 3, n_images=2,
@@ -208,9 +208,7 @@ def test_criterion_06_population_round_trip():
         # min/max so the min-max normalization cannot eat the jitter
         assert fg.min() <= 2e-6 and fg.max() == 1.0
         volumes.append(vol)
-    stats = ga.estimate_population(
-        volumes, 3, ga.EmConfig(subsample_cap=30_000), lo_pct=0.0, hi_pct=100.0
-    )
+    stats = ga.estimate_population(volumes, 3, lo_pct=0.0, hi_pct=100.0)
     in_window = np.all((stats.mu_std >= 0.0225) & (stats.mu_std <= 0.0375))
     report(6, bool(in_window),
            f"50-phantom corpus, injected jitter SD 0.03: estimated mu_std "
@@ -227,7 +225,7 @@ def test_criterion_07_contrast_shift_realization():
         k=3, mu_mean=TISSUE_MEANS, mu_std=(0.02, 0.02, 0.02),
         var_mean=(1.8e-3,) * 3, var_std=(5e-4,) * 3, n_images=2,
     )
-    cfg = ga.EmConfig(subsample_cap=30_000)
+    cfg = ga.EmConfig()
     worst = 0.0
     refit_means = []
     for i in range(100):
@@ -292,7 +290,7 @@ def test_criterion_09_file_format_conformance(tmp_path):
     stats_path.write_text(json.dumps(REFERENCE_STATS_JSON))
     stats = ga.load_stats(stats_path)
     vol, _ = ga.generate_phantom(ga.PhantomSpec(dims=(32, 32, 32), seed=9))
-    out, params, pert = ga.augment_volume(vol, stats, seed=4, cfg=ga.EmConfig(subsample_cap=20_000))
+    out, params, pert = ga.augment_volume(vol, stats, seed=4)
     sidecar = ga.provenance_dict(pert, ga.apply_perturbation(params, pert))
     drive_ok = (
         out.data.min() >= 0.0

@@ -1,5 +1,6 @@
 import json
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -16,11 +17,22 @@ from gmmaug import (
 )
 from gmmaug.cli import main
 
+from conftest import build_nifti_bytes
+
 
 @pytest.fixture()
-def phantom_file(tmp_path):
+def phantom_spec_file(tmp_path):
+    """A 40^3 phantom spec: about 26 k foreground voxels keeps full fits quick."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"dims": [40, 40, 40]}))
+    return path
+
+
+@pytest.fixture()
+def phantom_file(tmp_path, phantom_spec_file):
     path = tmp_path / "phantom.nii"
-    assert main(["phantom", "--seed", "20", "--out", str(path)]) == 0
+    assert main(["phantom", "--spec", str(phantom_spec_file), "--seed", "20",
+                 "--out", str(path)]) == 0
     return path
 
 
@@ -51,8 +63,7 @@ def spread_stats_file(tmp_path):
 class TestFit:
     def test_phantom_fit_ascending_means(self, tmp_path, phantom_file, capsys):
         out = tmp_path / "params.json"
-        assert main(["fit", str(phantom_file), "--subsample-cap", "25000",
-                     "--out", str(out)]) == 0
+        assert main(["fit", str(phantom_file), "--out", str(out)]) == 0
         params = json.loads(out.read_text())
         assert params["k"] == 3
         assert np.all(np.diff(params["means"]) > 0)
@@ -68,13 +79,12 @@ class TestFit:
         assert params["means"][0] == pytest.approx(np.mean(normalized.data[mask]), rel=1e-12)
         assert params["variances"][0] == pytest.approx(np.var(normalized.data[mask]), rel=1e-12)
 
-    def test_explicit_mask_option(self, tmp_path, phantom_file):
+    def test_explicit_mask_option(self, tmp_path, phantom_spec_file, phantom_file):
         labels = tmp_path / "labels.nii"
-        assert main(["phantom", "--seed", "20", "--out", str(tmp_path / "p2.nii"),
-                     "--out-labels", str(labels)]) == 0
+        assert main(["phantom", "--spec", str(phantom_spec_file), "--seed", "20",
+                     "--out", str(tmp_path / "p2.nii"), "--out-labels", str(labels)]) == 0
         out = tmp_path / "params.json"
-        assert main(["fit", str(phantom_file), "--mask", str(labels),
-                     "--subsample-cap", "25000", "--out", str(out)]) == 0
+        assert main(["fit", str(phantom_file), "--mask", str(labels), "--out", str(out)]) == 0
         assert json.loads(out.read_text())["k"] == 3
 
     def test_missing_file_exit_2_ioerror_text(self, tmp_path, capsys):
@@ -88,6 +98,25 @@ class TestFit:
         code = main(["fit", str(junk), "--out", str(tmp_path / "o.json")])
         assert code == 2
         assert "NotNifti" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("offset", ["nan", "inf", "-inf"])
+    def test_non_finite_vox_offset_exit_2(self, tmp_path, capsys, offset):
+        raw = bytearray(build_nifti_bytes((2, 2, 2), struct.pack("<8f", *range(8)), 16))
+        struct.pack_into("<f", raw, 108, float(offset))  # after padding to 352
+        path = tmp_path / "bad_offset.nii"
+        path.write_bytes(bytes(raw))
+        assert main(["fit", str(path), "--out", str(tmp_path / "o.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "CorruptFile" in err
+
+    def test_convergence_state_in_fit_json(self, tmp_path, phantom_file):
+        cut, done = tmp_path / "cut.json", tmp_path / "done.json"
+        assert main(["fit", str(phantom_file), "--max-iter", "2", "--out", str(cut)]) == 0
+        assert main(["fit", str(phantom_file), "--out", str(done)]) == 0
+        cut, done = json.loads(cut.read_text()), json.loads(done.read_text())
+        assert cut["converged"] is False and cut["iterations"] == 2
+        assert cut["final_rel_change"] >= 1e-6
+        assert done["converged"] is True and done["final_rel_change"] < 1e-6
 
     def test_constant_volume_exit_3(self, tmp_path, capsys):
         path = tmp_path / "const.nii"
@@ -109,8 +138,7 @@ class TestStats:
         shutil.copy(phantom_file, corpus / "a.nii")
         shutil.copy(phantom_file, corpus / "b.nii")
         out = tmp_path / "stats.json"
-        assert main(["stats", str(corpus), "--subsample-cap", "25000",
-                     "--out", str(out)]) == 0
+        assert main(["stats", str(corpus), "--out", str(out)]) == 0
         stats = json.loads(out.read_text())
         assert stats["n_images"] == 2
         for comp in stats["components"]:
@@ -130,8 +158,7 @@ class TestStats:
         shutil.copy(phantom_file, corpus / "b.nii")
         (corpus / "c.nii").write_bytes(b"junk" * 100)
         out = tmp_path / "stats.json"
-        assert main(["stats", str(corpus), "--subsample-cap", "25000",
-                     "--out", str(out)]) == 0
+        assert main(["stats", str(corpus), "--out", str(out)]) == 0
         assert "skipping" in capsys.readouterr().err
         assert json.loads(out.read_text())["n_images"] == 2
 
@@ -180,7 +207,7 @@ class TestAugment:
     def test_zero_stats_reproduces_normalized_input(self, tmp_path, phantom_file, zero_stats_file):
         prefix = tmp_path / "aug"
         assert main(["augment", str(phantom_file), "--stats", str(zero_stats_file),
-                     "--seed", "5", "--subsample-cap", "25000", "--out-prefix", str(prefix)]) == 0
+                     "--seed", "5", "--out-prefix", str(prefix)]) == 0
         out = read_volume(f"{prefix}_0.nii")
         vol = read_volume(phantom_file)
         mask = foreground_mask(vol)
@@ -197,14 +224,14 @@ class TestAugment:
         pb = tmp_path / "rb"
         for prefix in (pa, pb):
             assert main(["augment", str(phantom_file), "--stats", str(zero_stats_file),
-                         "--seed", "9", "--subsample-cap", "25000", "--out-prefix", str(prefix)]) == 0
+                         "--seed", "9", "--out-prefix", str(prefix)]) == 0
         assert (tmp_path / "ra_0.nii").read_bytes() == (tmp_path / "rb_0.nii").read_bytes()
         assert (tmp_path / "ra_0.json").read_text() == (tmp_path / "rb_0.json").read_text()
 
     def test_n_draws_use_consecutive_seeds(self, tmp_path, phantom_file, zero_stats_file):
         prefix = tmp_path / "multi"
         assert main(["augment", str(phantom_file), "--stats", str(zero_stats_file),
-                     "--seed", "100", "--n", "3", "--subsample-cap", "25000", "--out-prefix", str(prefix)]) == 0
+                     "--seed", "100", "--n", "3", "--out-prefix", str(prefix)]) == 0
         for i in range(3):
             assert (tmp_path / f"multi_{i}.nii").exists()
             sidecar = json.loads((tmp_path / f"multi_{i}.json").read_text())
@@ -228,8 +255,7 @@ class TestAugment:
             return real_fit_em(*args, **kwargs)
 
         monkeypatch.setattr(gmmaug.augment, "fit_em", counting_fit_em)
-        common = ["augment", str(phantom_file), "--stats", str(spread_stats_file),
-                  "--subsample-cap", "25000", *flags]
+        common = ["augment", str(phantom_file), "--stats", str(spread_stats_file), *flags]
         assert main([*common, "--seed", "40", "--n", "3",
                      "--out-prefix", str(tmp_path / "batch")]) == 0
         assert len(fits) == 1
@@ -274,8 +300,7 @@ class TestWorkflow:
         assert main(["phantom", "--seed", "30", "--out", str(subject)]) == 0
         prefix = tmp_path / "aug"
         assert main(["augment", str(subject), "--stats", str(stats_path),
-                     "--seed", "12", "--n", "2", "--subsample-cap", "25000",
-                     "--out-prefix", str(prefix)]) == 0
+                     "--seed", "12", "--n", "2", "--out-prefix", str(prefix)]) == 0
         stats = json.loads(stats_path.read_text())
         for i in range(2):
             out = read_volume(f"{prefix}_{i}.nii")
@@ -370,8 +395,7 @@ class TestMetrics:
         write_label_volume(truth, truth_path)
         prefix = tmp_path / "aug"
         assert main(["augment", str(vol_path), "--stats", str(zero_stats_file),
-                     "--seed", "1", "--subsample-cap", "25000",
-                     "--out-prefix", str(prefix)]) == 0
+                     "--seed", "1", "--out-prefix", str(prefix)]) == 0
         fit = GmmParams.from_json_dict(
             json.loads((tmp_path / "aug_0.json").read_text())["fit"]
         )

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import gmmaug.gmm
 from gmmaug import (
     VARIANCE_FLOOR,
     DegenerateComponentError,
@@ -98,10 +99,6 @@ class TestFitEm:
         with pytest.raises(InsufficientDataError):
             fit_em(np.linspace(0, 1, 29), k=3)
 
-    def test_subsample_cap_leaving_too_few(self):
-        with pytest.raises(InsufficientDataError):
-            fit_em(np.linspace(0, 1, 100), k=1, cfg=EmConfig(subsample_cap=5))
-
     def test_degenerate_component_collapse(self):
         values = np.array([0.0] * 30 + [1.0] * 30)
         with pytest.raises(DegenerateComponentError):
@@ -111,22 +108,58 @@ class TestFitEm:
         with pytest.raises(InputError):
             fit_em(np.array([0.1] * 30 + [np.inf]), k=1)
 
-    def test_subsample_stability_large_fixture(self):
+    def test_repeated_values_fit_like_their_distinct_values(self):
         rng = np.random.Generator(np.random.Philox(5))
-        values = mixture_sample(
-            rng, 10_000_000, TISSUE_WEIGHTS, (0.1, 0.5, 0.9), (4e-4, 4e-4, 4e-4)
-        )
-        full = fit_em(values, cfg=EmConfig(subsample_cap=None))
-        sub = fit_em(values, cfg=EmConfig(subsample_cap=1_000_000, subsample_seed=7))
-        assert np.all(np.abs(full.means - sub.means) < 0.005)
+        values = mixture_sample(rng, 3_000, TISSUE_WEIGHTS, TISSUE_MEANS, TISSUE_VARIANCES)
+        assert np.unique(values).size == values.size
+        single = fit_em(values)
+        tripled = fit_em(np.repeat(values, 3))  # grouped path, counts of 3
+        assert tripled.iterations == single.iterations
+        for name in ("weights", "means", "variances"):
+            assert np.max(np.abs(getattr(tripled, name) - getattr(single, name))) <= 1e-12
+        assert tripled.log_likelihood == pytest.approx(3.0 * single.log_likelihood, rel=1e-12)
 
-    def test_subsample_deterministic_and_seed_sensitive(self):
+    def test_quantised_values_run_on_distinct_columns(self, monkeypatch):
         rng = np.random.Generator(np.random.Philox(6))
-        values = mixture_sample(rng, 50_000, (0.5, 0.5), (0.2, 0.8), (1e-3, 1e-3))
-        cfg = EmConfig(subsample_cap=10_000, subsample_seed=1)
-        assert np.array_equal(fit_em(values, 2, cfg).means, fit_em(values, 2, cfg).means)
-        other = EmConfig(subsample_cap=10_000, subsample_seed=2)
-        assert not np.array_equal(fit_em(values, 2, cfg).means, fit_em(values, 2, other).means)
+        values = np.rint(300.0 * mixture_sample(
+            rng, 50_000, TISSUE_WEIGHTS, (0.2, 0.5, 0.8), (4e-3, 4e-3, 4e-3)
+        ))
+        n_distinct = np.unique(values).size
+        assert 250 <= n_distinct <= 350
+        widths = []
+        real = gmmaug.gmm._component_log_prob
+
+        def spy(weights, means, variances, x):
+            widths.append(x.size)
+            return real(weights, means, variances, x)
+
+        monkeypatch.setattr(gmmaug.gmm, "_component_log_prob", spy)
+        fit_em(values)
+        assert widths and set(widths) == {n_distinct}
+
+    def test_order_of_repeated_values_is_irrelevant(self):
+        rng = np.random.Generator(np.random.Philox(7))
+        values = np.rint(200.0 * mixture_sample(
+            rng, 20_000, (0.5, 0.5), (0.3, 0.7), (2e-3, 2e-3)
+        )) / 200.0
+        a = fit_em(values, 2)
+        b = fit_em(rng.permutation(values), 2)
+        for name in ("weights", "means", "variances"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert a.log_likelihood == b.log_likelihood
+        assert a.ll_trajectory == b.ll_trajectory
+
+    def test_convergence_state_reported(self):
+        rng = np.random.Generator(np.random.Philox(10))
+        values = mixture_sample(rng, 5_000, TISSUE_WEIGHTS, TISSUE_MEANS, TISSUE_VARIANCES)
+        cfg = EmConfig()
+        done = fit_em(values, cfg=cfg)
+        assert done.converged and done.iterations < cfg.max_iter
+        assert 0.0 <= done.final_rel_change < cfg.tol
+        cut = fit_em(values, cfg=EmConfig(max_iter=2))
+        assert not cut.converged and cut.iterations == 2
+        ll = cut.ll_trajectory
+        assert cut.final_rel_change == abs(ll[-1] - ll[-2]) / max(1.0, abs(ll[-2]))
 
 
 class TestResponsibilities:
@@ -193,6 +226,14 @@ class TestGmmParams:
         assert np.array_equal(again.variances, params.variances)
         assert np.array_equal(again.weights, params.weights)
         assert again.log_likelihood == params.log_likelihood
+        assert again.converged == params.converged
+        assert again.final_rel_change == params.final_rel_change
+
+    def test_json_without_convergence_state_loads(self):
+        obj = make_params((0.5, 0.5), (0.2, 0.8), (1e-3, 1e-3)).to_json_dict()
+        del obj["converged"], obj["final_rel_change"]
+        again = GmmParams.from_json_dict(obj)
+        assert again.converged and again.final_rel_change == 0.0
 
     def test_validation_rejects_bad_weights(self):
         with pytest.raises(InputError):
@@ -215,5 +256,3 @@ class TestGmmParams:
             EmConfig(tol=0.0)
         with pytest.raises(InputError):
             EmConfig(variance_floor=1e-12)
-        with pytest.raises(InputError):
-            EmConfig(subsample_cap=0)

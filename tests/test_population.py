@@ -20,7 +20,7 @@ from gmmaug import (
     save_stats,
 )
 
-CFG = EmConfig(subsample_cap=None)
+CFG = EmConfig()
 
 # Magnitudes reported for a large multi-scanner T1w corpus; used as the
 # canonical hand-written stats fixture.
