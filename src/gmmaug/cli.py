@@ -115,7 +115,10 @@ def cmd_metrics(args) -> int:
     ref = read_label_volume(args.ref)
     labels = None
     if args.labels:
-        labels = [int(tok) for tok in args.labels.split(",") if tok]
+        try:
+            labels = [int(tok) for tok in args.labels.split(",") if tok]
+        except ValueError as exc:
+            raise InputError(f"--labels must be comma-separated integers: {exc}") from exc
     report = met.overlap(pred, ref, labels)
     out = Path(args.out)
     if out.suffix == ".csv":
@@ -126,6 +129,8 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_phantom(args) -> int:
+    if args.seed < 0:
+        raise InputError(f"need --seed >= 0, got {args.seed}")
     spec = PhantomSpec.from_json_file(args.spec) if args.spec else PhantomSpec()
     spec = spec.with_seed(args.seed)
     vol, labels = generate_phantom(spec)

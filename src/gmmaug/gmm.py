@@ -8,10 +8,18 @@ underflow.
 EM runs on each distinct value and its count (the grouped-data EM of
 McLachlan & Jones, Biometrics 1988), which is exact: quantised volumes
 collapse to a few hundred columns, and every input is fitted in full.
+Continuous data, with more than ``_MAX_COLUMNS`` (4096) distinct values,
+are first folded into that many equal-width bins over their range. Each
+bin keeps its count, the mean of its values and their squared deviations
+from that mean; EM runs on the (bin mean, count) columns, and the
+responsibility-weighted within-bin variance is added to each component
+afterwards. So a k = 1 fit still returns the exact sample mean and
+variance, and each sweep costs O(4096 k) however many voxels there are.
+
 Fitting is fully deterministic for a given (values, config) pair, and
-on data with repeated values it does not depend on their order: initial
-means sit at equally spaced sample quantiles, initial variances at
-sample variance / k^2, initial weights uniform.
+on data with repeated values, or binned data, it does not depend on
+their order: initial means sit at equally spaced sample quantiles,
+initial variances at sample variance / k^2, initial weights uniform.
 """
 
 from __future__ import annotations
@@ -34,6 +42,10 @@ VARIANCE_FLOOR = 1e-8
 # effectively lost all its voxels.
 _MASS_FLOOR = 1e-12
 
+# Inputs with more distinct values than this are fitted on equal-width
+# bins that keep exact within-bin moments; fewer are fitted exactly.
+_MAX_COLUMNS = 4096
+
 
 @dataclass(frozen=True)
 class EmConfig:
@@ -49,8 +61,9 @@ class EmConfig:
     variance_floor: float = VARIANCE_FLOOR
 
     def __post_init__(self):
-        if self.tol <= 0 or self.max_iter < 1:
-            raise InputError("tol must be > 0 and max_iter >= 1")
+        if not 0 < self.tol < math.inf or self.max_iter < 1:
+            raise InputError(f"tol must be finite and > 0 and max_iter >= 1, "
+                             f"got tol {self.tol} max_iter {self.max_iter}")
         if self.variance_floor < VARIANCE_FLOOR:
             raise InputError(f"variance_floor below the global floor {VARIANCE_FLOOR}")
 
@@ -65,7 +78,10 @@ class GmmParams:
     is that relative change; parameters not made by :func:`fit_em` (or
     read from JSON without these keys) count as converged with change 0.
     ``ll_trajectory`` keeps the per-iteration log-likelihood for
-    monotonicity checks; it is not serialized.
+    monotonicity checks; it is not serialized. For a binned fit (more
+    than 4096 distinct values), ``log_likelihood`` and ``ll_trajectory``
+    are those of the bin-mean columns, evaluated before the within-bin
+    variance is added.
     """
 
     k: int
@@ -180,16 +196,38 @@ def responsibilities(params: GmmParams, values) -> np.ndarray:
     return np.ascontiguousarray(_posterior(lp)[0].T)
 
 
+def _bin_columns(x, counts):
+    """Fold sorted distinct values into at most ``_MAX_COLUMNS`` bins.
+
+    Bins are equal-width over ``[x[0], x[-1]]``; empty ones are dropped.
+    Returns each bin's count, the mean of its values and the sum of
+    squared deviations from that mean, so the binned columns keep the
+    exact total mean and variance of the data.
+    """
+    lo, hi = x[0], x[-1]
+    index = np.minimum(np.floor((x - lo) / (hi - lo) * _MAX_COLUMNS), _MAX_COLUMNS - 1)
+    starts = np.flatnonzero(np.diff(index, prepend=-1.0))  # x is sorted: bins are runs
+    bin_counts = np.add.reduceat(counts, starts).astype(np.float64)
+    bin_means = np.add.reduceat(counts * x, starts) / bin_counts
+    dev = x - np.repeat(bin_means, np.diff(starts, append=x.size))
+    return bin_means, bin_counts, np.add.reduceat(counts * dev * dev, starts)
+
+
 def fit_em(values, k: int = 3, cfg: EmConfig | None = None) -> GmmParams:
     """Fit a k-component mixture to 1-D samples by EM.
 
     Each sweep runs over the distinct values weighted by their counts;
-    when no value repeats, over the values in their given order. It
-    iterates until the relative log-likelihood change drops below
-    ``cfg.tol`` or ``cfg.max_iter`` sweeps have run; ``converged`` on
-    the result tells the two apart. The reported ``log_likelihood``
-    always refers to the returned parameters, and ``ll_trajectory``
-    holds every evaluation in order.
+    when no value repeats, over the values in their given order. Above
+    ``_MAX_COLUMNS`` distinct values it runs over equal-width bins
+    instead (see the module docstring): the same EM on the bin means,
+    so the trajectory stays monotone, then each component's variance
+    gains its responsibility-weighted within-bin variance. It iterates
+    until the relative log-likelihood change drops below ``cfg.tol`` or
+    ``cfg.max_iter`` sweeps have run; ``converged`` on the result tells
+    the two apart. The reported ``log_likelihood`` refers to the
+    returned means and weights (for a binned fit, on the bin-mean
+    columns with the variances before the within-bin term), and
+    ``ll_trajectory`` holds every evaluation in order.
 
     Raises:
         InsufficientDataError: fewer than ``10 * k`` values.
@@ -204,13 +242,19 @@ def fit_em(values, k: int = 3, cfg: EmConfig | None = None) -> GmmParams:
     if n < 10 * k:
         raise InsufficientDataError(f"need at least {10 * k} values, got {n}")
     x, counts = np.unique(v, return_counts=True)
-    if x.size == n:  # nothing to group: keep the given order
+    within = None
+    if x.size > _MAX_COLUMNS:
+        x, counts, within = _bin_columns(x, counts)
+    elif x.size == n:  # nothing to group: keep the given order
         x, counts = v, np.ones(n)
 
     quantiles = 100.0 * np.arange(1, k + 1) / (k + 1)
     means = np.percentile(v, quantiles)
     centred = x - (counts * x).sum() / n
-    variance = (counts * centred * centred).sum() / n  # np.var(v), but order-free
+    spread = (counts * centred * centred).sum()
+    if within is not None:
+        spread += within.sum()
+    variance = spread / n  # np.var(v), but order-free
     variances = np.full(k, max(float(variance) / (k * k), cfg.variance_floor))
     weights = np.full(k, 1.0 / k)
 
@@ -240,6 +284,8 @@ def fit_em(values, k: int = 3, cfg: EmConfig | None = None) -> GmmParams:
             (resp * diff * diff).sum(axis=1) / mass, cfg.variance_floor
         )
 
+    if within is not None:  # resp holds the posterior of the returned parameters
+        variances = variances + (resp @ within) / (resp @ counts)
     order = np.lexsort((variances, means))  # stable tie-break on variance
     return GmmParams(
         k=k,

@@ -17,9 +17,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import GmmAugError, InsufficientDataError, InvalidStatsError
+from .errors import GmmAugError, InputError, InsufficientDataError, InvalidStatsError
 from .gmm import EmConfig, fit_em
-from .preprocess import clip_normalize
+from .preprocess import check_clip_window, clip_normalize
 from .volume import Volume, foreground_mask
 
 logger = logging.getLogger(__name__)
@@ -139,8 +139,12 @@ def estimate_population(
 
     Volumes whose preprocessing or fit fails are skipped with a warning
     rather than aborting the corpus run. Needs at least two successful
-    fits.
+    fits. A ``k`` below 1 or a bad percentile window would fail every
+    volume alike, so it raises InputError before the first volume is read.
     """
+    if k < 1:
+        raise InputError(f"k must be >= 1, got {k}")
+    check_clip_window(lo_pct, hi_pct)
     fitted_means: list[np.ndarray] = []
     fitted_vars: list[np.ndarray] = []
     skipped = 0

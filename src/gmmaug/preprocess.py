@@ -24,6 +24,12 @@ class ClipNormReport:
     p_high: float
 
 
+def check_clip_window(lo_pct: float, hi_pct: float) -> None:
+    """Raise InputError unless ``0 <= lo_pct < hi_pct <= 100``."""
+    if not 0.0 <= lo_pct < hi_pct <= 100.0:
+        raise InputError(f"need 0 <= lo_pct < hi_pct <= 100, got ({lo_pct}, {hi_pct})")
+
+
 def clip_normalize(
     vol: Volume,
     mask: np.ndarray,
@@ -40,8 +46,7 @@ def clip_normalize(
         DegenerateIntensityError: the two percentiles coincide
             (constant image).
     """
-    if not 0.0 <= lo_pct < hi_pct <= 100.0:
-        raise InputError(f"need 0 <= lo_pct < hi_pct <= 100, got ({lo_pct}, {hi_pct})")
+    check_clip_window(lo_pct, hi_pct)
     mask = np.asarray(mask, dtype=bool).ravel()
     if mask.size != vol.n_voxels:
         raise InputError(f"mask length {mask.size} != voxel count {vol.n_voxels}")

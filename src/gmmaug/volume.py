@@ -16,6 +16,7 @@ from __future__ import annotations
 import gzip
 import math
 import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -117,7 +118,10 @@ def _read_file_bytes(path) -> bytes:
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:2] == b"\x1f\x8b":
-        raw = gzip.decompress(raw)
+        try:
+            raw = gzip.decompress(raw)
+        except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+            raise CorruptFileError(f"{path}: damaged gzip stream: {exc}") from exc
     return raw
 
 
@@ -125,14 +129,18 @@ def read_volume(path) -> Volume:
     """Read a single-file NIfTI-1 volume into 64-bit reals.
 
     Values are scaled by ``scl_slope``/``scl_inter`` when the slope is
-    nonzero. Non-positive ``pixdim`` entries fall back to 1.0 mm.
+    finite and nonzero; a zero or non-finite slope (NaN is a common
+    writer default) means unscaled. Non-positive ``pixdim`` entries fall
+    back to 1.0 mm.
 
     Raises:
         NotNiftiError: bad sizeof_hdr or magic.
         UnsupportedDatatypeError: datatype outside {2, 4, 16, 64} or
             more than three spatial dims.
-        CorruptFileError: truncated header/body, a non-finite or
-            header-overlapping ``vox_offset``, or non-finite values.
+        CorruptFileError: a damaged gzip stream, truncated header/body,
+            a non-finite or header-overlapping ``vox_offset``, a
+            non-finite ``scl_inter`` under a valid slope, or non-finite
+            values.
     """
     raw = _read_file_bytes(path)
     if len(raw) < HEADER_SIZE:
@@ -180,7 +188,9 @@ def read_volume(path) -> Volume:
         raise CorruptFileError(f"{path}: body holds fewer than {n} voxels")
 
     data = np.frombuffer(body, dtype=dtype).astype(np.float64)
-    if scl_slope != 0.0:
+    if scl_slope != 0.0 and math.isfinite(scl_slope):
+        if not math.isfinite(scl_inter):
+            raise CorruptFileError(f"{path}: scl_inter {scl_inter} is not finite")
         data = data * float(scl_slope) + float(scl_inter)
     if not np.all(np.isfinite(data)):
         raise CorruptFileError(f"{path}: non-finite voxel values after scaling")
@@ -237,6 +247,8 @@ def read_label_volume(path) -> LabelVolume:
     rounded = np.rint(vol.data)
     if np.max(np.abs(vol.data - rounded), initial=0.0) > 1e-6:
         raise InputError(f"{path}: voxel values are not integer labels")
+    if np.max(np.abs(rounded), initial=0.0) > np.iinfo(np.int32).max:
+        raise InputError(f"{path}: label values exceed the int32 range")
     return LabelVolume(vol.dims, vol.spacing, rounded.astype(np.int32))
 
 

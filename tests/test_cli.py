@@ -109,6 +109,14 @@ class TestFit:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "CorruptFile" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_exit_2(self, tmp_path, phantom_file, capsys, tol):
+        out = tmp_path / "params.json"
+        assert main(["fit", str(phantom_file), "--tol", tol, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "InputError" in err and "tol" in err
+        assert not out.exists()
+
     def test_convergence_state_in_fit_json(self, tmp_path, phantom_file):
         cut, done = tmp_path / "cut.json", tmp_path / "done.json"
         assert main(["fit", str(phantom_file), "--max-iter", "2", "--out", str(cut)]) == 0
@@ -161,6 +169,17 @@ class TestStats:
         assert main(["stats", str(corpus), "--out", str(out)]) == 0
         assert "skipping" in capsys.readouterr().err
         assert json.loads(out.read_text())["n_images"] == 2
+
+    @pytest.mark.parametrize("option", [["--k", "0"], ["--clip-lo", "50", "--clip-hi", "10"]])
+    def test_bad_k_or_window_reported_once(self, tmp_path, phantom_file, capsys, option):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for name in ("a.nii", "b.nii"):
+            shutil.copy(phantom_file, corpus / name)
+        code = main(["stats", str(corpus), "--out", str(tmp_path / "s.json"), *option])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("InputError")
 
     def test_jittered_corpus_recovers_spread(self, tmp_path):
         corpus = tmp_path / "corpus"
@@ -411,6 +430,16 @@ class TestMetrics:
         for label in ("1", "2", "3"):
             assert report["labels"][label]["dice"] >= 0.99
 
+    def test_non_integer_labels_option_exit_2(self, tmp_path, capsys):
+        labels = tmp_path / "l.nii"
+        write_volume(Volume((2, 2, 2), (1, 1, 1), np.arange(8) % 3), labels)
+        out = tmp_path / "r.json"
+        assert main(["metrics", str(labels), str(labels), "--labels", "a,b",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--labels" in err
+        assert not out.exists()
+
     def test_shape_mismatch_exit_2(self, tmp_path, capsys):
         a = tmp_path / "a.nii"
         b = tmp_path / "b.nii"
@@ -427,6 +456,13 @@ class TestPhantomCmd:
         assert main(["phantom", "--seed", "6", "--out", str(a)]) == 0
         assert main(["phantom", "--seed", "6", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "p.nii"
+        assert main(["phantom", "--seed", "-1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--seed" in err
+        assert not out.exists()
 
     def test_spec_override(self, tmp_path):
         spec_path = tmp_path / "spec.json"

@@ -1,0 +1,180 @@
+"""Property test of the command-line contract under malformed input.
+
+Whatever header a volume carries and whatever numbers the options take,
+every subcommand ends in exit code 0, 2 or 3, writes nothing to stdout
+and at most one diagnostic line to stderr; ``stats`` may add one
+"skipping" line for each volume of its corpus it could not use. Options are passed as
+``--flag=value`` so that values such as ``-inf`` reach the program
+instead of argparse, and every value has the option's type: usage
+errors of argparse itself are outside this contract.
+"""
+
+import contextlib
+import gzip
+import io
+import json
+import logging
+import shutil
+import struct
+import tempfile
+import warnings
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from gmmaug import PhantomSpec, generate_phantom, write_label_volume, write_volume
+from gmmaug.cli import main
+
+# (byte offset, little-endian struct format) of the header fields the
+# reader interprets: sizeof_hdr, dim[0..3], datatype, bitpix,
+# pixdim[1..3], vox_offset, scl_slope, scl_inter and the magic.
+HEADER_FIELDS = (
+    [(0, "<i")]
+    + [(40 + 2 * i, "<h") for i in range(4)]
+    + [(70, "<h"), (72, "<h")]
+    + [(76 + 4 * i, "<f") for i in range(1, 4)]
+    + [(108, "<f"), (112, "<f"), (116, "<f"), (344, "4s")]
+)
+
+SMALL_SPEC = {"dims": [16, 16, 16]}
+CORPUS_SIZE = 3
+
+
+def _field_value(field):
+    offset, fmt = field
+    if fmt == "<i":
+        values = st.integers(-(2**31), 2**31 - 1)
+    elif fmt == "<h":
+        values = st.integers(-(2**15), 2**15 - 1)
+    elif fmt == "<f":
+        values = st.floats(width=32)
+    else:
+        values = st.binary(min_size=4, max_size=4)
+    return values.map(lambda value: (offset, fmt, value))
+
+
+# None leaves the file intact; an int truncates it to that many bytes;
+# ("gzip", cut, flip) gzips it, cuts the stream to ``cut`` bytes and
+# inverts byte ``flip`` (none when negative).
+mutations = st.one_of(
+    st.none(),
+    st.sampled_from(HEADER_FIELDS).flatmap(_field_value),
+    st.integers(0, 400),
+    st.tuples(st.just("gzip"), st.integers(0, 8_000), st.integers(-40, 200)),
+)
+floats = st.floats(allow_nan=True, allow_infinity=True)
+K = {"--k": st.integers(-1, 5)}
+EM = {"--tol": st.one_of(floats, st.sampled_from([1e-6, 1e-3])),
+      "--max-iter": st.integers(-2, 40)}
+CLIP = {"--clip-lo": st.one_of(floats, st.sampled_from([0.0, 1.0, 50.0])),
+        "--clip-hi": st.one_of(floats, st.sampled_from([99.0, 100.0, 50.0]))}
+SEED = {"--seed": st.integers(-3, 2**70)}
+
+commands = st.one_of(
+    st.tuples(st.just("fit"), st.fixed_dictionaries({**K, **EM, **CLIP})),
+    st.tuples(st.just("stats"), st.fixed_dictionaries({**K, **EM, **CLIP})),
+    st.tuples(st.just("augment"), st.fixed_dictionaries(
+        {**EM, **SEED, "--n": st.integers(-2, 2)})),
+    st.tuples(st.just("hist"), st.fixed_dictionaries({"--bins": st.integers(-2, 300)})),
+    st.tuples(st.just("metrics"), st.fixed_dictionaries(
+        {}, optional={"--labels": st.text(alphabet="012,a -", max_size=5)})),
+    st.tuples(st.just("phantom"), st.fixed_dictionaries(SEED)),
+)
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A 24^3 phantom, its labels, a stats file and a phantom spec.
+
+    The phantom's ~5.5 k distinct foreground values exceed the 4096
+    above which fits are binned, so fits on an intact copy are binned.
+    """
+    root = tmp_path_factory.mktemp("fuzz_inputs")
+    vol, labels = generate_phantom(PhantomSpec(dims=(24, 24, 24), seed=3))
+    write_volume(vol, root / "volume.nii")
+    write_label_volume(labels, root / "labels.nii")
+    stats = {
+        "k": 3,
+        "components": [
+            {"mu_mean": mu, "mu_std": 0.02, "var_mean": var, "var_std": 1e-4}
+            for mu, var in zip((0.1, 0.2, 0.3), (2e-3, 1e-3, 1e-3))
+        ],
+        "n_images": 2,
+        "preprocessing": {"clip_lo_pct": 1.0, "clip_hi_pct": 99.0, "normalize": "minmax01"},
+    }
+    (root / "stats.json").write_text(json.dumps(stats))
+    (root / "spec.json").write_text(json.dumps(SMALL_SPEC))
+    return root
+
+
+def _mutated_copy(source: Path, dest: Path, mutation) -> Path:
+    raw = bytearray(source.read_bytes())
+    if isinstance(mutation, int):
+        raw = raw[:mutation]
+    elif mutation and mutation[0] == "gzip":
+        _, cut, flip = mutation
+        raw = bytearray(gzip.compress(bytes(raw), mtime=0)[:cut])
+        if 0 <= flip < len(raw):
+            raw[flip] ^= 0xFF
+    elif mutation is not None:
+        offset, fmt, value = mutation
+        struct.pack_into(fmt, raw, offset, value)
+    dest.write_bytes(bytes(raw))
+    return dest
+
+
+def _argv(command, options, inputs: Path, work: Path, mutation):
+    volume = _mutated_copy(inputs / "volume.nii", work / "volume.nii", mutation)
+    if command == "fit":
+        positional = [str(volume), "--out", str(work / "fit.json")]
+    elif command == "stats":
+        corpus = work / "corpus"
+        corpus.mkdir()
+        for i in range(CORPUS_SIZE - 1):  # enough good volumes that one bad one is skipped
+            shutil.copy(inputs / "volume.nii", corpus / f"{i}.nii")
+        shutil.copy(volume, corpus / "bad.nii")
+        positional = [str(corpus), "--out", str(work / "stats.json")]
+    elif command == "augment":
+        positional = [str(volume), "--stats", str(inputs / "stats.json"),
+                      "--out-prefix", str(work / "aug")]
+    elif command == "hist":
+        positional = [str(volume), "--out", str(work / "hist.csv")]
+    elif command == "metrics":
+        labels = _mutated_copy(inputs / "labels.nii", work / "labels.nii", mutation)
+        positional = [str(labels), str(inputs / "labels.nii"), "--out", str(work / "m.json")]
+    else:
+        positional = ["--spec", str(inputs / "spec.json"), "--out", str(work / "p.nii")]
+    return [command, *positional, *(f"{flag}={value}" for flag, value in options.items())]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(command=commands, mutation=mutations)
+def test_cli_exit_codes_and_streams(inputs, command, mutation):
+    name, options = command
+    stdout, stderr = io.StringIO(), io.StringIO()
+    # Outside pytest, package log records reach stderr through logging's
+    # last-resort handler; count them as stderr lines here too.
+    log_handler = logging.StreamHandler(stderr)
+    logging.getLogger("gmmaug").addHandler(log_handler)
+    try:
+        with tempfile.TemporaryDirectory(dir=inputs) as work:
+            argv = _argv(name, options, inputs, Path(work), mutation)
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                warnings.simplefilter("always")
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse
+                    code = exc.code
+    finally:
+        logging.getLogger("gmmaug").removeHandler(log_handler)
+    assert code in (0, 2, 3), argv
+    assert stdout.getvalue() == "", argv
+    lines = stderr.getvalue().splitlines()
+    skips = [line for line in lines if line.startswith("skipping ")]
+    assert len(lines) - len(skips) <= 1, (argv, lines)
+    assert len(skips) <= (CORPUS_SIZE if name == "stats" else 0), (argv, lines)
+    assert not caught, (argv, [str(w.message) for w in caught])

@@ -11,7 +11,9 @@ from gmmaug import (
     GmmParams,
     InputError,
     InsufficientDataError,
+    clip_normalize,
     fit_em,
+    foreground_mask,
     log_likelihood,
     responsibilities,
 )
@@ -137,6 +139,11 @@ class TestFitEm:
         fit_em(values)
         assert widths and set(widths) == {n_distinct}
 
+        widths.clear()
+        continuous = mixture_sample(rng, 50_000, TISSUE_WEIGHTS, TISSUE_MEANS, TISSUE_VARIANCES)
+        fit_em(continuous)
+        assert widths and max(widths) <= gmmaug.gmm._MAX_COLUMNS
+
     def test_order_of_repeated_values_is_irrelevant(self):
         rng = np.random.Generator(np.random.Philox(7))
         values = np.rint(200.0 * mixture_sample(
@@ -148,6 +155,28 @@ class TestFitEm:
             assert np.array_equal(getattr(a, name), getattr(b, name))
         assert a.log_likelihood == b.log_likelihood
         assert a.ll_trajectory == b.ll_trajectory
+
+    def test_binned_fit_matches_exact_fit(self, monkeypatch, default_phantom):
+        rng = np.random.Generator(np.random.Philox(11))
+        vol, _ = default_phantom
+        mask = foreground_mask(vol)
+        samples = [
+            mixture_sample(rng, 30_000, TISSUE_WEIGHTS, TISSUE_MEANS, TISSUE_VARIANCES),
+            clip_normalize(vol, mask)[0].data[mask],
+        ]
+        for values in samples:
+            assert np.unique(values).size > gmmaug.gmm._MAX_COLUMNS
+            binned = fit_em(values)
+            with monkeypatch.context() as patch:
+                patch.setattr(gmmaug.gmm, "_MAX_COLUMNS", values.size)
+                exact = fit_em(values)
+            assert binned.iterations == exact.iterations
+            for name in ("weights", "means", "variances"):
+                assert np.max(np.abs(getattr(binned, name) - getattr(exact, name))) <= 1e-6
+            shuffled = fit_em(rng.permutation(values))
+            for name in ("weights", "means", "variances"):
+                assert np.array_equal(getattr(shuffled, name), getattr(binned, name))
+            assert shuffled.ll_trajectory == binned.ll_trajectory
 
     def test_convergence_state_reported(self):
         rng = np.random.Generator(np.random.Philox(10))
@@ -256,3 +285,8 @@ class TestGmmParams:
             EmConfig(tol=0.0)
         with pytest.raises(InputError):
             EmConfig(variance_floor=1e-12)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_config_rejects_non_finite_tol(self, tol):
+        with pytest.raises(InputError, match="tol"):
+            EmConfig(tol=tol)

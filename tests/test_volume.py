@@ -130,6 +130,19 @@ class TestReadVolume:
         with pytest.raises(CorruptFileError):
             read_volume(write_file(tmp_path, raw))
 
+    @pytest.mark.parametrize("slope", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_slope_means_unscaled(self, tmp_path, slope):
+        raw = build_nifti_bytes((1, 1, 2), struct.pack("<2f", 0.0, -1.0), datatype=16,
+                                scl_slope=slope, scl_inter=float("nan"))
+        assert np.array_equal(read_volume(write_file(tmp_path, raw)).data, [0.0, -1.0])
+
+    @pytest.mark.parametrize("inter", [float("nan"), float("inf")])
+    def test_non_finite_inter_with_slope_rejected(self, tmp_path, inter):
+        raw = build_nifti_bytes((1, 1, 2), struct.pack("<2f", 0.0, -1.0), datatype=16,
+                                scl_slope=2.0, scl_inter=inter)
+        with pytest.raises(CorruptFileError, match="scl_inter"):
+            read_volume(write_file(tmp_path, raw))
+
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             read_volume(tmp_path / "absent.nii")
@@ -177,6 +190,17 @@ class TestWriteVolume:
         disguised.write_bytes(gzip.compress(plain.read_bytes()))
         assert np.max(np.abs(read_volume(disguised).data - vol.data)) <= 1e-6
 
+    def test_damaged_gzip_rejected(self, tmp_path):
+        path = tmp_path / "v.nii.gz"
+        write_volume(Volume((8, 8, 8), (1, 1, 1), np.linspace(0.0, 1.0, 512)), path)
+        packed = path.read_bytes()
+        flipped = bytearray(packed)
+        flipped[20] ^= 0xFF
+        for damaged in (packed[: len(packed) // 2], bytes(flipped), packed[:2]):
+            path.write_bytes(damaged)
+            with pytest.raises(CorruptFileError, match="gzip"):
+                read_volume(path)
+
     def test_unwritable_path_raises_oserror(self, tmp_path):
         vol = Volume((1, 1, 1), (1, 1, 1), [0.0])
         with pytest.raises(OSError):
@@ -207,6 +231,12 @@ class TestLabelVolumeIO:
         write_volume(Volume((2, 1, 1), (1, 1, 1), [0.5, 1.0]), path)
         with pytest.raises(InputError):
             read_label_volume(path)
+
+    def test_labels_beyond_int32_rejected(self, tmp_path):
+        raw = build_nifti_bytes((2, 1, 1), struct.pack("<2f", 0.0, 1.0), datatype=16,
+                                scl_slope=3e9)
+        with pytest.raises(InputError, match="int32"):
+            read_label_volume(write_file(tmp_path, raw))
 
 
 class TestVolumeInvariants:
