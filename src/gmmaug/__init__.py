@@ -12,7 +12,6 @@ from .augment import (
     apply_perturbation,
     augment_draws,
     augment_volume,
-    component_values,
     provenance_dict,
     remap,
     sample_perturbation,
@@ -78,7 +77,6 @@ __all__ = [
     "augment_draws",
     "augment_volume",
     "clip_normalize",
-    "component_values",
     "estimate_population",
     "fit_em",
     "foreground_mask",

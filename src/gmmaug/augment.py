@@ -7,9 +7,19 @@ voxel so its standardised offset from every component is preserved:
     v'_k = mu'_k + sigma'_k * (v - mu_k) / sigma_k
 
 The per-component values are blended with the voxel's posterior
-responsibilities under the original fit (or assigned hard from the
-argmax component), which keeps tissue geometry intact while the
-contrast between tissues changes.
+responsibilities gamma_k under the original fit (or assigned hard from
+the argmax component, a one-hot gamma), which keeps tissue geometry
+intact while the contrast between tissues changes. The blend is linear
+in the perturbed parameters:
+
+    v' = sum_k gamma_k * mu'_k + sum_k (gamma_k * D_k) * sigma'_k,
+    D_k = (v - mu_k) / sigma_k
+
+gamma and D depend only on the fit, so :func:`augment_draws` builds the
+(2k, n) basis [gamma; gamma * D] once per volume, and each draw is one
+matrix-vector product [mu', sigma'] @ basis. The basis holds 2k * n * 8
+bytes while the generator lives: about 17 MB for the 360 k foreground
+voxels of a 96^3 volume and 80 MB at 160x192x160 (k = 3).
 
 Randomness comes from a Philox (counter-based) generator keyed with the
 caller's seed; the draw order is fixed as q_mu then q_var for component
@@ -24,8 +34,9 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from . import gmm
 from .errors import InputError, NumericalError
-from .gmm import VARIANCE_FLOOR, EmConfig, GmmParams, fit_em, responsibilities
+from .gmm import VARIANCE_FLOOR, EmConfig, GmmParams, fit_em
 from .population import PopulationStats
 from .preprocess import clip_normalize
 from .volume import Volume, foreground_mask
@@ -114,13 +125,35 @@ def apply_perturbation(params: GmmParams, pert: Perturbation) -> PerturbedGmm:
     )
 
 
-def component_values(values, params: GmmParams, pert: PerturbedGmm) -> np.ndarray:
-    """(n, k) array of v'_k = mu'_k + sigma'_k * (v - mu_k) / sigma_k."""
-    v = np.asarray(values, dtype=np.float64).ravel()
-    sigma = np.sqrt(params.variances)
-    sigma_new = np.sqrt(pert.variances)
-    distance = (v[:, None] - params.means[None, :]) / sigma[None, :]
-    return pert.means[None, :] + distance * sigma_new[None, :]
+def _remap_basis(values: np.ndarray, params: GmmParams, hard_assign: bool) -> np.ndarray:
+    """(2k, n) rows [gamma; gamma * D] of the remap's linear form.
+
+    ``gamma`` is the posterior of ``params`` (one-hot at its argmax under
+    ``hard_assign``) and ``D_k = (v - mu_k) / sigma_k``. Every row is
+    written in place, so the basis is the only (k, n)-sized array made.
+    """
+    k = params.k
+    basis = np.empty((2 * k, values.size))
+    gamma, scaled = basis[:k], basis[k:]
+    gmm._posterior(gmm._component_log_prob(
+        params.weights, params.means, params.variances, values, out=gamma))
+    if hard_assign:
+        gamma[...] = np.arange(k)[:, None] == np.argmax(gamma, axis=0)
+    np.subtract(values, params.means[:, None], out=scaled)
+    scaled /= np.sqrt(params.variances)[:, None]
+    scaled *= gamma
+    return basis
+
+
+def _draw(basis: np.ndarray, vol: Volume, mask: np.ndarray, pert: PerturbedGmm,
+          clip: bool) -> Volume:
+    """Apply one perturbed mixture through ``basis`` to the masked voxels of ``vol``."""
+    remapped = np.concatenate([pert.means, np.sqrt(pert.variances)]) @ basis
+    if clip:
+        np.clip(remapped, 0.0, 1.0, out=remapped)
+    out = vol.data.copy()
+    out[mask] = remapped
+    return Volume(vol.dims, vol.spacing, out)
 
 
 def remap(
@@ -136,23 +169,14 @@ def remap(
     Per-component values are mixed with the posterior responsibilities
     of the original fit; ``hard_assign`` instead takes the single
     argmax-responsibility component. Output is clipped to [0, 1] unless
-    ``clip`` is disabled. Voxels outside the mask are untouched.
+    ``clip`` is disabled. Voxels outside the mask are untouched. This
+    builds the basis and applies one draw; :func:`augment_draws` keeps
+    the basis for every seed.
     """
     mask = np.asarray(mask, dtype=bool).ravel()
     if mask.size != vol.n_voxels:
         raise InputError(f"mask length {mask.size} != voxel count {vol.n_voxels}")
-    v = vol.data[mask]
-    gamma = responsibilities(params, v)
-    per_component = component_values(v, params, pert)
-    if hard_assign:
-        remapped = per_component[np.arange(v.size), np.argmax(gamma, axis=1)]
-    else:
-        remapped = (gamma * per_component).sum(axis=1)
-    if clip:
-        remapped = np.clip(remapped, 0.0, 1.0)
-    out = vol.data.copy()
-    out[mask] = remapped
-    return Volume(vol.dims, vol.spacing, out)
+    return _draw(_remap_basis(vol.data[mask], params, hard_assign), vol, mask, pert, clip)
 
 
 def augment_draws(
@@ -172,16 +196,19 @@ def augment_draws(
     in ``stats``. Each draw is (remapped volume, perturbation, perturbed
     mixture), and ``perturbed.base`` is the fit. With
     ``reject_order_inversion`` perturbations that would invert the order
-    of the fitted means are redrawn from the same seed's stream.
+    of the fitted means are redrawn from the same seed's stream. The
+    remap basis is built once, after the fit, and each seed costs one
+    matrix-vector product over it.
     """
     mask = foreground_mask(vol)
     normalized, _ = clip_normalize(vol, mask, stats.clip_lo_pct, stats.clip_hi_pct)
-    params = fit_em(normalized.data[mask], stats.k, cfg)
+    values = normalized.data[mask]
+    params = fit_em(values, stats.k, cfg)
+    basis = _remap_basis(values, params, hard_assign)
     for seed in seeds:
         pert = sample_perturbation(stats, seed, params.means if reject_order_inversion else None)
         perturbed = apply_perturbation(params, pert)
-        out = remap(normalized, mask, params, perturbed, hard_assign=hard_assign, clip=clip)
-        yield out, pert, perturbed
+        yield _draw(basis, normalized, mask, perturbed, clip), pert, perturbed
 
 
 def augment_volume(

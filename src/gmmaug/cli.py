@@ -30,6 +30,9 @@ from .volume import (
     write_volume,
 )
 
+# Upper bound on ``hist --bins``: the histogram and its CSV are O(bins).
+_MAX_BINS = 1_000_000
+
 
 def _add_em_options(parser):
     group = parser.add_argument_group("EM options")
@@ -98,10 +101,10 @@ def cmd_augment(args) -> int:
 
 
 def cmd_hist(args) -> int:
+    if not 1 <= args.bins <= _MAX_BINS:
+        raise InputError(f"--bins must be in [1, {_MAX_BINS}], got {args.bins}")
     vol = read_volume(args.input)
     mask = foreground_mask(vol)
-    if args.bins < 1:
-        raise InputError("bins must be >= 1")
     counts, edges = np.histogram(vol.data[mask], bins=args.bins, range=(0.0, 1.0))
     centers = 0.5 * (edges[:-1] + edges[1:])
     lines = ["bin_center,count"]
@@ -180,7 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hist", help="masked-intensity histogram as CSV")
     p.add_argument("input")
-    p.add_argument("--bins", type=int, default=100, help="fixed-width bins over [0,1]")
+    p.add_argument("--bins", type=int, default=100,
+                   help=f"fixed-width bins over [0,1], 1 to {_MAX_BINS}")
     p.add_argument("--out", required=True, help="output CSV of bin_center,count")
     p.set_defaults(func=cmd_hist)
 

@@ -151,18 +151,24 @@ def _as_values(values) -> np.ndarray:
     return v
 
 
-def _component_log_prob(weights, means, variances, values) -> np.ndarray:
-    """(k, n) array of log(w_k) + log N(v | mu_k, var_k).
+def _component_log_prob(weights, means, variances, values, out=None) -> np.ndarray:
+    """(k, n) array of log(w_k) + log N(v | mu_k, var_k), written into ``out``.
 
-    Component-major layout keeps every reduction in the EM loop
-    contiguous.
+    Computed in place in one (k, n) buffer, a new one when ``out`` is
+    None. The steps keep the operation order of
+    ``log w - 0.5 * (LOG_2PI + log var + d * d / var)``, so the result is
+    that expression bit for bit. Component-major layout keeps every
+    reduction in the EM loop contiguous.
     """
     with np.errstate(divide="ignore"):  # zero weights -> -inf is fine
         log_w = np.log(weights)
-    diff = values[None, :] - means[:, None]
-    return log_w[:, None] - 0.5 * (
-        LOG_2PI + np.log(variances)[:, None] + diff * diff / variances[:, None]
-    )
+    lp = np.subtract(values[None, :], means[:, None], out=out)
+    lp *= lp
+    lp /= variances[:, None]
+    lp += LOG_2PI + np.log(variances)[:, None]
+    lp *= -0.5
+    lp += log_w[:, None]
+    return lp
 
 
 def _posterior(log_prob: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -104,6 +104,17 @@ def test_criterion_02_em_recovery(em_recovery_fits):
     assert failures == 0
 
 
+def component_alone(params, perturbed, j):
+    """Component ``j`` of a fit and of its perturbation as one-component mixtures.
+
+    Remapping under them gives every voxel a responsibility of exactly 1
+    for ``j``, so the output is component ``j``'s remapped value.
+    """
+    base = ga.GmmParams(k=1, weights=[1.0], means=params.means[j:j + 1],
+                        variances=params.variances[j:j + 1], log_likelihood=0.0, iterations=0)
+    return base, ga.PerturbedGmm(base, perturbed.means[j:j + 1], perturbed.variances[j:j + 1])
+
+
 def test_criterion_03_distance_preservation():
     rng = np.random.Generator(np.random.Philox(321))
     triples = 0
@@ -119,7 +130,12 @@ def test_criterion_03_distance_preservation():
         )
         perturbed = ga.apply_perturbation(params, pert)
         values = rng.random(500)
-        new_vals = ga.component_values(values, params, perturbed)
+        vol = ga.Volume((values.size, 1, 1), (1, 1, 1), values)
+        mask = np.ones(values.size, dtype=bool)
+        new_vals = np.column_stack([
+            ga.remap(vol, mask, *component_alone(params, perturbed, j), clip=False).data
+            for j in range(3)
+        ])
         before = (values[:, None] - params.means) / np.sqrt(params.variances)
         after = (new_vals - perturbed.means) / np.sqrt(perturbed.variances)
         scale = np.maximum(1.0, np.maximum(np.abs(before), np.abs(after)))

@@ -6,14 +6,15 @@ from gmmaug import (
     GmmParams,
     Perturbation,
     PopulationStats,
+    Volume,
     apply_perturbation,
     augment_volume,
     clip_normalize,
-    component_values,
     fit_em,
     foreground_mask,
     provenance_dict,
     remap,
+    responsibilities,
     sample_perturbation,
 )
 
@@ -34,6 +35,12 @@ ZERO_STATS = make_stats((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
 
 # Components far enough apart that posteriors are exactly one-hot.
 FAR_PARAMS = make_params((1 / 3, 1 / 3, 1 / 3), (0.1, 10.0, 20.0), (0.002, 0.002, 0.002))
+
+
+def voxels(values):
+    """A (n, 1, 1) volume holding ``values`` and its all-true mask."""
+    values = np.asarray(values, dtype=np.float64)
+    return Volume((values.size, 1, 1), (1, 1, 1), values), np.ones(values.size, dtype=bool)
 
 
 class TestSamplePerturbation:
@@ -125,11 +132,9 @@ class TestRemap:
             q_mu=np.array([0.02, 0.0, 0.0]), q_var=np.array([1e-3, 0.0, 0.0]), seed=0
         )
         perturbed = apply_perturbation(FAR_PARAMS, pert)
-        from gmmaug import responsibilities
-
         gamma = responsibilities(FAR_PARAMS, [v])
         assert gamma[0, 0] == 1.0 and gamma[0, 1] == 0.0 and gamma[0, 2] == 0.0
-        got = component_values([v], FAR_PARAMS, perturbed)[0, 0]
+        got = remap(*voxels([v]), FAR_PARAMS, perturbed, clip=False).data[0]
         assert got == pytest.approx(0.12 + np.sqrt(0.003), abs=1e-12)
 
     def test_voxel_at_mean_maps_to_new_mean(self):
@@ -137,8 +142,8 @@ class TestRemap:
             q_mu=np.array([0.05, 0.0, 0.0]), q_var=np.array([5e-4, 0.0, 0.0]), seed=0
         )
         perturbed = apply_perturbation(FAR_PARAMS, pert)
-        vals = component_values([0.1], FAR_PARAMS, perturbed)
-        assert vals[0, 0] == perturbed.means[0]
+        vals = remap(*voxels([0.1]), FAR_PARAMS, perturbed, clip=False).data
+        assert vals[0] == perturbed.means[0]
 
     def test_distance_preserved_per_component(self):
         rng = np.random.Generator(np.random.Philox(17))
@@ -148,9 +153,10 @@ class TestRemap:
             q_mu=rng.uniform(-0.05, 0.05, 3), q_var=rng.uniform(-5e-4, 5e-4, 3), seed=0
         )
         perturbed = apply_perturbation(params, pert)
-        new_vals = component_values(values, params, perturbed)
-        before = (values[:, None] - params.means) / np.sqrt(params.variances)
-        after = (new_vals - perturbed.means) / np.sqrt(perturbed.variances)
+        new_vals = remap(*voxels(values), params, perturbed, hard_assign=True, clip=False).data
+        top = np.argmax(responsibilities(params, values), axis=1)  # each voxel's component
+        before = (values - params.means[top]) / np.sqrt(params.variances[top])
+        after = (new_vals - perturbed.means[top]) / np.sqrt(perturbed.variances[top])
         assert np.allclose(after, before, rtol=1e-12, atol=1e-12)
 
     def test_matches_scalar_reference_implementation(self):
@@ -164,8 +170,6 @@ class TestRemap:
         perturbed = apply_perturbation(params, pert)
         rng = np.random.Generator(np.random.Philox(77))
         data = rng.random(40)
-        from gmmaug import Volume
-
         vol = Volume((40, 1, 1), (1, 1, 1), data)
         mask = np.ones(40, dtype=bool)
         out = remap(vol, mask, params, perturbed, clip=False)
@@ -188,8 +192,6 @@ class TestRemap:
             q_mu=np.array([0.05, 0.0, 0.0]), q_var=np.zeros(3), seed=0
         )
         perturbed = apply_perturbation(FAR_PARAMS, pert)
-        from gmmaug import Volume
-
         vol = Volume((3, 1, 1), (1, 1, 1), [0.1, 10.0, 20.0])
         mask = np.ones(3, dtype=bool)
         hard = remap(vol, mask, FAR_PARAMS, perturbed, hard_assign=True, clip=False)

@@ -1,11 +1,16 @@
 import json
+import os
 import shutil
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gmmaug.augment
+import gmmaug.gmm
 from gmmaug import (
     PhantomSpec,
     Volume,
@@ -285,6 +290,36 @@ class TestAugment:
                 batch_bytes = (tmp_path / f"batch_{i}.{ext}").read_bytes()
                 assert batch_bytes == (tmp_path / f"single{i}_0.{ext}").read_bytes()
 
+    @pytest.mark.parametrize("flags", [[], ["--hard-assign"]])
+    def test_draws_share_one_foreground_posterior(
+        self, tmp_path, phantom_file, spread_stats_file, monkeypatch, flags
+    ):
+        widths = []
+        real = gmmaug.gmm._component_log_prob
+
+        def spy(weights, means, variances, values, out=None):
+            widths.append(values.size)
+            return real(weights, means, variances, values, out=out)
+
+        monkeypatch.setattr(gmmaug.gmm, "_component_log_prob", spy)
+        assert main(["augment", str(phantom_file), "--stats", str(spread_stats_file), *flags,
+                     "--seed", "40", "--n", "3", "--out-prefix", str(tmp_path / "a")]) == 0
+        foreground = int(foreground_mask(read_volume(phantom_file)).sum())
+        assert foreground > gmmaug.gmm._MAX_COLUMNS  # wider than any fit column set
+        assert widths.count(foreground) == 1
+
+    def test_outputs_do_not_depend_on_blas_threads(self, tmp_path, phantom_file, spread_stats_file):
+        src = str(Path(gmmaug.__file__).resolve().parents[1])
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+            subprocess.run([sys.executable, "-m", "gmmaug.cli", "augment", str(phantom_file),
+                            "--stats", str(spread_stats_file), "--seed", "3", "--n", "2",
+                            "--out-prefix", str(tmp_path / f"t{threads}")], env=env, check=True)
+        for i in range(2):
+            for ext in ("nii", "json"):
+                one = (tmp_path / f"t1_{i}.{ext}").read_bytes()
+                assert one == (tmp_path / f"t2_{i}.{ext}").read_bytes()
+
     @pytest.mark.parametrize("flag,value", [("--n", "0"), ("--n", "-3"), ("--seed", "-1")])
     def test_bad_count_or_seed_exit_2(
         self, tmp_path, phantom_file, zero_stats_file, capsys, flag, value
@@ -373,6 +408,14 @@ class TestHist:
     def test_bad_bins(self, tmp_path, phantom_file, capsys):
         assert main(["hist", str(phantom_file), "--bins", "0",
                      "--out", str(tmp_path / "h.csv")]) == 2
+
+    @pytest.mark.parametrize("bins", [10**6 + 1, 10**15])
+    def test_bins_above_cap_exit_2(self, tmp_path, phantom_file, capsys, bins):
+        out = tmp_path / "h.csv"
+        assert main(["hist", str(phantom_file), "--bins", str(bins), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--bins" in err
+        assert not out.exists()
 
 
 class TestMetrics:

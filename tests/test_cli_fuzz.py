@@ -77,7 +77,8 @@ commands = st.one_of(
     st.tuples(st.just("stats"), st.fixed_dictionaries({**K, **EM, **CLIP})),
     st.tuples(st.just("augment"), st.fixed_dictionaries(
         {**EM, **SEED, "--n": st.integers(-2, 2)})),
-    st.tuples(st.just("hist"), st.fixed_dictionaries({"--bins": st.integers(-2, 300)})),
+    st.tuples(st.just("hist"), st.fixed_dictionaries(
+        {"--bins": st.one_of(st.integers(-2, 300), st.integers(10**6 + 1, 10**18))})),
     st.tuples(st.just("metrics"), st.fixed_dictionaries(
         {}, optional={"--labels": st.text(alphabet="012,a -", max_size=5)})),
     st.tuples(st.just("phantom"), st.fixed_dictionaries(SEED)),

@@ -220,6 +220,26 @@ class TestResponsibilities:
         gamma = responsibilities(params, [0.0, 0.5, 1.0])
         assert np.all(gamma[:, 0] == 0.0)
 
+    def test_in_place_log_prob_matches_expression(self):
+        rng = np.random.Generator(np.random.Philox(8))
+        weights = np.array([0.0, 0.25, 0.75])  # a zero weight gives a -inf row
+        means = np.array([0.1, 0.4, 0.7])
+        variances = np.array([2e-3, 1e-4, 5e-2])
+        values = rng.uniform(-0.5, 1.5, 1_000)
+        with np.errstate(divide="ignore"):
+            log_w = np.log(weights)
+        diff = values[None, :] - means[:, None]
+        expected = log_w[:, None] - 0.5 * (
+            math.log(2.0 * math.pi) + np.log(variances)[:, None] + diff * diff / variances[:, None]
+        )
+        buf = np.empty((3, values.size))
+        got = gmmaug.gmm._component_log_prob(weights, means, variances, values, out=buf)
+        assert got is buf
+        assert np.array_equal(buf, expected)
+        assert np.all(buf[0] == -np.inf)
+        fresh = gmmaug.gmm._component_log_prob(weights, means, variances, values)
+        assert np.array_equal(fresh, expected)
+
 
 class TestLogLikelihood:
     def test_unit_density_point(self):
