@@ -31,11 +31,11 @@ from .errors import (
     ShapeMismatchError,
     UnsupportedDatatypeError,
 )
-from .gmm import VARIANCE_FLOOR, EmConfig, GmmParams, fit_em, log_likelihood, responsibilities
+from .gmm import VARIANCE_FLOOR, EmConfig, GmmParams, fit_em, responsibilities
 from .metrics import OverlapReport, outlier_fraction, overlap, summarize
 from .phantom import PhantomSpec, generate_phantom
 from .population import PopulationStats, estimate_population, load_stats, save_stats
-from .preprocess import ClipNormReport, clip_normalize
+from .preprocess import clip_normalize
 from .volume import (
     LabelVolume,
     Volume,
@@ -49,7 +49,6 @@ from .volume import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClipNormReport",
     "CorruptFileError",
     "DegenerateComponentError",
     "DegenerateIntensityError",
@@ -82,7 +81,6 @@ __all__ = [
     "foreground_mask",
     "generate_phantom",
     "load_stats",
-    "log_likelihood",
     "outlier_fraction",
     "overlap",
     "provenance_dict",

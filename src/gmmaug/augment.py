@@ -36,10 +36,10 @@ import numpy as np
 
 from . import gmm
 from .errors import InputError, NumericalError
-from .gmm import VARIANCE_FLOOR, EmConfig, GmmParams, fit_em
+from .gmm import VARIANCE_FLOOR, EmConfig, GmmParams
 from .population import PopulationStats
-from .preprocess import clip_normalize
-from .volume import Volume, foreground_mask
+from .preprocess import fit_volume
+from .volume import Volume
 
 # Bound on order-inversion rejection retries before giving up.
 _MAX_REDRAWS = 10_000
@@ -200,11 +200,8 @@ def augment_draws(
     remap basis is built once, after the fit, and each seed costs one
     matrix-vector product over it.
     """
-    mask = foreground_mask(vol)
-    normalized, _ = clip_normalize(vol, mask, stats.clip_lo_pct, stats.clip_hi_pct)
-    values = normalized.data[mask]
-    params = fit_em(values, stats.k, cfg)
-    basis = _remap_basis(values, params, hard_assign)
+    normalized, mask, params = fit_volume(vol, stats.k, cfg, stats.clip_lo_pct, stats.clip_hi_pct)
+    basis = _remap_basis(normalized.data[mask], params, hard_assign)
     for seed in seeds:
         pert = sample_perturbation(stats, seed, params.means if reject_order_inversion else None)
         perturbed = apply_perturbation(params, pert)

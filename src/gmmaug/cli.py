@@ -18,10 +18,10 @@ import numpy as np
 from . import augment as aug
 from . import metrics as met
 from .errors import InputError, NumericalError
-from .gmm import EmConfig, fit_em
+from .gmm import EmConfig
 from .phantom import PhantomSpec, generate_phantom
 from .population import estimate_population, load_stats, save_stats
-from .preprocess import clip_normalize
+from .preprocess import fit_volume
 from .volume import (
     foreground_mask,
     read_label_volume,
@@ -59,9 +59,7 @@ def _print_config(args) -> None:
 def cmd_fit(args) -> int:
     vol = read_volume(args.input)
     mask_vol = read_label_volume(args.mask) if args.mask else None
-    mask = foreground_mask(vol, mask_vol)
-    normalized, _ = clip_normalize(vol, mask, args.clip_lo, args.clip_hi)
-    params = fit_em(normalized.data[mask], args.k, _em_config(args))
+    params = fit_volume(vol, args.k, _em_config(args), args.clip_lo, args.clip_hi, mask_vol)[2]
     Path(args.out).write_text(params.dumps() + "\n")
     return 0
 
@@ -70,7 +68,7 @@ def _readable_volumes(paths):
     for path in paths:
         try:
             yield read_volume(path)
-        except InputError as exc:
+        except (InputError, OSError) as exc:  # OSError: e.g. a directory named *.nii
             print(f"skipping {path}: {exc}", file=sys.stderr)
 
 

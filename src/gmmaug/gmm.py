@@ -53,19 +53,16 @@ class EmConfig:
 
     ``tol`` bounds the relative log-likelihood change between
     iterations (denominator ``max(1, |previous|)``); ``max_iter`` caps
-    the EM sweeps; no variance falls below ``variance_floor``.
+    the EM sweeps. No fitted variance falls below ``VARIANCE_FLOOR``.
     """
 
     tol: float = 1e-6
     max_iter: int = 500
-    variance_floor: float = VARIANCE_FLOOR
 
     def __post_init__(self):
         if not 0 < self.tol < math.inf or self.max_iter < 1:
             raise InputError(f"tol must be finite and > 0 and max_iter >= 1, "
                              f"got tol {self.tol} max_iter {self.max_iter}")
-        if self.variance_floor < VARIANCE_FLOOR:
-            raise InputError(f"variance_floor below the global floor {VARIANCE_FLOOR}")
 
 
 @dataclass(frozen=True)
@@ -186,15 +183,6 @@ def _posterior(log_prob: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return unnorm, top + np.log(total)
 
 
-def log_likelihood(params: GmmParams, values) -> float:
-    """Total log-likelihood of ``values`` under ``params`` (log-sum-exp form)."""
-    v = _as_values(values)
-    if v.size == 0:
-        return 0.0
-    lp = _component_log_prob(params.weights, params.means, params.variances, v)
-    return float(_posterior(lp)[1].sum())
-
-
 def responsibilities(params: GmmParams, values) -> np.ndarray:
     """(n, k) posterior p(component | value), rows summing to 1."""
     v = _as_values(values)
@@ -261,7 +249,7 @@ def fit_em(values, k: int = 3, cfg: EmConfig | None = None) -> GmmParams:
     if within is not None:
         spread += within.sum()
     variance = spread / n  # np.var(v), but order-free
-    variances = np.full(k, max(float(variance) / (k * k), cfg.variance_floor))
+    variances = np.full(k, max(float(variance) / (k * k), VARIANCE_FLOOR))
     weights = np.full(k, 1.0 / k)
 
     trajectory: list[float] = []
@@ -286,9 +274,7 @@ def fit_em(values, k: int = 3, cfg: EmConfig | None = None) -> GmmParams:
         weights = mass / n
         means = (resp * x[None, :]).sum(axis=1) / mass
         diff = x[None, :] - means[:, None]
-        variances = np.maximum(
-            (resp * diff * diff).sum(axis=1) / mass, cfg.variance_floor
-        )
+        variances = np.maximum((resp * diff * diff).sum(axis=1) / mass, VARIANCE_FLOOR)
 
     if within is not None:  # resp holds the posterior of the returned parameters
         variances = variances + (resp @ within) / (resp @ counts)

@@ -18,12 +18,14 @@ from typing import Iterable
 import numpy as np
 
 from .errors import GmmAugError, InputError, InsufficientDataError, InvalidStatsError
-from .gmm import EmConfig, fit_em
-from .preprocess import check_clip_window, clip_normalize
-from .volume import Volume, foreground_mask
+from .gmm import EmConfig
+from .preprocess import check_clip_window, fit_volume
+from .volume import Volume
 
 logger = logging.getLogger(__name__)
 
+# The only normalization implemented (percentile clip mapped to [0, 1]);
+# stats files that name another are rejected.
 NORMALIZE_MODE = "minmax01"
 
 
@@ -39,7 +41,6 @@ class PopulationStats:
     n_images: int
     clip_lo_pct: float = 1.0
     clip_hi_pct: float = 99.0
-    normalize: str = NORMALIZE_MODE
 
     def __post_init__(self):
         arrays = {}
@@ -56,11 +57,6 @@ class PopulationStats:
             raise InvalidStatsError("mu_mean must be ascending")
         if self.n_images < 2:
             raise InvalidStatsError("n_images must be >= 2")
-        if self.normalize != NORMALIZE_MODE:
-            raise InvalidStatsError(
-                f"normalize must be {NORMALIZE_MODE!r}, the only mode implemented; "
-                f"got {self.normalize!r}"
-            )
         for name, arr in arrays.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -81,7 +77,7 @@ class PopulationStats:
             "preprocessing": {
                 "clip_lo_pct": self.clip_lo_pct,
                 "clip_hi_pct": self.clip_hi_pct,
-                "normalize": self.normalize,
+                "normalize": NORMALIZE_MODE,
             },
         }
 
@@ -93,6 +89,11 @@ class PopulationStats:
             if not isinstance(comps, list) or len(comps) != k:
                 raise InvalidStatsError(f"'components' must list exactly {k} entries")
             pre = obj["preprocessing"]
+            if pre["normalize"] != NORMALIZE_MODE:
+                raise InvalidStatsError(
+                    f"normalize must be {NORMALIZE_MODE!r}, the only mode implemented; "
+                    f"got {pre['normalize']!r}"
+                )
             return cls(
                 k=k,
                 mu_mean=np.array([c["mu_mean"] for c in comps], dtype=np.float64),
@@ -102,7 +103,6 @@ class PopulationStats:
                 n_images=int(obj["n_images"]),
                 clip_lo_pct=float(pre["clip_lo_pct"]),
                 clip_hi_pct=float(pre["clip_hi_pct"]),
-                normalize=str(pre["normalize"]),
             )
         except InvalidStatsError:
             raise
@@ -150,9 +150,7 @@ def estimate_population(
     skipped = 0
     for index, vol in enumerate(volumes):
         try:
-            mask = foreground_mask(vol)
-            normalized, _ = clip_normalize(vol, mask, lo_pct, hi_pct)
-            params = fit_em(normalized.data[mask], k, cfg)
+            params = fit_volume(vol, k, cfg, lo_pct, hi_pct)[2]
         except GmmAugError as exc:
             skipped += 1
             logger.warning("skipping volume %d: %s: %s", index, type(exc).__name__, exc)

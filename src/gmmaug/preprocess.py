@@ -8,20 +8,11 @@ low percentile on skull-stripped images).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateIntensityError, EmptyMaskError, InputError
-from .volume import Volume
-
-
-@dataclass(frozen=True)
-class ClipNormReport:
-    """Percentile window used by :func:`clip_normalize`."""
-
-    p_low: float
-    p_high: float
+from .gmm import EmConfig, GmmParams, fit_em
+from .volume import LabelVolume, Volume, foreground_mask
 
 
 def check_clip_window(lo_pct: float, hi_pct: float) -> None:
@@ -35,7 +26,7 @@ def clip_normalize(
     mask: np.ndarray,
     lo_pct: float = 1.0,
     hi_pct: float = 99.0,
-) -> tuple[Volume, ClipNormReport]:
+) -> Volume:
     """Clip masked intensities to a percentile window and map it to [0, 1].
 
     Percentiles are taken over masked voxels; masked values are clipped
@@ -60,5 +51,23 @@ def clip_normalize(
         )
     out = np.zeros(vol.n_voxels)
     out[mask] = (np.clip(values, p_low, p_high) - p_low) / (p_high - p_low)
-    return Volume(vol.dims, vol.spacing, out), ClipNormReport(float(p_low), float(p_high))
+    return Volume(vol.dims, vol.spacing, out)
 
+
+def fit_volume(
+    vol: Volume,
+    k: int,
+    cfg: EmConfig | None,
+    lo_pct: float,
+    hi_pct: float,
+    explicit_mask: LabelVolume | None = None,
+) -> tuple[Volume, np.ndarray, GmmParams]:
+    """Mask, clip-normalize and fit one volume: (normalized, mask, params).
+
+    ``fit``, ``stats`` and ``augment`` all fit a volume through here, so
+    the spreads a corpus yields and the fits they perturb come from one
+    procedure.
+    """
+    mask = foreground_mask(vol, explicit_mask)
+    normalized = clip_normalize(vol, mask, lo_pct, hi_pct)
+    return normalized, mask, fit_em(normalized.data[mask], k, cfg)

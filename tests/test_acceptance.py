@@ -69,7 +69,7 @@ def test_criterion_01_identity_invariance(zero_stats):
     spec = ga.PhantomSpec(seed=20)  # 64^3, reference tissue statistics
     vol, _ = ga.generate_phantom(spec)
     mask = ga.foreground_mask(vol)
-    normalized, _ = ga.clip_normalize(vol, mask)
+    normalized = ga.clip_normalize(vol, mask)
 
     start = time.perf_counter()
     out, params, pert = ga.augment_volume(vol, zero_stats, seed=1)
@@ -177,7 +177,7 @@ def test_criterion_05_structure_preservation():
     spec = ga.PhantomSpec(means=(0.1, 0.2, 0.3), variances=(1e-4, 1e-4, 1e-4), seed=21)
     vol, truth = ga.generate_phantom(spec)  # inter-mean gap is 10 sigma
     mask = ga.foreground_mask(vol)
-    normalized, _ = ga.clip_normalize(vol, mask)
+    normalized = ga.clip_normalize(vol, mask)
     params = ga.fit_em(normalized.data[mask], 3)
     stats = ga.PopulationStats(
         k=3, mu_mean=TISSUE_MEANS, mu_std=(0.015, 0.015, 0.015),

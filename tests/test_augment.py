@@ -117,7 +117,7 @@ class TestRemap:
     def test_identity_perturbation(self, separated_phantom):
         vol, _ = separated_phantom
         mask = foreground_mask(vol)
-        normalized, _ = clip_normalize(vol, mask)
+        normalized = clip_normalize(vol, mask)
         params = fit_em(normalized.data[mask], 3)
         pert = Perturbation(q_mu=np.zeros(3), q_var=np.zeros(3), seed=0)
         out = remap(normalized, mask, params, apply_perturbation(params, pert))

@@ -9,12 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import gmmaug.augment
 import gmmaug.gmm
+import gmmaug.preprocess
 from gmmaug import (
     PhantomSpec,
     Volume,
     clip_normalize,
+    estimate_population,
     foreground_mask,
     generate_phantom,
     read_volume,
@@ -56,6 +57,20 @@ def write_stats(path, mu_std, var_std):
 
 
 @pytest.fixture()
+def fits(monkeypatch):
+    """One entry per fit_em call made through the shared volume-fit path."""
+    calls = []
+    real_fit_em = gmmaug.preprocess.fit_em
+
+    def counting_fit_em(*args, **kwargs):
+        calls.append(1)
+        return real_fit_em(*args, **kwargs)
+
+    monkeypatch.setattr(gmmaug.preprocess, "fit_em", counting_fit_em)
+    return calls
+
+
+@pytest.fixture()
 def zero_stats_file(tmp_path):
     return write_stats(tmp_path / "zero_stats.json", (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
 
@@ -80,7 +95,7 @@ class TestFit:
         params = json.loads(out.read_text())
         vol = read_volume(phantom_file)
         mask = foreground_mask(vol)
-        normalized, _ = clip_normalize(vol, mask)
+        normalized = clip_normalize(vol, mask)
         assert params["means"][0] == pytest.approx(np.mean(normalized.data[mask]), rel=1e-12)
         assert params["variances"][0] == pytest.approx(np.var(normalized.data[mask]), rel=1e-12)
 
@@ -175,6 +190,18 @@ class TestStats:
         assert "skipping" in capsys.readouterr().err
         assert json.loads(out.read_text())["n_images"] == 2
 
+    def test_unopenable_entry_skipped(self, tmp_path, phantom_file, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for name in ("a.nii", "b.nii", "c.nii"):
+            shutil.copy(phantom_file, corpus / name)
+        (corpus / "d.nii").mkdir()  # matches the glob, cannot be opened as a file
+        out = tmp_path / "stats.json"
+        assert main(["stats", str(corpus), "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"skipping {corpus / 'd.nii'}: ")
+        assert json.loads(out.read_text())["n_images"] == 3
+
     @pytest.mark.parametrize("option", [["--k", "0"], ["--clip-lo", "50", "--clip-hi", "10"]])
     def test_bad_k_or_window_reported_once(self, tmp_path, phantom_file, capsys, option):
         corpus = tmp_path / "corpus"
@@ -235,7 +262,7 @@ class TestAugment:
         out = read_volume(f"{prefix}_0.nii")
         vol = read_volume(phantom_file)
         mask = foreground_mask(vol)
-        expected, _ = clip_normalize(vol, mask)
+        expected = clip_normalize(vol, mask)
         assert np.max(np.abs(out.data - expected.data)) <= 1e-6  # float32 write
         sidecar = json.loads((tmp_path / "aug_0.json").read_text())
         assert sidecar["seed"] == 5
@@ -269,16 +296,8 @@ class TestAugment:
 
     @pytest.mark.parametrize("flags", [[], ["--hard-assign"]])
     def test_batch_fits_once_and_replays_single_seed_runs(
-        self, tmp_path, phantom_file, spread_stats_file, monkeypatch, flags
+        self, tmp_path, phantom_file, spread_stats_file, fits, flags
     ):
-        fits = []
-        real_fit_em = gmmaug.augment.fit_em
-
-        def counting_fit_em(*args, **kwargs):
-            fits.append(1)
-            return real_fit_em(*args, **kwargs)
-
-        monkeypatch.setattr(gmmaug.augment, "fit_em", counting_fit_em)
         common = ["augment", str(phantom_file), "--stats", str(spread_stats_file), *flags]
         assert main([*common, "--seed", "40", "--n", "3",
                      "--out-prefix", str(tmp_path / "batch")]) == 0
@@ -332,6 +351,31 @@ class TestAugment:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and flag in err
         assert not list(tmp_path.glob("bad_*"))
+
+
+class TestOneFitPath:
+    """fit, stats and augment fit a volume through the same procedure."""
+
+    def test_fit_json_is_augment_fit_and_population_mean(
+        self, tmp_path, phantom_file, spread_stats_file
+    ):
+        fit_out = tmp_path / "fit.json"
+        assert main(["fit", str(phantom_file), "--out", str(fit_out)]) == 0
+        fit = json.loads(fit_out.read_text())
+        assert main(["augment", str(phantom_file), "--stats", str(spread_stats_file),
+                     "--seed", "3", "--n", "2", "--out-prefix", str(tmp_path / "aug")]) == 0
+        for i in range(2):
+            assert json.loads((tmp_path / f"aug_{i}.json").read_text())["fit"] == fit
+        vol = read_volume(phantom_file)
+        assert estimate_population([vol, vol]).mu_mean.tolist() == fit["means"]
+
+    def test_stats_fits_each_volume_once(self, tmp_path, phantom_file, fits):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for name in ("a.nii", "b.nii", "c.nii"):
+            shutil.copy(phantom_file, corpus / name)
+        assert main(["stats", str(corpus), "--out", str(tmp_path / "stats.json")]) == 0
+        assert len(fits) == 3
 
 
 class TestWorkflow:

@@ -63,7 +63,7 @@ class TestEstimatePopulation:
         fitted = []
         for vol in volumes_dup:
             mask = foreground_mask(vol)
-            normalized, _ = clip_normalize(vol, mask, 1.0, 99.0)
+            normalized = clip_normalize(vol, mask, 1.0, 99.0)
             fitted.append(fit_em(normalized.data[mask], 3, CFG).means)
         table = np.sort(np.vstack(fitted), axis=0)
         assert np.allclose(stats.mu_mean, table.mean(axis=0), rtol=0, atol=0)
@@ -87,7 +87,7 @@ class TestEstimatePopulation:
         stats = estimate_population(volumes, cfg=CFG, lo_pct=0.0, hi_pct=100.0)
         assert stats.clip_lo_pct == 0.0
         assert stats.clip_hi_pct == 100.0
-        assert stats.normalize == "minmax01"
+        assert stats.to_json_dict()["preprocessing"]["normalize"] == "minmax01"
 
     def test_jitter_recovery_small_corpus(self):
         # per-image tissue means shifted by a known offset table; the
