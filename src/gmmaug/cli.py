@@ -86,13 +86,17 @@ def cmd_stats(args) -> int:
 def cmd_augment(args) -> int:
     if args.n < 1 or args.seed < 0:
         raise InputError(f"need --n >= 1 and --seed >= 0, got --n {args.n} --seed {args.seed}")
-    vol = read_volume(args.input)
-    stats = load_stats(args.stats)
-    draws = aug.augment_draws(vol, stats, range(args.seed, args.seed + args.n), _em_config(args),
+    # No local keeps the source volume, and each draw is deleted once
+    # written, so the generator frees both (``enumerate`` would keep
+    # draw i alive while draw i + 1 is built).
+    draws = aug.augment_draws(read_volume(args.input), load_stats(args.stats),
+                              range(args.seed, args.seed + args.n), _em_config(args),
                               hard_assign=args.hard_assign, clip=not args.no_clip,
                               reject_order_inversion=args.reject_order_inversion)
-    for i, (out_vol, pert, perturbed) in enumerate(draws):
+    for i in range(args.n):
+        out_vol, pert, perturbed = next(draws)
         write_volume(out_vol, f"{args.out_prefix}_{i}.nii")
+        del out_vol
         sidecar = aug.provenance_dict(pert, perturbed)
         Path(f"{args.out_prefix}_{i}.json").write_text(json.dumps(sidecar, indent=2) + "\n")
     return 0

@@ -220,20 +220,15 @@ def write_volume(vol: Volume, path) -> None:
 
     The data block starts at offset 352 (header + empty extension
     flag), so ``read_volume(write_volume(v))`` round-trips data within
-    float32 precision. ``.gz`` paths are gzip-compressed.
+    float32 precision. ``.gz`` paths are gzip-compressed. The float32
+    body is written straight from its array, the one copy of the data
+    made here.
     """
-    payload = (
-        _pack_header(vol.dims, vol.spacing)
-        + b"\x00\x00\x00\x00"
-        + vol.data.astype("<f4").tobytes()
-    )
     path = Path(path)
-    if path.suffix == ".gz":
-        # mtime pinned so identical volumes produce identical bytes
-        with gzip.GzipFile(path, "wb", mtime=0) as fh:
-            fh.write(payload)
-    else:
-        path.write_bytes(payload)
+    # mtime pinned so identical volumes produce identical bytes
+    with (gzip.GzipFile(path, "wb", mtime=0) if path.suffix == ".gz" else open(path, "wb")) as fh:
+        fh.write(_pack_header(vol.dims, vol.spacing) + b"\x00\x00\x00\x00")
+        fh.write(vol.data.astype("<f4"))
 
 
 def write_label_volume(labels: LabelVolume, path) -> None:

@@ -1,3 +1,7 @@
+import dataclasses
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -8,6 +12,7 @@ from gmmaug import (
     PopulationStats,
     Volume,
     apply_perturbation,
+    augment_draws,
     augment_volume,
     clip_normalize,
     fit_em,
@@ -17,6 +22,8 @@ from gmmaug import (
     responsibilities,
     sample_perturbation,
 )
+from gmmaug.augment import _remap_basis
+from gmmaug.phantom import generate_phantom
 
 
 def make_stats(mu_std, var_std, mu_mean=(0.1, 0.2, 0.3), var_mean=(2e-3, 1e-3, 1e-3)):
@@ -200,6 +207,17 @@ class TestRemap:
         # one-hot posteriors make both paths agree
         assert np.allclose(hard.data, soft.data, rtol=0, atol=1e-9)
 
+    @pytest.mark.parametrize("means, tie", [((0.5, 0.5, 0.5), 3), ((0.2, 0.2, 0.8), 2),
+                                            ((0.2, 0.8, 0.8), 2)])
+    def test_hard_assignment_ties_match_argmax(self, means, tie):
+        # identical components have bit-equal posteriors: exact two- and three-way ties
+        params = make_params((1 / 3, 1 / 3, 1 / 3), means, (0.01, 0.01, 0.01))
+        values = np.linspace(-0.5, 1.5, 401)
+        soft = _remap_basis(values, params, hard_assign=False)[:3]
+        assert np.any(np.sum(soft == soft.max(axis=0), axis=0) == tie)
+        expected = np.arange(3)[:, None] == np.argmax(soft, axis=0)
+        assert np.array_equal(_remap_basis(values, params, hard_assign=True)[:3], expected)
+
     def test_output_clipped_to_unit_interval(self, separated_phantom):
         vol, _ = separated_phantom
         stats = make_stats((0.4, 0.4, 0.4), (5e-4, 5e-4, 5e-4))
@@ -291,3 +309,24 @@ class TestAugmentVolume:
         assert payload["perturbation"]["q_mu"] == pert.q_mu.tolist()
         assert payload["perturbation"]["q_var"] == pert.q_var.tolist()
         assert payload["clamped_variances"] == list(perturbed.clamped)
+
+
+class TestAugmentDraws:
+    def test_generator_holds_only_mask_and_basis(self, separated_spec):
+        spec = dataclasses.replace(separated_spec, dims=(32, 32, 32))
+        stats = make_stats((0.02, 0.02, 0.02), (2e-4, 2e-4, 2e-4))
+        augment_volume(generate_phantom(spec)[0], stats, seed=0)  # lazy imports happen here
+        vol = generate_phantom(spec)[0]
+        n_voxels, foreground = vol.n_voxels, int(foreground_mask(vol).sum())
+        source = weakref.ref(vol)
+        tracemalloc.start()
+        try:
+            draws = augment_draws(vol, stats, range(3))
+            del vol
+            out, _, _ = next(draws)
+            held = tracemalloc.get_traced_memory()[0] - out.data.nbytes
+        finally:
+            tracemalloc.stop()
+        assert source() is None
+        # the basis (2k rows of float64), the bool mask, and small objects
+        assert held <= 2 * 3 * foreground * 8 + n_voxels + 64 * 1024

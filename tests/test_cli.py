@@ -4,6 +4,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -326,6 +327,28 @@ class TestAugment:
         foreground = int(foreground_mask(read_volume(phantom_file)).sum())
         assert foreground > gmmaug.gmm._MAX_COLUMNS  # wider than any fit column set
         assert widths.count(foreground) == 1
+
+    def test_holds_one_draw_at_a_time(self, tmp_path, spread_stats_file):
+        spec = tmp_path / "spec48.json"
+        spec.write_text(json.dumps({"dims": [48, 48, 48]}))
+        phantom = tmp_path / "p48.nii"
+        assert main(["phantom", "--spec", str(spec), "--seed", "20", "--out", str(phantom)]) == 0
+        vol = read_volume(phantom)
+        volume_bytes, basis_bytes = vol.data.nbytes, 2 * 3 * int(foreground_mask(vol).sum()) * 8
+        del vol
+        common = ["augment", str(phantom), "--stats", str(spread_stats_file), "--seed", "40",
+                  "--out-prefix", str(tmp_path / "a")]
+        assert main([*common, "--n", "1"]) == 0  # lazy imports happen here
+        tracemalloc.start()
+        try:
+            assert main([*common, "--n", "3"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the basis plus one output volume, its float32 body, the mask and
+        # foreground-sized temporaries; keeping the source, the normalized
+        # volume or the previous draw alive exceeds it
+        assert peak <= basis_bytes + 3 * volume_bytes
 
     def test_outputs_do_not_depend_on_blas_threads(self, tmp_path, phantom_file, spread_stats_file):
         src = str(Path(gmmaug.__file__).resolve().parents[1])

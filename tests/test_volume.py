@@ -20,6 +20,8 @@ from gmmaug import (
     write_volume,
 )
 
+from gmmaug.volume import _pack_header
+
 from conftest import build_nifti_bytes
 
 
@@ -181,6 +183,20 @@ class TestWriteVolume:
         assert path.read_bytes()[:2] == b"\x1f\x8b"
         back = read_volume(path)
         assert np.max(np.abs(back.data - vol.data)) <= 1e-6
+
+    def test_bytes_are_header_then_float32_body(self, tmp_path):
+        rng = np.random.Generator(np.random.Philox(4))
+        vol = Volume((40, 30, 20), (0.9, 1.0, 1.2), rng.random(24_000))
+        expected = (_pack_header(vol.dims, vol.spacing) + b"\x00\x00\x00\x00"
+                    + vol.data.astype("<f4").tobytes())
+        write_volume(vol, tmp_path / "v.nii")
+        assert (tmp_path / "v.nii").read_bytes() == expected
+        packed = []
+        for _ in range(2):
+            write_volume(vol, tmp_path / "v.nii.gz")
+            packed.append((tmp_path / "v.nii.gz").read_bytes())
+        assert gzip.decompress(packed[0]) == expected
+        assert packed[0] == packed[1]
 
     def test_gzip_content_detected_without_extension(self, tmp_path):
         vol = Volume((2, 1, 1), (1, 1, 1), [0.5, 0.25])
