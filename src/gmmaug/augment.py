@@ -24,8 +24,8 @@ per voxel, and the basis, 2k * n * 8 bytes for n foreground voxels:
 about 17 MB for the 360 k foreground voxels of a 96^3 volume and 80 MB
 at 160x192x160 (k = 3). ``gmmaug augment`` adds one output volume at a
 time; on a 160x192x160 phantom with 1.67 M foreground voxels, ``augment
---n 2`` peaks at 204 MB resident (2-core Xeon, one BLAS thread), and the
-peak falls in the fit.
+--n 2`` peaks at 205 MB resident (2-core Xeon, one BLAS thread) in the
+first draw; the fit, on the normalized masked values alone, peaks at 162 MB.
 
 Randomness comes from a Philox (counter-based) generator keyed with the
 caller's seed; the draw order is fixed as q_mu then q_var for component
@@ -217,14 +217,14 @@ def augment_draws(
     matrix-vector product over it.
 
     After the fit the generator keeps only the mask and the basis: it
-    drops ``vol`` and the normalized volume, and each draw starts from a
-    zero background. A caller that keeps no other reference to ``vol``
-    and releases each draw before asking for the next holds one output
-    volume at a time.
+    drops ``vol`` before building the basis and the normalized values
+    after, and each draw starts from a zero background. A caller that
+    keeps no other reference to ``vol`` and releases each draw before
+    asking for the next holds one output volume at a time.
     """
-    normalized, mask, params = fit_volume(vol, stats.k, cfg, stats.clip_lo_pct, stats.clip_hi_pct)
-    dims, spacing, values = vol.dims, vol.spacing, normalized.data[mask]
-    del vol, normalized
+    mask, values, params = fit_volume(vol, stats.k, cfg, stats.clip_lo_pct, stats.clip_hi_pct)
+    dims, spacing = vol.dims, vol.spacing
+    del vol
     basis = _remap_basis(values, params, hard_assign)
     del values
     for seed in seeds:

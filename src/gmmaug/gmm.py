@@ -235,15 +235,15 @@ def fit_em(values, k: int = 3, cfg: EmConfig | None = None) -> GmmParams:
     n = v.size
     if n < 10 * k:
         raise InsufficientDataError(f"need at least {10 * k} values, got {n}")
-    x, counts = np.unique(v, return_counts=True)
-    within = None
+    x = np.sort(v)  # the one sort: initial means, then the distinct values
+    means = np.percentile(x, 100.0 * np.arange(1, k + 1) / (k + 1))
+    starts = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
+    x, counts, within = x[starts], np.diff(starts, append=n), None  # frees the sorted copy
     if x.size > _MAX_COLUMNS:
         x, counts, within = _bin_columns(x, counts)
     elif x.size == n:  # nothing to group: keep the given order
         x, counts = v, np.ones(n)
 
-    quantiles = 100.0 * np.arange(1, k + 1) / (k + 1)
-    means = np.percentile(v, quantiles)
     centred = x - (counts * x).sum() / n
     spread = (counts * centred * centred).sum()
     if within is not None:

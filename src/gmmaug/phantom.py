@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .errors import InvalidSpecError
-from .volume import LabelVolume, Volume
+from .volume import MAX_DIM, LabelVolume, Volume
 
 # Keeps clipped samples strictly positive.
 POSITIVE_FLOOR = 1e-6
@@ -52,8 +52,8 @@ class PhantomSpec:
         fr = self.radius_fractions
         if any(f <= 0 or f > 1 for f in fr) or any(np.diff(fr) <= 0):
             raise InvalidSpecError("radius fractions must be ascending within (0, 1]")
-        if len(self.dims) != 3 or any(int(d) < 1 for d in self.dims):
-            raise InvalidSpecError(f"dims must be 3 positive integers, got {self.dims}")
+        if len(self.dims) != 3 or any(not 1 <= int(d) <= MAX_DIM for d in self.dims):
+            raise InvalidSpecError(f"dims must be 3 integers in [1, {MAX_DIM}], got {self.dims}")
 
     @property
     def k(self) -> int:

@@ -21,6 +21,16 @@ def check_clip_window(lo_pct: float, hi_pct: float) -> None:
         raise InputError(f"need 0 <= lo_pct < hi_pct <= 100, got ({lo_pct}, {hi_pct})")
 
 
+def _normalized(values: np.ndarray, lo_pct: float, hi_pct: float) -> np.ndarray:
+    """Clip ``values`` in place to their percentile window, mapped onto [0, 1]."""
+    check_clip_window(lo_pct, hi_pct)
+    p_low, p_high = np.percentile(values, [lo_pct, hi_pct])
+    if p_low == p_high:
+        raise DegenerateIntensityError(f"percentiles {lo_pct} and {hi_pct} coincide at {p_low}")
+    np.clip(values, p_low, p_high, out=values)
+    return np.divide(np.subtract(values, p_low, out=values), p_high - p_low, out=values)
+
+
 def clip_normalize(
     vol: Volume,
     mask: np.ndarray,
@@ -37,20 +47,13 @@ def clip_normalize(
         DegenerateIntensityError: the two percentiles coincide
             (constant image).
     """
-    check_clip_window(lo_pct, hi_pct)
     mask = np.asarray(mask, dtype=bool).ravel()
     if mask.size != vol.n_voxels:
         raise InputError(f"mask length {mask.size} != voxel count {vol.n_voxels}")
     if not mask.any():
         raise EmptyMaskError("mask selects no voxels")
-    values = vol.data[mask]
-    p_low, p_high = np.percentile(values, [lo_pct, hi_pct])
-    if p_low == p_high:
-        raise DegenerateIntensityError(
-            f"percentiles {lo_pct} and {hi_pct} coincide at {p_low}"
-        )
     out = np.zeros(vol.n_voxels)
-    out[mask] = (np.clip(values, p_low, p_high) - p_low) / (p_high - p_low)
+    out[mask] = _normalized(vol.data[mask], lo_pct, hi_pct)
     return Volume(vol.dims, vol.spacing, out)
 
 
@@ -61,13 +64,12 @@ def fit_volume(
     lo_pct: float,
     hi_pct: float,
     explicit_mask: LabelVolume | None = None,
-) -> tuple[Volume, np.ndarray, GmmParams]:
-    """Mask, clip-normalize and fit one volume: (normalized, mask, params).
+) -> tuple[np.ndarray, np.ndarray, GmmParams]:
+    """Mask, clip-normalize and fit one volume: (mask, normalized masked values, params).
 
-    ``fit``, ``stats`` and ``augment`` all fit a volume through here, so
-    the spreads a corpus yields and the fits they perturb come from one
-    procedure.
+    ``fit``, ``stats`` and ``augment`` all fit through here, so the spreads
+    a corpus yields and the fits they perturb come from one procedure.
     """
     mask = foreground_mask(vol, explicit_mask)
-    normalized = clip_normalize(vol, mask, lo_pct, hi_pct)
-    return normalized, mask, fit_em(normalized.data[mask], k, cfg)
+    values = _normalized(vol.data[mask], lo_pct, hi_pct)
+    return mask, values, fit_em(values, k, cfg)

@@ -34,6 +34,7 @@ from .errors import (
 HEADER_SIZE = 348
 MAGIC_SINGLE = b"n+1\x00"
 WRITE_VOX_OFFSET = 352
+MAX_DIM = 32767  # NIfTI-1 stores each dim as an int16
 
 # NIfTI-1 datatype code -> numpy dtype character (without byte order)
 _DTYPE_CODES = {2: "u1", 4: "i2", 16: "f4", 64: "f8"}
@@ -183,21 +184,23 @@ def read_volume(path) -> Volume:
         raise CorruptFileError(f"{path}: vox_offset {vox_offset} overlaps the header")
     dtype = np.dtype(byteorder + _DTYPE_CODES[datatype])
     n = dims[0] * dims[1] * dims[2]
-    body = raw[offset : offset + n * dtype.itemsize]
-    if len(body) < n * dtype.itemsize:
+    if len(raw) < offset + n * dtype.itemsize:
         raise CorruptFileError(f"{path}: body holds fewer than {n} voxels")
 
-    data = np.frombuffer(body, dtype=dtype).astype(np.float64)
+    data = np.frombuffer(raw, dtype, count=n, offset=offset).astype(np.float64)
     if scl_slope != 0.0 and math.isfinite(scl_slope):
         if not math.isfinite(scl_inter):
             raise CorruptFileError(f"{path}: scl_inter {scl_inter} is not finite")
-        data = data * float(scl_slope) + float(scl_inter)
+        data *= float(scl_slope)
+        data += float(scl_inter)
     if not np.all(np.isfinite(data)):
         raise CorruptFileError(f"{path}: non-finite voxel values after scaling")
     return Volume(dims, spacing, data)
 
 
 def _pack_header(dims, spacing) -> bytes:
+    if max(dims) > MAX_DIM:
+        raise InputError(f"dims {dims} exceed the NIfTI-1 limit of {MAX_DIM} per axis")
     hdr = bytearray(HEADER_SIZE)
     struct.pack_into("<i", hdr, 0, HEADER_SIZE)
     struct.pack_into("<c", hdr, 38, b"r")  # "regular" byte, ANALYZE legacy
@@ -222,12 +225,12 @@ def write_volume(vol: Volume, path) -> None:
     flag), so ``read_volume(write_volume(v))`` round-trips data within
     float32 precision. ``.gz`` paths are gzip-compressed. The float32
     body is written straight from its array, the one copy of the data
-    made here.
+    made here. A dim above 32767 raises InputError before the file opens.
     """
-    path = Path(path)
+    path, header = Path(path), _pack_header(vol.dims, vol.spacing)
     # mtime pinned so identical volumes produce identical bytes
     with (gzip.GzipFile(path, "wb", mtime=0) if path.suffix == ".gz" else open(path, "wb")) as fh:
-        fh.write(_pack_header(vol.dims, vol.spacing) + b"\x00\x00\x00\x00")
+        fh.write(header + b"\x00\x00\x00\x00")
         fh.write(vol.data.astype("<f4"))
 
 

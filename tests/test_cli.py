@@ -574,6 +574,16 @@ class TestPhantomCmd:
         assert err.count("\n") == 1 and "--seed" in err
         assert not out.exists()
 
+    def test_dims_beyond_nifti_limit_exit_2(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"dims": [33000, 8, 8]}))
+        out = tmp_path / "p.nii"
+        assert main(["phantom", "--spec", str(spec_path), "--seed", "1",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("InvalidSpecError") and "32767" in err
+        assert not out.exists()
+
     def test_spec_override(self, tmp_path):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({

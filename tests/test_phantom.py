@@ -95,6 +95,8 @@ class TestPhantomSpec:
             PhantomSpec(radius_fractions=(0.5, 0.9))
         with pytest.raises(InvalidSpecError):
             PhantomSpec(dims=(0, 4, 4))
+        with pytest.raises(InvalidSpecError):  # NIfTI-1 dims are int16
+            PhantomSpec(dims=(4, 32768, 4))
 
     def test_json_round_trip(self):
         spec = PhantomSpec(dims=(16, 16, 16), means=(0.2, 0.4, 0.9), seed=77)

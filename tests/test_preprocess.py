@@ -5,9 +5,12 @@ from gmmaug import (
     DegenerateIntensityError,
     EmptyMaskError,
     InputError,
+    LabelVolume,
     Volume,
     clip_normalize,
+    foreground_mask,
 )
+from gmmaug.preprocess import fit_volume
 
 
 def volume_with_mask(values, pad_zeros=0):
@@ -87,3 +90,27 @@ class TestClipNormalize:
         with pytest.raises(InputError):
             clip_normalize(vol, np.ones(3, dtype=bool))
 
+
+class TestFitVolume:
+    @pytest.mark.parametrize("case, lo_pct, hi_pct", [
+        ("positive", 1.0, 99.0),
+        ("int16", 1.0, 99.0),
+        ("label_mask", 2.5, 97.5),
+    ])
+    def test_values_are_clip_normalize_bits(self, default_phantom, case, lo_pct, hi_pct):
+        # the fit path normalizes only the masked values; it must give
+        # the masked voxels of the public full-grid clip_normalize exactly
+        vol, labels = default_phantom
+        explicit = None
+        if case == "int16":  # as stored by a scanner: integer intensities
+            vol = Volume(vol.dims, vol.spacing, np.rint(vol.data * 700.0).astype(np.int16))
+        elif case == "label_mask":  # a --mask box that takes in background zeros
+            box = np.zeros(labels.dims, dtype=np.int32)
+            box[4:-4, 4:-4, 4:-4] = 1
+            explicit = LabelVolume(labels.dims, labels.spacing, box.ravel(order="F"))
+        mask, values, _ = fit_volume(vol, 3, None, lo_pct, hi_pct, explicit)
+        assert np.array_equal(mask, foreground_mask(vol, explicit))
+        if explicit is not None:
+            assert np.count_nonzero(vol.data[mask] == 0.0) > 0
+        expected = clip_normalize(vol, mask, lo_pct, hi_pct).data[mask]
+        assert values.dtype == np.float64 and values.tobytes() == expected.tobytes()

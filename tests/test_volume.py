@@ -1,5 +1,6 @@
 import gzip
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -145,6 +146,22 @@ class TestReadVolume:
         with pytest.raises(CorruptFileError, match="scl_inter"):
             read_volume(write_file(tmp_path, raw))
 
+    def test_peak_memory_is_file_bytes_plus_output(self, tmp_path):
+        # the body is a view of the file bytes, cast to float64 once and
+        # scaled in place: no body slice and no second float64 array
+        n = 48**3
+        path = tmp_path / "v.nii"
+        write_volume(Volume((48, 48, 48), (1, 1, 1), np.linspace(0.0, 1.0, n)), path)
+        file_bytes = path.stat().st_size
+        tracemalloc.start()
+        try:
+            vol = read_volume(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert vol.n_voxels == n
+        assert peak <= file_bytes + 8 * n + 2 * n + 64 * 1024
+
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             read_volume(tmp_path / "absent.nii")
@@ -221,6 +238,14 @@ class TestWriteVolume:
         vol = Volume((1, 1, 1), (1, 1, 1), [0.0])
         with pytest.raises(OSError):
             write_volume(vol, tmp_path / "no" / "such" / "dir.nii")
+
+    def test_dims_beyond_int16_rejected_before_open(self, tmp_path):
+        path = tmp_path / "wide.nii"
+        with pytest.raises(InputError, match="32767"):
+            write_volume(Volume((32768, 1, 1), (1, 1, 1), np.zeros(32768)), path)
+        assert not path.exists()
+        write_volume(Volume((32767, 1, 1), (1, 1, 1), np.zeros(32767)), path)
+        assert read_volume(path).dims == (32767, 1, 1)
 
     def test_round_trip_random_volumes(self, tmp_path):
         rng = np.random.Generator(np.random.Philox(9))
