@@ -174,24 +174,23 @@ def _draw(basis: np.ndarray, background: np.ndarray, mask: np.ndarray, pert: Per
 def remap(
     vol: Volume,
     mask: np.ndarray,
-    params: GmmParams,
     pert: PerturbedGmm,
     hard_assign: bool = False,
     clip: bool = True,
 ) -> Volume:
-    """Rewrite masked voxels under the perturbed mixture.
+    """Rewrite masked voxels under the perturbed mixture ``pert``.
 
     Per-component values are mixed with the posterior responsibilities
-    of the original fit; ``hard_assign`` instead takes the single
-    argmax-responsibility component. Output is clipped to [0, 1] unless
-    ``clip`` is disabled. Voxels outside the mask are untouched. This
-    builds the basis and applies one draw; :func:`augment_draws` keeps
-    the basis for every seed.
+    of the original fit, ``pert.base``; ``hard_assign`` instead takes the
+    single argmax-responsibility component. Output is clipped to [0, 1]
+    unless ``clip`` is disabled. Voxels outside the mask are untouched.
+    This builds the basis and applies one draw; :func:`augment_draws`
+    keeps the basis for every seed.
     """
     mask = np.asarray(mask, dtype=bool).ravel()
     if mask.size != vol.n_voxels:
         raise InputError(f"mask length {mask.size} != voxel count {vol.n_voxels}")
-    basis = _remap_basis(vol.data[mask], params, hard_assign)
+    basis = _remap_basis(vol.data[mask], pert.base, hard_assign)
     return Volume(vol.dims, vol.spacing, _draw(basis, vol.data.copy(), mask, pert, clip))
 
 

@@ -16,10 +16,11 @@ responsibility-weighted within-bin variance is added to each component
 afterwards. So a k = 1 fit still returns the exact sample mean and
 variance, and each sweep costs O(4096 k) however many voxels there are.
 
-Fitting is fully deterministic for a given (values, config) pair, and
-on data with repeated values, or binned data, it does not depend on
-their order: initial means sit at equally spaced sample quantiles,
-initial variances at sample variance / k^2, initial weights uniform.
+Fitting is fully deterministic and depends only on the multiset of
+values and the config, never on their order: every fit builds its
+columns from one sorted copy. Initial means sit at equally spaced sample
+quantiles, initial variances at sample variance / k^2, initial weights
+uniform.
 """
 
 from __future__ import annotations
@@ -134,7 +135,7 @@ class GmmParams:
                 converged=bool(obj.get("converged", True)),
                 final_rel_change=float(obj.get("final_rel_change", 0.0)),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"malformed mixture parameters: {exc}") from exc
 
     def dumps(self) -> str:
@@ -210,8 +211,8 @@ def _bin_columns(x, counts):
 def fit_em(values, k: int = 3, cfg: EmConfig | None = None) -> GmmParams:
     """Fit a k-component mixture to 1-D samples by EM.
 
-    Each sweep runs over the distinct values weighted by their counts;
-    when no value repeats, over the values in their given order. Above
+    Each sweep runs over the sorted distinct values weighted by their
+    counts, so the fit does not depend on the order of ``values``. Above
     ``_MAX_COLUMNS`` distinct values it runs over equal-width bins
     instead (see the module docstring): the same EM on the bin means,
     so the trajectory stays monotone, then each component's variance
@@ -241,8 +242,6 @@ def fit_em(values, k: int = 3, cfg: EmConfig | None = None) -> GmmParams:
     x, counts, within = x[starts], np.diff(starts, append=n), None  # frees the sorted copy
     if x.size > _MAX_COLUMNS:
         x, counts, within = _bin_columns(x, counts)
-    elif x.size == n:  # nothing to group: keep the given order
-        x, counts = v, np.ones(n)
 
     centred = x - (counts * x).sum() / n
     spread = (counts * centred * centred).sum()

@@ -15,8 +15,8 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidSpecError
-from .volume import MAX_DIM, LabelVolume, Volume
+from .errors import InputError, InvalidSpecError
+from .volume import MAX_DIM, LabelVolume, Volume, _check_geometry, _is_number
 
 # Keeps clipped samples strictly positive.
 POSITIVE_FLOOR = 1e-6
@@ -40,6 +40,11 @@ class PhantomSpec:
     seed: int = 0
 
     def __post_init__(self):
+        tissue = (self.means, self.variances, self.radius_fractions)
+        if not all(isinstance(field, (tuple, list)) and all(map(_is_number, field))
+                   for field in tissue):
+            raise InvalidSpecError("means, variances, radius_fractions must be lists of "
+                                   "finite numbers")
         k = len(self.means)
         if k < 1 or len(self.variances) != k or len(self.radius_fractions) != k:
             raise InvalidSpecError("means, variances, radius_fractions sizes disagree")
@@ -52,8 +57,12 @@ class PhantomSpec:
         fr = self.radius_fractions
         if any(f <= 0 or f > 1 for f in fr) or any(np.diff(fr) <= 0):
             raise InvalidSpecError("radius fractions must be ascending within (0, 1]")
-        if len(self.dims) != 3 or any(not 1 <= int(d) <= MAX_DIM for d in self.dims):
-            raise InvalidSpecError(f"dims must be 3 integers in [1, {MAX_DIM}], got {self.dims}")
+        try:
+            dims, _ = _check_geometry(self.dims, self.spacing)
+        except InputError as exc:
+            raise InvalidSpecError(str(exc)) from exc
+        if max(dims) > MAX_DIM:
+            raise InvalidSpecError(f"dims must be at most {MAX_DIM}, got {dims}")
 
     @property
     def k(self) -> int:
@@ -127,8 +136,8 @@ def generate_phantom(spec: PhantomSpec) -> tuple[Volume, LabelVolume]:
     tissue = labels[fg] - 1
     rng = np.random.Generator(np.random.Philox(spec.seed))
     draws = rng.standard_normal(int(fg.sum()))
-    means = np.asarray(spec.means)
-    sigmas = np.sqrt(np.asarray(spec.variances))
+    means = np.asarray(spec.means, dtype=np.float64)
+    sigmas = np.sqrt(np.asarray(spec.variances, dtype=np.float64))
     values = np.zeros(labels.size)
     values[fg] = np.clip(means[tissue] + sigmas[tissue] * draws, POSITIVE_FLOOR, 1.0)
 

@@ -106,7 +106,7 @@ class PopulationStats:
             )
         except InvalidStatsError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidStatsError(f"malformed stats object: {exc!r}") from exc
 
 

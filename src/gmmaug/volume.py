@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import gzip
 import math
+import numbers
 import struct
+import sys
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,19 +37,34 @@ HEADER_SIZE = 348
 MAGIC_SINGLE = b"n+1\x00"
 WRITE_VOX_OFFSET = 352
 MAX_DIM = 32767  # NIfTI-1 stores each dim as an int16
+MAX_SPACING = float(np.finfo(np.float32).max)  # and each pixdim as a float32
 
 # NIfTI-1 datatype code -> numpy dtype character (without byte order)
 _DTYPE_CODES = {2: "u1", 4: "i2", 16: "f4", 64: "f8"}
 
 
+def _is_number(value, kind=numbers.Real) -> bool:
+    """Whether ``value`` is a ``kind`` within the finite float64 range.
+
+    Bools and numeric strings are not numbers here; NaN, infinities and
+    ints too large for a float are out of range.
+    """
+    return (isinstance(value, kind) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
 def _check_geometry(dims, spacing):
-    dims = tuple(int(d) for d in dims)
-    spacing = tuple(float(s) for s in spacing)
-    if len(dims) != 3 or any(d < 1 for d in dims):
+    """Return dims as 3 ints >= 1 and spacing as 3 floats in (0, MAX_SPACING].
+
+    A dim must be an integer (8.5 is not rounded) and a spacing a
+    number; anything else raises InputError.
+    """
+    dims, spacing = tuple(dims), tuple(spacing)
+    if len(dims) != 3 or not all(_is_number(d, numbers.Integral) and d >= 1 for d in dims):
         raise InputError(f"dims must be 3 positive integers, got {dims}")
-    if len(spacing) != 3 or any(s <= 0 for s in spacing):
-        raise InputError(f"spacing must be 3 positive reals, got {spacing}")
-    return dims, spacing
+    if len(spacing) != 3 or not all(_is_number(s) and 0 < s <= MAX_SPACING for s in spacing):
+        raise InputError(f"spacing must be 3 reals in (0, {MAX_SPACING:.4g}], got {spacing}")
+    return tuple(int(d) for d in dims), tuple(float(s) for s in spacing)
 
 
 @dataclass(frozen=True)
@@ -131,8 +148,8 @@ def read_volume(path) -> Volume:
 
     Values are scaled by ``scl_slope``/``scl_inter`` when the slope is
     finite and nonzero; a zero or non-finite slope (NaN is a common
-    writer default) means unscaled. Non-positive ``pixdim`` entries fall
-    back to 1.0 mm.
+    writer default) means unscaled. Non-positive or non-finite ``pixdim``
+    entries fall back to 1.0 mm.
 
     Raises:
         NotNiftiError: bad sizeof_hdr or magic.
@@ -175,7 +192,7 @@ def read_volume(path) -> Volume:
     if any(d < 1 for d in dims):
         raise CorruptFileError(f"{path}: non-positive dim entries {dims}")
 
-    spacing = tuple(p if p > 0 else 1.0 for p in pixdim[1:4])
+    spacing = tuple(p if 0 < p < math.inf else 1.0 for p in pixdim[1:4])
 
     if not math.isfinite(vox_offset):
         raise CorruptFileError(f"{path}: vox_offset {vox_offset} is not finite")

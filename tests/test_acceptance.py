@@ -77,7 +77,7 @@ def test_criterion_01_identity_invariance(zero_stats):
 
     pipeline_err = float(np.max(np.abs(out.data[mask] - normalized.data[mask])))
     identity = ga.apply_perturbation(params, ga.Perturbation(np.zeros(3), np.zeros(3), 0))
-    remapped = ga.remap(normalized, mask, params, identity)
+    remapped = ga.remap(normalized, mask, identity)
     remap_err = float(np.max(np.abs(remapped.data[mask] - normalized.data[mask])))
 
     ok = pipeline_err <= 1e-9 and remap_err <= 1e-9 and elapsed < 5.0
@@ -105,14 +105,14 @@ def test_criterion_02_em_recovery(em_recovery_fits):
 
 
 def component_alone(params, perturbed, j):
-    """Component ``j`` of a fit and of its perturbation as one-component mixtures.
+    """Component ``j`` of a perturbation, on its fit's component, as a one-component mixture.
 
-    Remapping under them gives every voxel a responsibility of exactly 1
+    Remapping under it gives every voxel a responsibility of exactly 1
     for ``j``, so the output is component ``j``'s remapped value.
     """
     base = ga.GmmParams(k=1, weights=[1.0], means=params.means[j:j + 1],
                         variances=params.variances[j:j + 1], log_likelihood=0.0, iterations=0)
-    return base, ga.PerturbedGmm(base, perturbed.means[j:j + 1], perturbed.variances[j:j + 1])
+    return ga.PerturbedGmm(base, perturbed.means[j:j + 1], perturbed.variances[j:j + 1])
 
 
 def test_criterion_03_distance_preservation():
@@ -133,7 +133,7 @@ def test_criterion_03_distance_preservation():
         vol = ga.Volume((values.size, 1, 1), (1, 1, 1), values)
         mask = np.ones(values.size, dtype=bool)
         new_vals = np.column_stack([
-            ga.remap(vol, mask, *component_alone(params, perturbed, j), clip=False).data
+            ga.remap(vol, mask, component_alone(params, perturbed, j), clip=False).data
             for j in range(3)
         ])
         before = (values[:, None] - params.means) / np.sqrt(params.variances)
@@ -191,7 +191,7 @@ def test_criterion_05_structure_preservation():
         if np.any(np.diff(perturbed.means) < 0):
             continue
         order_preserving += 1
-        remapped = ga.remap(normalized, mask, params, perturbed)
+        remapped = ga.remap(normalized, mask, perturbed)
         model = ga.GmmParams(k=3, weights=params.weights, means=perturbed.means,
                              variances=perturbed.variances, log_likelihood=0.0, iterations=0)
         gamma = ga.responsibilities(model, remapped.data[mask])

@@ -127,7 +127,7 @@ class TestRemap:
         normalized = clip_normalize(vol, mask)
         params = fit_em(normalized.data[mask], 3)
         pert = Perturbation(q_mu=np.zeros(3), q_var=np.zeros(3), seed=0)
-        out = remap(normalized, mask, params, apply_perturbation(params, pert))
+        out = remap(normalized, mask, apply_perturbation(params, pert))
         assert np.max(np.abs(out.data[mask] - normalized.data[mask])) <= 1e-9
         assert np.array_equal(out.data[~mask], normalized.data[~mask])
 
@@ -141,7 +141,7 @@ class TestRemap:
         perturbed = apply_perturbation(FAR_PARAMS, pert)
         gamma = responsibilities(FAR_PARAMS, [v])
         assert gamma[0, 0] == 1.0 and gamma[0, 1] == 0.0 and gamma[0, 2] == 0.0
-        got = remap(*voxels([v]), FAR_PARAMS, perturbed, clip=False).data[0]
+        got = remap(*voxels([v]), perturbed, clip=False).data[0]
         assert got == pytest.approx(0.12 + np.sqrt(0.003), abs=1e-12)
 
     def test_voxel_at_mean_maps_to_new_mean(self):
@@ -149,7 +149,7 @@ class TestRemap:
             q_mu=np.array([0.05, 0.0, 0.0]), q_var=np.array([5e-4, 0.0, 0.0]), seed=0
         )
         perturbed = apply_perturbation(FAR_PARAMS, pert)
-        vals = remap(*voxels([0.1]), FAR_PARAMS, perturbed, clip=False).data
+        vals = remap(*voxels([0.1]), perturbed, clip=False).data
         assert vals[0] == perturbed.means[0]
 
     def test_distance_preserved_per_component(self):
@@ -160,7 +160,7 @@ class TestRemap:
             q_mu=rng.uniform(-0.05, 0.05, 3), q_var=rng.uniform(-5e-4, 5e-4, 3), seed=0
         )
         perturbed = apply_perturbation(params, pert)
-        new_vals = remap(*voxels(values), params, perturbed, hard_assign=True, clip=False).data
+        new_vals = remap(*voxels(values), perturbed, hard_assign=True, clip=False).data
         top = np.argmax(responsibilities(params, values), axis=1)  # each voxel's component
         before = (values - params.means[top]) / np.sqrt(params.variances[top])
         after = (new_vals - perturbed.means[top]) / np.sqrt(perturbed.variances[top])
@@ -179,7 +179,7 @@ class TestRemap:
         data = rng.random(40)
         vol = Volume((40, 1, 1), (1, 1, 1), data)
         mask = np.ones(40, dtype=bool)
-        out = remap(vol, mask, params, perturbed, clip=False)
+        out = remap(vol, mask, perturbed, clip=False)
         for v, got in zip(data, out.data):
             dens = [
                 w * math.exp(-((v - m) ** 2) / (2 * s)) / math.sqrt(2 * math.pi * s)
@@ -201,8 +201,8 @@ class TestRemap:
         perturbed = apply_perturbation(FAR_PARAMS, pert)
         vol = Volume((3, 1, 1), (1, 1, 1), [0.1, 10.0, 20.0])
         mask = np.ones(3, dtype=bool)
-        hard = remap(vol, mask, FAR_PARAMS, perturbed, hard_assign=True, clip=False)
-        soft = remap(vol, mask, FAR_PARAMS, perturbed, hard_assign=False, clip=False)
+        hard = remap(vol, mask, perturbed, hard_assign=True, clip=False)
+        soft = remap(vol, mask, perturbed, hard_assign=False, clip=False)
         assert hard.data[0] == pytest.approx(0.15, abs=1e-12)
         # one-hot posteriors make both paths agree
         assert np.allclose(hard.data, soft.data, rtol=0, atol=1e-9)

@@ -295,6 +295,18 @@ class TestAugment:
                   "--out-prefix", str(tmp_path / "x")])
         assert excinfo.value.code == 2
 
+    def test_overflowing_stats_field_exit_2(self, tmp_path, phantom_file, zero_stats_file,
+                                            capsys):
+        raw = zero_stats_file.read_text()
+        assert raw.count('"n_images": 2') == 1
+        zero_stats_file.write_text(raw.replace('"n_images": 2', '"n_images": 1e999'))
+        prefix = tmp_path / "aug"
+        assert main(["augment", str(phantom_file), "--stats", str(zero_stats_file),
+                     "--seed", "0", "--out-prefix", str(prefix)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("InvalidStatsError")
+        assert not Path(f"{prefix}_0.nii").exists()
+
     @pytest.mark.parametrize("flags", [[], ["--hard-assign"]])
     def test_batch_fits_once_and_replays_single_seed_runs(
         self, tmp_path, phantom_file, spread_stats_file, fits, flags
@@ -582,6 +594,18 @@ class TestPhantomCmd:
                      "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("InvalidSpecError") and "32767" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spec", ['{"dims": [8.5, 8, 8]}', '{"dims": [true, 8, 8]}',
+                                      '{"spacing": [1, 1, "a"]}', '{"spacing": [1, 1, NaN]}'])
+    def test_bad_geometry_exit_2(self, tmp_path, capsys, spec):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(spec)
+        out = tmp_path / "p.nii"
+        assert main(["phantom", "--spec", str(spec_path), "--seed", "1",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("InvalidSpecError")
         assert not out.exists()
 
     def test_spec_override(self, tmp_path):

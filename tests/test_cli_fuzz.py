@@ -1,6 +1,7 @@
-"""Property test of the command-line contract under malformed input.
+"""Property tests of the command-line contract under malformed input.
 
-Whatever header a volume carries and whatever numbers the options take,
+Whatever header a volume carries, whatever numbers the options take and
+whatever JSON value one field of a stats file or phantom spec holds,
 every subcommand ends in exit code 0, 2 or 3, writes nothing to stdout
 and at most one diagnostic line to stderr; ``stats`` may add one
 "skipping" line for each volume of its corpus it could not use. Options are passed as
@@ -10,6 +11,7 @@ errors of argparse itself are outside this contract.
 """
 
 import contextlib
+import copy
 import gzip
 import io
 import json
@@ -38,7 +40,16 @@ HEADER_FIELDS = (
     + [(108, "<f"), (112, "<f"), (116, "<f"), (344, "4s")]
 )
 
-SMALL_SPEC = {"dims": [16, 16, 16]}
+SPEC = json.loads(json.dumps(PhantomSpec(dims=(16, 16, 16)).to_json_dict()))  # tuples to lists
+STATS = {
+    "k": 3,
+    "components": [
+        {"mu_mean": mu, "mu_std": 0.02, "var_mean": var, "var_std": 1e-4}
+        for mu, var in zip((0.1, 0.2, 0.3), (2e-3, 1e-3, 1e-3))
+    ],
+    "n_images": 2,
+    "preprocessing": {"clip_lo_pct": 1.0, "clip_hi_pct": 99.0, "normalize": "minmax01"},
+}
 CORPUS_SIZE = 3
 
 
@@ -96,17 +107,8 @@ def inputs(tmp_path_factory):
     vol, labels = generate_phantom(PhantomSpec(dims=(24, 24, 24), seed=3))
     write_volume(vol, root / "volume.nii")
     write_label_volume(labels, root / "labels.nii")
-    stats = {
-        "k": 3,
-        "components": [
-            {"mu_mean": mu, "mu_std": 0.02, "var_mean": var, "var_std": 1e-4}
-            for mu, var in zip((0.1, 0.2, 0.3), (2e-3, 1e-3, 1e-3))
-        ],
-        "n_images": 2,
-        "preprocessing": {"clip_lo_pct": 1.0, "clip_hi_pct": 99.0, "normalize": "minmax01"},
-    }
-    (root / "stats.json").write_text(json.dumps(stats))
-    (root / "spec.json").write_text(json.dumps(SMALL_SPEC))
+    (root / "stats.json").write_text(json.dumps(STATS))
+    (root / "spec.json").write_text(json.dumps(SPEC))
     return root
 
 
@@ -150,26 +152,21 @@ def _argv(command, options, inputs: Path, work: Path, mutation):
     return [command, *positional, *(f"{flag}={value}" for flag, value in options.items())]
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(command=commands, mutation=mutations)
-def test_cli_exit_codes_and_streams(inputs, command, mutation):
-    name, options = command
+def _assert_contract(argv, max_skips=0):
+    """Run ``main(argv)`` and check its exit code and output streams."""
     stdout, stderr = io.StringIO(), io.StringIO()
     # Outside pytest, package log records reach stderr through logging's
     # last-resort handler; count them as stderr lines here too.
     log_handler = logging.StreamHandler(stderr)
     logging.getLogger("gmmaug").addHandler(log_handler)
     try:
-        with tempfile.TemporaryDirectory(dir=inputs) as work:
-            argv = _argv(name, options, inputs, Path(work), mutation)
-            with warnings.catch_warnings(record=True) as caught, \
-                    contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                warnings.simplefilter("always")
-                try:
-                    code = main(argv)
-                except SystemExit as exc:  # argparse
-                    code = exc.code
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("always")
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse
+                code = exc.code
     finally:
         logging.getLogger("gmmaug").removeHandler(log_handler)
     assert code in (0, 2, 3), argv
@@ -177,5 +174,62 @@ def test_cli_exit_codes_and_streams(inputs, command, mutation):
     lines = stderr.getvalue().splitlines()
     skips = [line for line in lines if line.startswith("skipping ")]
     assert len(lines) - len(skips) <= 1, (argv, lines)
-    assert len(skips) <= (CORPUS_SIZE if name == "stats" else 0), (argv, lines)
+    assert len(skips) <= max_skips, (argv, lines)
     assert not caught, (argv, [str(w.message) for w in caught])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(command=commands, mutation=mutations)
+def test_cli_exit_codes_and_streams(inputs, command, mutation):
+    name, options = command
+    with tempfile.TemporaryDirectory(dir=inputs) as work:
+        argv = _argv(name, options, inputs, Path(work), mutation)
+        _assert_contract(argv, CORPUS_SIZE if name == "stats" else 0)
+
+
+def _field_paths(doc, prefix=()):
+    """Key paths to every value in a JSON document, nested ones included."""
+    for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _field_paths(value, prefix + (key,))
+
+
+# Small ints keep any phantom grid small; huge ones pass every int64 and
+# float bound. JSON has no inf or NaN, but Python's json module reads
+# and writes them, and reads a literal such as 1e999 as inf.
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=4), st.integers(-3, 40),
+    st.integers(2**63, 10**400), st.floats(allow_nan=True, allow_infinity=True),
+)
+json_values = st.one_of(
+    json_scalars, st.lists(json_scalars, max_size=4),
+    st.dictionaries(st.text(max_size=3), json_scalars, max_size=2),
+)
+documents = st.one_of(
+    st.tuples(st.just("augment"), st.sampled_from(list(_field_paths(STATS))), json_values),
+    st.tuples(st.just("phantom"), st.sampled_from(list(_field_paths(SPEC))), json_values),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(document=documents)
+def test_cli_json_fields_of_any_type(inputs, document):
+    name, path, value = document
+    doc = copy.deepcopy(STATS if name == "augment" else SPEC)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    with tempfile.TemporaryDirectory(dir=inputs) as work:
+        work = Path(work)
+        (work / "doc.json").write_text(json.dumps(doc))
+        if name == "augment":
+            argv = [name, str(inputs / "volume.nii"), "--stats", str(work / "doc.json"),
+                    "--seed", "0", "--out-prefix", str(work / "aug")]
+        else:
+            argv = [name, "--spec", str(work / "doc.json"), "--seed", "0",
+                    "--out", str(work / "p.nii")]
+        _assert_contract(argv)

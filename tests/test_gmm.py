@@ -49,8 +49,8 @@ class TestFitEm:
         rng = np.random.Generator(np.random.Philox(1))
         values = rng.normal(0.4, 0.07, 4000)
         params = fit_em(values, k=1)
-        assert params.means[0] == np.mean(values)
-        assert params.variances[0] == np.var(values)
+        assert params.means[0] == np.mean(np.sort(values))
+        assert params.variances[0] == np.var(np.sort(values))
         assert params.weights[0] == 1.0
 
     def test_point_masses_hit_variance_floor(self):
@@ -161,6 +161,18 @@ class TestFitEm:
             assert np.array_equal(getattr(a, name), getattr(b, name))
         assert a.log_likelihood == b.log_likelihood
         assert a.ll_trajectory == b.ll_trajectory
+
+    def test_order_of_distinct_values_is_irrelevant(self):
+        # no value repeats and there are too few to bin: the exact path
+        rng = np.random.Generator(np.random.Philox(8))
+        values = mixture_sample(rng, 3000, (0.5, 0.5), (0.3, 0.7), (2e-3, 2e-3))
+        assert np.unique(values).size == values.size <= gmmaug.gmm._MAX_COLUMNS
+        a = fit_em(values, 2)
+        for _ in range(5):
+            b = fit_em(rng.permutation(values), 2)
+            for name in ("weights", "means", "variances"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
+            assert a.ll_trajectory == b.ll_trajectory
 
     def test_binned_fit_matches_exact_fit(self, monkeypatch, default_phantom):
         rng = np.random.Generator(np.random.Philox(11))
@@ -281,6 +293,15 @@ class TestGmmParams:
     def test_malformed_json_rejected(self):
         with pytest.raises(InputError):
             GmmParams.from_json_dict({"k": 2, "weights": [1.0]})
+
+    @pytest.mark.parametrize("field, value", [("iterations", math.inf), ("k", -math.inf),
+                                              ("log_likelihood", 10**400)],
+                             ids=["iterations", "k", "log_likelihood"])
+    def test_overflowing_json_field_rejected(self, field, value):
+        obj = make_params((0.5, 0.5), (0.2, 0.8), (1e-3, 1e-3)).to_json_dict()
+        obj[field] = value
+        with pytest.raises(InputError, match="malformed"):
+            GmmParams.from_json_dict(obj)
 
     def test_config_validation(self):
         with pytest.raises(InputError):

@@ -98,6 +98,24 @@ class TestPhantomSpec:
         with pytest.raises(InvalidSpecError):  # NIfTI-1 dims are int16
             PhantomSpec(dims=(4, 32768, 4))
 
+    @pytest.mark.parametrize("field", [{"dims": [8.5, 8, 8]}, {"dims": [True, 8, 8]},
+                                       {"spacing": [1, 1, "a"]}, {"spacing": [1, 1, float("nan")]},
+                                       {"spacing": [1, 1, float("inf")]}])
+    def test_geometry_rejected(self, field):
+        with pytest.raises(InvalidSpecError):
+            PhantomSpec.from_json_dict(field)
+
+    @pytest.mark.parametrize("field", [{"means": [[], 0.2, 0.3]}, {"means": [float("nan"), 0.2, 0.3]},
+                                       {"radius_fractions": [0.5, 0.8, True]}, {"means": "abc"}])
+    def test_tissue_values_must_be_finite_numbers(self, field):
+        with pytest.raises(InvalidSpecError):
+            PhantomSpec.from_json_dict(field)
+
+    def test_integer_variance_beyond_int64_generates(self):
+        spec = PhantomSpec.from_json_dict({"dims": [8, 8, 8], "variances": [2**64, 1e-3, 1e-3]})
+        vol, _ = generate_phantom(spec)
+        assert np.all((vol.data >= 0) & (vol.data <= 1))
+
     def test_json_round_trip(self):
         spec = PhantomSpec(dims=(16, 16, 16), means=(0.2, 0.4, 0.9), seed=77)
         again = PhantomSpec.from_json_dict(json.loads(json.dumps(spec.to_json_dict())))

@@ -165,6 +165,18 @@ class TestStatsIO:
         with pytest.raises(InvalidStatsError):
             load_stats(path)
 
+    @pytest.mark.parametrize("text, value", [('"n_images": 421', '"n_images": 1e999'),
+                                             ('"clip_lo_pct": 1.0', '"clip_lo_pct": ' + "9" * 400),
+                                             ('"mu_std": 0.03', '"mu_std": ' + "9" * 400)],
+                             ids=["n_images", "clip_lo_pct", "mu_std"])
+    def test_overflowing_field_rejected(self, tmp_path, text, value):
+        path = tmp_path / "huge.json"
+        raw = json.dumps(REFERENCE_STATS)
+        assert raw.count(text) == 1
+        path.write_text(raw.replace(text, value))
+        with pytest.raises(InvalidStatsError, match="malformed"):
+            load_stats(path)
+
     def test_unimplemented_normalize_rejected(self, tmp_path):
         broken = dict(REFERENCE_STATS, preprocessing=dict(
             REFERENCE_STATS["preprocessing"], normalize="zscore"))

@@ -92,6 +92,13 @@ class TestReadVolume:
         raw = build_nifti_bytes((1, 1, 1), body, datatype=16, pixdim=(0.0, -2.0, 3.0))
         assert read_volume(write_file(tmp_path, raw)).spacing == (1.0, 1.0, 3.0)
 
+    @pytest.mark.parametrize("pixdim, spacing", [((np.inf, 2.0, 3.0), (1.0, 2.0, 3.0)),
+                                                 ((np.nan, -np.inf, np.inf), (1.0, 1.0, 1.0))])
+    def test_non_finite_pixdim_defaults_to_one(self, tmp_path, pixdim, spacing):
+        body = struct.pack("<1f", 1.0)
+        raw = build_nifti_bytes((1, 1, 1), body, datatype=16, pixdim=pixdim)
+        assert read_volume(write_file(tmp_path, raw)).spacing == spacing
+
     def test_fewer_than_three_dims(self, tmp_path):
         raw = build_nifti_bytes((5,), struct.pack("<5f", *range(5)), datatype=16, ndim=1)
         vol = read_volume(write_file(tmp_path, raw))
@@ -288,6 +295,17 @@ class TestVolumeInvariants:
     def test_bad_spacing(self):
         with pytest.raises(InputError):
             Volume((1, 1, 1), (0.0, 1, 1), [0.0])
+
+    @pytest.mark.parametrize("dims", [(8.5, 8, 8), (8, 8.0, 8), (True, 8, 8), ("8", 8, 8)])
+    def test_non_integer_dims_rejected(self, dims):
+        with pytest.raises(InputError, match="dims must be"):
+            Volume(dims, (1, 1, 1), np.zeros(512))
+
+    @pytest.mark.parametrize("spacing", [(1, 1, "a"), (1, 1, "2"), (1, True, 1), (1, 1, np.nan),
+                                         (1, 1, np.inf), (1, 1, 1e39), (1, 1, 10**400)])
+    def test_non_numeric_or_non_finite_spacing_rejected(self, spacing):
+        with pytest.raises(InputError, match="spacing must be"):
+            Volume((8, 8, 8), spacing, np.zeros(512))
 
     def test_non_finite_data(self):
         with pytest.raises(InputError):
