@@ -65,11 +65,12 @@ def cmd_fit(args) -> int:
 
 
 def _readable_volumes(paths):
+    """(path, Volume) for each path that reads; a skip line for each that does not."""
     for path in paths:
         try:
-            yield read_volume(path)
+            yield str(path), read_volume(path)
         except (InputError, OSError) as exc:  # OSError: e.g. a directory named *.nii
-            print(f"skipping {path}: {exc}", file=sys.stderr)
+            print(f"skipping {path}: {type(exc).__name__}: {exc}", file=sys.stderr)
 
 
 def cmd_stats(args) -> int:

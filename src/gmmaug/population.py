@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
+import numbers
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -20,7 +21,7 @@ import numpy as np
 from .errors import GmmAugError, InputError, InsufficientDataError, InvalidStatsError
 from .gmm import EmConfig
 from .preprocess import check_clip_window, fit_volume
-from .volume import Volume
+from .volume import Volume, _is_number
 
 logger = logging.getLogger(__name__)
 
@@ -83,8 +84,14 @@ class PopulationStats:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "PopulationStats":
+        """Build stats from their JSON object.
+
+        ``k`` and ``n_images`` must be integers and every other value a
+        real number: bools, numeric strings and floats standing in for
+        integers are refused, not coerced.
+        """
         try:
-            k = int(obj["k"])
+            k = _field(obj, "k", numbers.Integral)
             comps = obj["components"]
             if not isinstance(comps, list) or len(comps) != k:
                 raise InvalidStatsError(f"'components' must list exactly {k} entries")
@@ -94,20 +101,28 @@ class PopulationStats:
                     f"normalize must be {NORMALIZE_MODE!r}, the only mode implemented; "
                     f"got {pre['normalize']!r}"
                 )
+            columns = {name: np.array([_field(c, name) for c in comps], dtype=np.float64)
+                       for name in ("mu_mean", "mu_std", "var_mean", "var_std")}
             return cls(
                 k=k,
-                mu_mean=np.array([c["mu_mean"] for c in comps], dtype=np.float64),
-                mu_std=np.array([c["mu_std"] for c in comps], dtype=np.float64),
-                var_mean=np.array([c["var_mean"] for c in comps], dtype=np.float64),
-                var_std=np.array([c["var_std"] for c in comps], dtype=np.float64),
-                n_images=int(obj["n_images"]),
-                clip_lo_pct=float(pre["clip_lo_pct"]),
-                clip_hi_pct=float(pre["clip_hi_pct"]),
+                n_images=_field(obj, "n_images", numbers.Integral),
+                clip_lo_pct=float(_field(pre, "clip_lo_pct")),
+                clip_hi_pct=float(_field(pre, "clip_hi_pct")),
+                **columns,
             )
         except InvalidStatsError:
             raise
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidStatsError(f"malformed stats object: {exc!r}") from exc
+
+
+def _field(obj: dict, name: str, kind=numbers.Real):
+    """``obj[name]`` if it is a ``kind`` in the float64 range, else InvalidStatsError."""
+    value = obj[name]
+    if not _is_number(value, kind):
+        what = "an integer" if kind is numbers.Integral else "a real number"
+        raise InvalidStatsError(f"malformed stats object: {name} must be {what}, got {value!r}")
+    return int(value) if kind is numbers.Integral else value
 
 
 def save_stats(stats: PopulationStats, path) -> None:
@@ -129,7 +144,7 @@ def load_stats(path) -> PopulationStats:
 
 
 def estimate_population(
-    volumes: Iterable[Volume],
+    volumes: Iterable[Volume | tuple[str, Volume]],
     k: int = 3,
     cfg: EmConfig | None = None,
     lo_pct: float = 1.0,
@@ -137,10 +152,13 @@ def estimate_population(
 ) -> PopulationStats:
     """Fit every volume and aggregate per-component spreads.
 
-    Volumes whose preprocessing or fit fails are skipped with a warning
-    rather than aborting the corpus run. Needs at least two successful
-    fits. A ``k`` below 1 or a bad percentile window would fail every
-    volume alike, so it raises InputError before the first volume is read.
+    Each item of ``volumes`` is a ``Volume`` or a ``(name, Volume)``
+    pair. Volumes whose preprocessing or fit fails are skipped with a
+    warning, ``skipping <name>: <Error>: <message>``, rather than
+    aborting the corpus run; a volume without a name is named by its
+    position among the items. Needs at least two successful fits. A
+    ``k`` below 1 or a bad percentile window would fail every volume
+    alike, so it raises InputError before the first volume is read.
     """
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
@@ -148,12 +166,13 @@ def estimate_population(
     fitted_means: list[np.ndarray] = []
     fitted_vars: list[np.ndarray] = []
     skipped = 0
-    for index, vol in enumerate(volumes):
+    for index, item in enumerate(volumes):
+        name, vol = item if isinstance(item, tuple) else (f"volume {index}", item)
         try:
             params = fit_volume(vol, k, cfg, lo_pct, hi_pct)[2]
         except GmmAugError as exc:
             skipped += 1
-            logger.warning("skipping volume %d: %s: %s", index, type(exc).__name__, exc)
+            logger.warning("skipping %s: %s: %s", name, type(exc).__name__, exc)
             continue
         fitted_means.append(params.means)
         fitted_vars.append(params.variances)

@@ -13,7 +13,9 @@ import pytest
 import gmmaug.gmm
 import gmmaug.preprocess
 from gmmaug import (
+    InvalidStatsError,
     PhantomSpec,
+    PopulationStats,
     Volume,
     clip_normalize,
     estimate_population,
@@ -203,6 +205,24 @@ class TestStats:
         assert err.count("\n") == 1 and err.startswith(f"skipping {corpus / 'd.nii'}: ")
         assert json.loads(out.read_text())["n_images"] == 3
 
+    def test_skip_lines_name_the_file(self, tmp_path, capsys, caplog):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "a.nii").write_bytes(b"junk" * 100)  # unreadable
+        write_volume(Volume((8, 8, 8), (1, 1, 1), np.full(512, 0.5)), corpus / "b.nii")
+        for name, seed in (("c.nii", 1), ("d.nii", 2)):
+            vol, _ = generate_phantom(PhantomSpec(dims=(20, 20, 20), seed=seed))
+            write_volume(vol, corpus / name)
+        out = tmp_path / "stats.json"
+        with caplog.at_level("WARNING", logger="gmmaug.population"):
+            assert main(["stats", str(corpus), "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"skipping {corpus / 'a.nii'}: NotNiftiError: ")
+        [record] = caplog.records
+        assert record.getMessage().startswith(
+            f"skipping {corpus / 'b.nii'}: DegenerateIntensityError: ")
+        assert json.loads(out.read_text())["n_images"] == 2
+
     @pytest.mark.parametrize("option", [["--k", "0"], ["--clip-lo", "50", "--clip-hi", "10"]])
     def test_bad_k_or_window_reported_once(self, tmp_path, phantom_file, capsys, option):
         corpus = tmp_path / "corpus"
@@ -300,6 +320,36 @@ class TestAugment:
         raw = zero_stats_file.read_text()
         assert raw.count('"n_images": 2') == 1
         zero_stats_file.write_text(raw.replace('"n_images": 2', '"n_images": 1e999'))
+        prefix = tmp_path / "aug"
+        assert main(["augment", str(phantom_file), "--stats", str(zero_stats_file),
+                     "--seed", "0", "--out-prefix", str(prefix)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("InvalidStatsError")
+        assert not Path(f"{prefix}_0.nii").exists()
+
+    @pytest.mark.parametrize("path, value", [
+        (("k",), 3.7),
+        (("n_images",), "5"),
+        (("n_images",), 2.0),
+        (("components", 0, "mu_std"), "0.02"),
+        (("components", 1, "mu_mean"), "0.2"),
+        (("components", 2, "var_std"), True),
+        (("preprocessing", "clip_lo_pct"), "1"),
+        (("preprocessing", "clip_hi_pct"), True),
+    ], ids=["k-float", "n_images-string", "n_images-float", "mu_std-string",
+            "mu_mean-string", "var_std-bool", "clip_lo-string", "clip_hi-bool"])
+    def test_stats_value_that_only_looks_like_a_number_exit_2(
+        self, tmp_path, phantom_file, zero_stats_file, capsys, path, value
+    ):
+        doc = json.loads(zero_stats_file.read_text())
+        *parents, leaf = path
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[leaf] = value
+        with pytest.raises(InvalidStatsError):
+            PopulationStats.from_json_dict(doc)
+        zero_stats_file.write_text(json.dumps(doc))
         prefix = tmp_path / "aug"
         assert main(["augment", str(phantom_file), "--stats", str(zero_stats_file),
                      "--seed", "0", "--out-prefix", str(prefix)]) == 2

@@ -11,9 +11,12 @@ from gmmaug import (
     GmmParams,
     InputError,
     InsufficientDataError,
+    PhantomSpec,
+    Volume,
     clip_normalize,
     fit_em,
     foreground_mask,
+    generate_phantom,
     responsibilities,
 )
 
@@ -208,6 +211,118 @@ class TestFitEm:
         ll = cut.ll_trajectory
         assert cut.final_rel_change == abs(ll[-1] - ll[-2]) / max(1.0, abs(ll[-2]))
 
+
+def plain_em(values, x, counts, k, tol, max_iter=100_000):
+    """Count-weighted EM without acceleration on columns ``x`` with ``counts``.
+
+    Starts where ``fit_em`` starts (means at equally spaced percentiles
+    of ``values``, variances at their variance / k^2, uniform weights)
+    and stops when one step raises the log-likelihood by less than
+    ``tol`` relative to the previous value. Returns (means, log-likelihood).
+    """
+    n = counts.sum()
+    means = np.percentile(values, 100.0 * np.arange(1, k + 1) / (k + 1))
+    variances = np.full(k, max(np.var(values) / k ** 2, VARIANCE_FLOOR))
+    weights = np.full(k, 1.0 / k)
+    previous = None
+    for _ in range(max_iter):
+        diff = x - means[:, None]
+        log_p = np.log(weights)[:, None] - 0.5 * (
+            np.log(2.0 * math.pi * variances)[:, None] + diff * diff / variances[:, None]
+        )
+        top = log_p.max(axis=0)
+        density = np.exp(log_p - top)
+        total = density.sum(axis=0)
+        ll = float(counts @ (top + np.log(total)))
+        if previous is not None and ll - previous < tol * max(1.0, abs(previous)):
+            break
+        previous = ll
+        resp = density / total * counts
+        mass = resp.sum(axis=1)
+        weights = mass / n
+        means = resp @ x / mass
+        variances = np.maximum(((x - means[:, None]) ** 2 * resp).sum(axis=1) / mass,
+                               VARIANCE_FLOOR)
+    order = np.argsort(means)
+    return means[order], ll
+
+
+def perfbench_like_values():
+    """Masked, clip-normalized values of a 64^3 phantom stored as integers.
+
+    Tissue means and variances as the benchmark's corpora use them, stored
+    at 1/700 steps as its quantised workload does: about 240 distinct
+    values. Plain EM takes 277 sweeps on it.
+    """
+    vol, _ = generate_phantom(PhantomSpec(means=(0.15, 0.25, 0.35),
+                                          variances=(0.002, 0.001, 0.001), seed=5))
+    mask = foreground_mask(vol)
+    stored = Volume(vol.dims, vol.spacing, np.rint(700.0 * vol.data))
+    return clip_normalize(stored, mask).data[mask]
+
+
+class TestSquarem:
+    def test_iterations_never_exceed_the_cap(self):
+        rng = np.random.Generator(np.random.Philox(13))
+        values = mixture_sample(rng, 5_000, TISSUE_WEIGHTS, TISSUE_MEANS, TISSUE_VARIANCES)
+        full = fit_em(values)
+        assert full.converged and full.iterations > 12
+        for max_iter in range(1, 13):
+            cut = fit_em(values, cfg=EmConfig(max_iter=max_iter))
+            assert cut.iterations == max_iter
+            assert not cut.converged
+            assert len(cut.ll_trajectory) <= max_iter + 1
+            assert np.all(np.diff(cut.ll_trajectory) >= 0.0)
+
+    def test_criterion_2_fixtures_reach_the_maximum(self):
+        for seed in range(20):
+            rng = np.random.Generator(np.random.Philox(seed))
+            values = mixture_sample(rng, 100_000, TISSUE_WEIGHTS, TISSUE_MEANS, TISSUE_VARIANCES)
+            # the bin-mean columns the binned fit maximises over
+            x, counts, _ = gmmaug.gmm._bin_columns(*np.unique(values, return_counts=True))
+            fit = fit_em(values)
+            _, plain_ll = plain_em(values, x, counts, 3, EmConfig().tol)
+            best_means, _ = plain_em(values, x, counts, 3, 1e-12)
+            assert fit.converged
+            assert fit.log_likelihood >= plain_ll
+            assert np.max(np.abs(fit.means - best_means)) <= 1e-4
+
+    def test_phantom_reaches_the_maximum_in_few_sweeps(self):
+        values = perfbench_like_values()
+        x, counts = np.unique(values, return_counts=True)
+        fit = fit_em(values)
+        _, plain_ll = plain_em(values, x, counts, 3, EmConfig().tol)
+        best_means, _ = plain_em(values, x, counts, 3, 1e-12)
+        assert fit.converged and fit.iterations <= 100
+        assert fit.log_likelihood >= plain_ll
+        assert np.max(np.abs(fit.means - best_means)) <= 1e-4
+
+    def test_invalid_jump_falls_back(self, monkeypatch):
+        # two tight clusters and three components: the first extrapolation
+        # proposes a variance below the floor
+        rng = np.random.default_rng(1)
+        values = np.concatenate([rng.normal(0.2, 0.01, 200), rng.normal(0.8, 0.01, 24)])
+        proposals = []
+        real = gmmaug.gmm._squarem_point
+
+        def spy(theta0, theta1, theta2, step_max):
+            candidate, alpha = real(theta0, theta1, theta2, step_max)
+            if alpha > 1.0:
+                r = theta1 - theta0
+                raw = theta0 + 2.0 * alpha * r + alpha * alpha * (theta2 - theta1 - r)
+                proposals.append((raw, candidate))
+            return candidate, alpha
+
+        monkeypatch.setattr(gmmaug.gmm, "_squarem_point", spy)
+        params = fit_em(values, k=3)
+        raw, candidate = proposals[0]
+        assert np.any(raw[0] <= 0) or np.any(raw[2] < VARIANCE_FLOOR)
+        assert candidate is None
+        assert np.all(np.diff(params.ll_trajectory) >= -1e-9)
+        assert params.weights.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.all(params.weights > 0) and np.all(params.variances >= VARIANCE_FLOOR)
+        again = GmmParams.from_json_dict(params.to_json_dict())
+        assert np.array_equal(again.means, params.means)
 
 class TestResponsibilities:
     def test_rows_sum_to_one(self):
