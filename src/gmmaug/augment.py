@@ -20,12 +20,8 @@ gamma and D depend only on the fit, so :func:`augment_draws` builds the
 matrix-vector product [mu', sigma'] @ basis, scattered into a zero
 background (clip-normalization zeroes every voxel outside the mask).
 While it draws, the generator holds only the foreground mask, one byte
-per voxel, and the basis, 2k * n * 8 bytes for n foreground voxels:
-about 17 MB for the 360 k foreground voxels of a 96^3 volume and 80 MB
-at 160x192x160 (k = 3). ``gmmaug augment`` adds one output volume at a
-time; on a 160x192x160 phantom with 1.67 M foreground voxels, ``augment
---n 2`` peaks at 205 MB resident (2-core Xeon, one BLAS thread) in the
-first draw; the fit, on the normalized masked values alone, peaks at 162 MB.
+per voxel, and the basis, 2k * n * 8 bytes for n foreground voxels;
+``gmmaug augment`` adds one output volume at a time.
 
 Randomness comes from a Philox (counter-based) generator keyed with the
 caller's seed; the draw order is fixed as q_mu then q_var for component

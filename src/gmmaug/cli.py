@@ -64,22 +64,12 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _readable_volumes(paths):
-    """(path, Volume) for each path that reads; a skip line for each that does not."""
-    for path in paths:
-        try:
-            yield str(path), read_volume(path)
-        except (InputError, OSError) as exc:  # OSError: e.g. a directory named *.nii
-            print(f"skipping {path}: {type(exc).__name__}: {exc}", file=sys.stderr)
-
-
 def cmd_stats(args) -> int:
     directory = Path(args.input_dir)
     if not directory.is_dir():
         raise InputError(f"{directory} is not a directory")
     paths = sorted([*directory.glob("*.nii"), *directory.glob("*.nii.gz")], key=lambda p: p.name)
-    stats = estimate_population(_readable_volumes(paths), args.k, _em_config(args),
-                                args.clip_lo, args.clip_hi)
+    stats = estimate_population(paths, args.k, _em_config(args), args.clip_lo, args.clip_hi)
     save_stats(stats, args.out)
     return 0
 
@@ -107,8 +97,12 @@ def cmd_hist(args) -> int:
     if not 1 <= args.bins <= _MAX_BINS:
         raise InputError(f"--bins must be in [1, {_MAX_BINS}], got {args.bins}")
     vol = read_volume(args.input)
-    mask = foreground_mask(vol)
-    counts, edges = np.histogram(vol.data[mask], bins=args.bins, range=(0.0, 1.0))
+    values = vol.data[foreground_mask(vol)]
+    outside = np.count_nonzero(values > 1.0)  # the mask keeps only positive values
+    if outside:
+        raise InputError(f"{outside} of {values.size} masked voxels lie outside [0, 1]; "
+                         "hist bins normalized intensities")
+    counts, edges = np.histogram(values, bins=args.bins, range=(0.0, 1.0))
     centers = 0.5 * (edges[:-1] + edges[1:])
     lines = ["bin_center,count"]
     lines += [f"{float(c)!r},{int(n)}" for c, n in zip(centers, counts)]

@@ -47,11 +47,13 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegenerateComponentError, InputError, InsufficientDataError
+from .volume import _field, _is_number
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -152,16 +154,24 @@ class GmmParams:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "GmmParams":
+        """Build parameters from their JSON object, by the stats files' rule.
+
+        ``k`` and ``iterations`` must be integers, ``converged`` a bool and
+        every other value a real number: nothing is coerced.
+        """
         try:
+            obj = {"converged": True, "final_rel_change": 0.0, **obj}
+            arrays = {name: obj[name] for name in ("weights", "means", "variances")}
+            for name, values in arrays.items():
+                if not (isinstance(values, list) and all(map(_is_number, values))):
+                    raise TypeError(f"{name} must be a list of real numbers, got {values!r}")
             return cls(
-                k=int(obj["k"]),
-                weights=np.asarray(obj["weights"], dtype=np.float64),
-                means=np.asarray(obj["means"], dtype=np.float64),
-                variances=np.asarray(obj["variances"], dtype=np.float64),
-                log_likelihood=float(obj["log_likelihood"]),
-                iterations=int(obj["iterations"]),
-                converged=bool(obj.get("converged", True)),
-                final_rel_change=float(obj.get("final_rel_change", 0.0)),
+                k=_field(obj, "k", numbers.Integral),
+                log_likelihood=float(_field(obj, "log_likelihood")),
+                iterations=_field(obj, "iterations", numbers.Integral),
+                converged=_field(obj, "converged", bool),
+                final_rel_change=float(_field(obj, "final_rel_change")),
+                **arrays,
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"malformed mixture parameters: {exc}") from exc

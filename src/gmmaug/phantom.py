@@ -10,13 +10,12 @@ intensity > 0 mask holds.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .errors import InputError, InvalidSpecError
-from .volume import MAX_DIM, LabelVolume, Volume, _check_geometry, _is_number
+from .volume import MAX_DIM, LabelVolume, Volume, _check_geometry, _is_number, _read_json_object
 
 # Keeps clipped samples strictly positive.
 POSITIVE_FLOOR = 1e-6
@@ -90,12 +89,7 @@ class PhantomSpec:
 
     @classmethod
     def from_json_file(cls, path) -> "PhantomSpec":
-        with open(path) as fh:
-            try:
-                obj = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise InvalidSpecError(f"{path}: {exc}") from exc
-        return cls.from_json_dict(obj)
+        return cls.from_json_dict(_read_json_object(path, InvalidSpecError))
 
 
 def _region_labels(spec: PhantomSpec) -> np.ndarray:

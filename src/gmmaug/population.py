@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import logging
 import numbers
+import os
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -21,7 +22,7 @@ import numpy as np
 from .errors import GmmAugError, InputError, InsufficientDataError, InvalidStatsError
 from .gmm import EmConfig
 from .preprocess import check_clip_window, fit_volume
-from .volume import Volume, _is_number
+from .volume import Volume, _field, _read_json_object, read_volume
 
 logger = logging.getLogger(__name__)
 
@@ -116,15 +117,6 @@ class PopulationStats:
             raise InvalidStatsError(f"malformed stats object: {exc!r}") from exc
 
 
-def _field(obj: dict, name: str, kind=numbers.Real):
-    """``obj[name]`` if it is a ``kind`` in the float64 range, else InvalidStatsError."""
-    value = obj[name]
-    if not _is_number(value, kind):
-        what = "an integer" if kind is numbers.Integral else "a real number"
-        raise InvalidStatsError(f"malformed stats object: {name} must be {what}, got {value!r}")
-    return int(value) if kind is numbers.Integral else value
-
-
 def save_stats(stats: PopulationStats, path) -> None:
     """Write stats as JSON (floats keep full round-trip precision)."""
     with open(path, "w") as fh:
@@ -133,18 +125,11 @@ def save_stats(stats: PopulationStats, path) -> None:
 
 
 def load_stats(path) -> PopulationStats:
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidStatsError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(obj, dict):
-        raise InvalidStatsError(f"{path}: top-level JSON value must be an object")
-    return PopulationStats.from_json_dict(obj)
+    return PopulationStats.from_json_dict(_read_json_object(path, InvalidStatsError))
 
 
 def estimate_population(
-    volumes: Iterable[Volume | tuple[str, Volume]],
+    volumes: Iterable[Volume | str | os.PathLike],
     k: int = 3,
     cfg: EmConfig | None = None,
     lo_pct: float = 1.0,
@@ -152,13 +137,13 @@ def estimate_population(
 ) -> PopulationStats:
     """Fit every volume and aggregate per-component spreads.
 
-    Each item of ``volumes`` is a ``Volume`` or a ``(name, Volume)``
-    pair. Volumes whose preprocessing or fit fails are skipped with a
-    warning, ``skipping <name>: <Error>: <message>``, rather than
-    aborting the corpus run; a volume without a name is named by its
-    position among the items. Needs at least two successful fits. A
-    ``k`` below 1 or a bad percentile window would fail every volume
-    alike, so it raises InputError before the first volume is read.
+    Each item of ``volumes`` is a ``Volume`` or a path, read in its turn.
+    An item whose read, preprocessing or fit fails is skipped with a
+    warning on this module's logger, ``skipping <name>: <Error>:
+    <message>``, naming its path or else its position (``volume 1``).
+    Needs at least two successful fits; the error says how many items
+    were skipped. A ``k`` below 1 or a bad percentile window would fail
+    every volume alike, so it raises InputError before the first read.
     """
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
@@ -167,12 +152,15 @@ def estimate_population(
     fitted_vars: list[np.ndarray] = []
     skipped = 0
     for index, item in enumerate(volumes):
-        name, vol = item if isinstance(item, tuple) else (f"volume {index}", item)
+        name = f"volume {index}" if isinstance(item, Volume) else str(item)
         try:
+            vol = item if isinstance(item, Volume) else read_volume(item)
             params = fit_volume(vol, k, cfg, lo_pct, hi_pct)[2]
-        except GmmAugError as exc:
+        except (GmmAugError, OSError) as exc:  # OSError: e.g. a directory named *.nii
             skipped += 1
-            logger.warning("skipping %s: %s: %s", name, type(exc).__name__, exc)
+            # read_volume's messages, and an OSError's, already name the file
+            reason = getattr(exc, "strerror", None) or str(exc).removeprefix(f"{name}: ")
+            logger.warning("skipping %s: %s: %s", name, type(exc).__name__, reason)
             continue
         fitted_means.append(params.means)
         fitted_vars.append(params.variances)

@@ -14,6 +14,7 @@ transparently; gzip input is also auto-detected from its magic bytes.
 from __future__ import annotations
 
 import gzip
+import json
 import math
 import numbers
 import struct
@@ -51,6 +52,35 @@ def _is_number(value, kind=numbers.Real) -> bool:
     """
     return (isinstance(value, kind) and not isinstance(value, bool)
             and abs(value) <= sys.float_info.max)
+
+
+def _field(obj: dict, name: str, kind=numbers.Real):
+    """``obj[name]`` if it is a ``kind`` (see :func:`_is_number`), else TypeError.
+
+    A ``bool`` field takes only true or false. Nothing is coerced; an
+    integer comes back as ``int``.
+    """
+    value = obj[name]
+    if not (isinstance(value, bool) if kind is bool else _is_number(value, kind)):
+        what = {bool: "a bool", numbers.Integral: "an integer"}.get(kind, "a real number")
+        raise TypeError(f"{name} must be {what}, got {value!r}")
+    return int(value) if kind is numbers.Integral else value
+
+
+def _read_json_object(path, error: type[InputError]) -> dict:
+    """The JSON object in the file at ``path``.
+
+    Bytes that are not UTF-8, invalid or too deeply nested JSON, and any
+    other top-level value raise ``error``.
+    """
+    with open(path, encoding="utf-8") as fh:
+        try:
+            obj = json.load(fh)
+        except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
+            raise error(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(obj, dict):
+        raise error(f"{path}: top-level JSON value must be an object, got {type(obj).__name__}")
+    return obj
 
 
 def _check_geometry(dims, spacing):

@@ -182,27 +182,29 @@ class TestStats:
         assert main(["stats", str(corpus), "--out", str(tmp_path / "s.json")]) == 2
         assert "InsufficientData" in capsys.readouterr().err
 
-    def test_unreadable_volume_skipped(self, tmp_path, phantom_file, capsys):
+    def test_unreadable_volume_skipped(self, tmp_path, phantom_file, caplog):
         corpus = tmp_path / "corpus"
         corpus.mkdir()
         shutil.copy(phantom_file, corpus / "a.nii")
         shutil.copy(phantom_file, corpus / "b.nii")
         (corpus / "c.nii").write_bytes(b"junk" * 100)
         out = tmp_path / "stats.json"
-        assert main(["stats", str(corpus), "--out", str(out)]) == 0
-        assert "skipping" in capsys.readouterr().err
+        with caplog.at_level("WARNING", logger="gmmaug.population"):
+            assert main(["stats", str(corpus), "--out", str(out)]) == 0
+        assert "skipping" in caplog.text
         assert json.loads(out.read_text())["n_images"] == 2
 
-    def test_unopenable_entry_skipped(self, tmp_path, phantom_file, capsys):
+    def test_unopenable_entry_skipped(self, tmp_path, phantom_file, caplog):
         corpus = tmp_path / "corpus"
         corpus.mkdir()
         for name in ("a.nii", "b.nii", "c.nii"):
             shutil.copy(phantom_file, corpus / name)
         (corpus / "d.nii").mkdir()  # matches the glob, cannot be opened as a file
         out = tmp_path / "stats.json"
-        assert main(["stats", str(corpus), "--out", str(out)]) == 0
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith(f"skipping {corpus / 'd.nii'}: ")
+        with caplog.at_level("WARNING", logger="gmmaug.population"):
+            assert main(["stats", str(corpus), "--out", str(out)]) == 0
+        [record] = caplog.records
+        assert record.getMessage().startswith(f"skipping {corpus / 'd.nii'}: ")
         assert json.loads(out.read_text())["n_images"] == 3
 
     def test_skip_lines_name_the_file(self, tmp_path, capsys, caplog):
@@ -216,12 +218,43 @@ class TestStats:
         out = tmp_path / "stats.json"
         with caplog.at_level("WARNING", logger="gmmaug.population"):
             assert main(["stats", str(corpus), "--out", str(out)]) == 0
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith(f"skipping {corpus / 'a.nii'}: NotNiftiError: ")
-        [record] = caplog.records
-        assert record.getMessage().startswith(
-            f"skipping {corpus / 'b.nii'}: DegenerateIntensityError: ")
+        assert capsys.readouterr().err == ""
+        unreadable, constant = (record.getMessage() for record in caplog.records)
+        assert unreadable.startswith(f"skipping {corpus / 'a.nii'}: NotNiftiError: ")
+        assert constant.startswith(f"skipping {corpus / 'b.nii'}: DegenerateIntensityError: ")
         assert json.loads(out.read_text())["n_images"] == 2
+
+    def test_skip_lines_name_the_path_once(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "a.nii").write_bytes(b"junk" * 100)  # unreadable
+        write_volume(Volume((8, 8, 8), (1, 1, 1), np.full(512, 0.5)), corpus / "b.nii")
+        (corpus / "c.nii").mkdir()  # cannot be opened as a file
+        for name, seed in (("d.nii", 1), ("e.nii", 2)):
+            vol, _ = generate_phantom(PhantomSpec(dims=(20, 20, 20), seed=seed))
+            write_volume(vol, corpus / name)
+        # Run outside pytest, whose log capture would keep the skip lines off stderr.
+        env = dict(os.environ, PYTHONPATH=str(Path(gmmaug.__file__).resolve().parents[1]))
+        run = subprocess.run([sys.executable, "-m", "gmmaug.cli", "stats", str(corpus),
+                              "--out", str(tmp_path / "stats.json")],
+                             env=env, capture_output=True, text=True)
+        assert run.returncode == 0 and run.stdout == ""
+        assert run.stderr.splitlines() == [
+            f"skipping {corpus / 'a.nii'}: NotNiftiError: sizeof_hdr is not 348 in either byte order",
+            f"skipping {corpus / 'b.nii'}: DegenerateIntensityError: "
+            "percentiles 1.0 and 99.0 coincide at 0.5",
+            f"skipping {corpus / 'c.nii'}: IsADirectoryError: Is a directory",
+        ]
+
+    def test_error_counts_unreadable_files(self, tmp_path, phantom_file, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for name in ("a.nii", "b.nii", "c.nii"):
+            (corpus / name).write_bytes(b"junk" * 100)
+        shutil.copy(phantom_file, corpus / "d.nii")
+        assert main(["stats", str(corpus), "--out", str(tmp_path / "s.json")]) == 2
+        assert capsys.readouterr().err == (
+            "InsufficientDataError: only 1 volumes fitted successfully (3 skipped)\n")
 
     @pytest.mark.parametrize("option", [["--k", "0"], ["--clip-lo", "50", "--clip-hi", "10"]])
     def test_bad_k_or_window_reported_once(self, tmp_path, phantom_file, capsys, option):
@@ -438,6 +471,27 @@ class TestAugment:
         assert not list(tmp_path.glob("bad_*"))
 
 
+@pytest.mark.parametrize("raw", [b"\xff\xfe{}", b'{"k": 3', b"[" * 100_000, b'["dims"]', b"[[1]]",
+                                 b"5", b'"spec"', b"null"],
+                         ids=["not-utf8", "invalid", "deeply-nested", "list", "nested-list",
+                              "number", "string", "null"])
+@pytest.mark.parametrize("command", ["augment", "phantom"])
+def test_json_file_that_is_not_an_object_exit_2(tmp_path, phantom_file, capsys, command, raw):
+    doc = tmp_path / "doc.json"
+    doc.write_bytes(raw)
+    out = tmp_path / "out"
+    if command == "augment":
+        argv = ["augment", str(phantom_file), "--stats", str(doc), "--seed", "0",
+                "--out-prefix", str(out)]
+    else:
+        argv = ["phantom", "--spec", str(doc), "--seed", "0", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    error = "InvalidStatsError" if command == "augment" else "InvalidSpecError"
+    assert err.count("\n") == 1 and err.startswith(f"{error}: {doc}: ")
+    assert list(tmp_path.glob("out*")) == []
+
+
 class TestOneFitPath:
     """fit, stats and augment fit a volume through the same procedure."""
 
@@ -533,6 +587,19 @@ class TestHist:
             and smoothed[i] > 0.05 * smoothed.max()
         ]
         assert len(peaks) == 3
+
+    def test_values_outside_unit_range_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "raw.nii"
+        data = np.zeros(216)
+        data[:100] = np.linspace(50.0, 900.0, 100)  # a raw scan, not normalized
+        data[100:108] = 0.5
+        write_volume(Volume((6, 6, 6), (1, 1, 1), data), path)
+        out = tmp_path / "h.csv"
+        assert main(["hist", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("InputError: 100 of 108 masked voxels lie outside [0, 1]")
+        assert not out.exists()
 
     def test_bad_bins(self, tmp_path, phantom_file, capsys):
         assert main(["hist", str(phantom_file), "--bins", "0",

@@ -1,8 +1,9 @@
 """Property tests of the command-line contract under malformed input.
 
-Whatever header a volume carries, whatever numbers the options take and
-whatever JSON value one field of a stats file or phantom spec holds,
-every subcommand ends in exit code 0, 2 or 3, writes nothing to stdout
+Whatever header a volume carries, whatever numbers the options take,
+whatever bytes a stats file or phantom spec holds and whatever JSON
+value one of their fields holds, every subcommand ends in exit code 0,
+2 or 3, writes nothing to stdout
 and at most one diagnostic line to stderr; ``stats`` may add one
 "skipping" line for each volume of its corpus it could not use. Options are passed as
 ``--flag=value`` so that values such as ``-inf`` reach the program
@@ -232,4 +233,28 @@ def test_cli_json_fields_of_any_type(inputs, document):
         else:
             argv = [name, "--spec", str(work / "doc.json"), "--seed", "0",
                     "--out", str(work / "p.nii")]
+        _assert_contract(argv)
+
+
+# A whole stats file or phantom spec: any JSON value, text that is
+# rarely JSON, or bytes that are rarely UTF-8.
+whole_documents = st.one_of(
+    json_values.map(lambda value: json.dumps(value).encode()),
+    st.text(max_size=8).map(str.encode),
+    st.binary(max_size=8),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(name=st.sampled_from(["augment", "phantom"]), raw=whole_documents)
+def test_cli_json_documents_of_any_kind(inputs, name, raw):
+    with tempfile.TemporaryDirectory(dir=inputs) as work:
+        doc = Path(work) / "doc.json"
+        doc.write_bytes(raw)
+        if name == "augment":
+            argv = [name, str(inputs / "volume.nii"), "--stats", str(doc),
+                    "--seed", "0", "--out-prefix", str(Path(work) / "aug")]
+        else:
+            argv = [name, "--spec", str(doc), "--seed", "0", "--out", str(Path(work) / "p.nii")]
         _assert_contract(argv)

@@ -418,6 +418,19 @@ class TestGmmParams:
         with pytest.raises(InputError, match="malformed"):
             GmmParams.from_json_dict(obj)
 
+    @pytest.mark.parametrize("field, value", [
+        ("k", 2.0), ("k", 2.7), ("iterations", "5"), ("converged", "false"), ("converged", 1),
+        ("log_likelihood", "12"), ("final_rel_change", True), ("means", ["0.2", "0.8"]),
+        ("weights", 0.5),
+    ], ids=["k-integral-float", "k-float", "iterations-string", "converged-string",
+            "converged-int", "log_likelihood-string", "final_rel_change-bool",
+            "means-strings", "weights-scalar"])
+    def test_json_value_that_only_looks_right_rejected(self, field, value):
+        obj = make_params((0.5, 0.5), (0.2, 0.8), (1e-3, 1e-3)).to_json_dict()
+        obj[field] = value
+        with pytest.raises(InputError, match=f"malformed mixture parameters: {field} must be"):
+            GmmParams.from_json_dict(obj)
+
     def test_config_validation(self):
         with pytest.raises(InputError):
             EmConfig(tol=0.0)

@@ -17,7 +17,9 @@ from gmmaug import (
     foreground_mask,
     generate_phantom,
     load_stats,
+    read_volume,
     save_stats,
+    write_volume,
 )
 
 CFG = EmConfig()
@@ -76,6 +78,26 @@ class TestEstimatePopulation:
             stats = estimate_population(volumes, cfg=CFG)
         assert stats.n_images == 2
         assert any("skipping volume 1" in rec.getMessage() for rec in caplog.records)
+
+    def test_paths_read_in_turn_and_skipped_by_name(self, tmp_path, caplog):
+        write_volume(small_phantom(0), tmp_path / "a.nii")
+        (tmp_path / "junk.nii").write_bytes(b"junk")
+        items = [tmp_path / "a.nii", str(tmp_path / "junk.nii"), small_phantom(1)]
+        with caplog.at_level(logging.WARNING, logger="gmmaug.population"):
+            stats = estimate_population(items, cfg=CFG)
+        [record] = caplog.records
+        assert record.getMessage() == (f"skipping {tmp_path / 'junk.nii'}: CorruptFileError: "
+                                       "file shorter than the 348-byte header")
+        expected = estimate_population([read_volume(tmp_path / "a.nii"), small_phantom(1)],
+                                       cfg=CFG)
+        assert np.array_equal(stats.mu_mean, expected.mu_mean)
+        assert np.array_equal(stats.var_std, expected.var_std)
+
+    def test_unreadable_paths_counted_as_skipped(self, tmp_path):
+        (tmp_path / "junk.nii").write_bytes(b"junk")
+        with pytest.raises(InsufficientDataError, match=r"only 1 volumes .* \(3 skipped\)"):
+            estimate_population([tmp_path / "junk.nii", tmp_path / "missing.nii", tmp_path,
+                                 small_phantom(0)], cfg=CFG)
 
     def test_too_few_successes(self):
         constant = Volume((10, 10, 10), (1, 1, 1), np.full(1000, 0.5))
