@@ -58,8 +58,8 @@ def _print_config(args) -> None:
 
 def cmd_fit(args) -> int:
     vol = read_volume(args.input)
-    mask_vol = read_label_volume(args.mask) if args.mask else None
-    params = fit_volume(vol, args.k, _em_config(args), args.clip_lo, args.clip_hi, mask_vol)[2]
+    mask = foreground_mask(vol, read_label_volume(args.mask) if args.mask else None)
+    params = fit_volume(vol, mask, args.k, _em_config(args), args.clip_lo, args.clip_hi)[1]
     Path(args.out).write_text(params.dumps() + "\n")
     return 0
 

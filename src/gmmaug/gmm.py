@@ -9,7 +9,9 @@ EM runs on each distinct value and its count (the grouped-data EM of
 McLachlan & Jones, Biometrics 1988), which is exact: quantised volumes
 collapse to a few hundred columns, and every input is fitted in full.
 Continuous data, with more than ``_MAX_COLUMNS`` (4096) distinct values,
-are first folded into that many equal-width bins over their range. Each
+are first folded into that many equal-width bins over their range: value
+v lies in bin floor((v - lo) / (hi - lo) * 4096), evaluated in float64,
+and the maximum in the last. Each
 bin keeps its count, the mean of its values and their squared deviations
 from that mean; EM runs on the (bin mean, count) columns, and the
 responsibility-weighted within-bin variance is added to each component
@@ -37,10 +39,14 @@ of the last E-step when ``max_iter`` cuts the fit), with the
 log-likelihood and posterior of that same evaluation.
 
 Fitting is fully deterministic and depends only on the multiset of
-values and the config, never on their order: every fit builds its
-columns from one sorted copy. Initial means sit at equally spaced sample
-quantiles, initial variances at sample variance / k^2, initial weights
-uniform.
+values and the config, never on their order: every fit runs on one
+sorted array. :func:`fit_em` sorts a copy of its input; the volume fit
+path sorts the masked values in place and hands them to the same core,
+``_fit_sorted``. The core reads the starting means off the sorted values
+by index, finds their runs of equal values in one pass, and builds the
+columns from them. Initial means sit at equally spaced sample quantiles
+(``np.percentile``'s default linear rule, bit for bit), initial
+variances at sample variance / k^2, initial weights uniform.
 """
 
 from __future__ import annotations
@@ -229,21 +235,82 @@ def responsibilities(params: GmmParams, values) -> np.ndarray:
     return np.ascontiguousarray(_posterior(lp)[0].T)
 
 
-def _bin_columns(x, counts):
-    """Fold sorted distinct values into at most ``_MAX_COLUMNS`` bins.
+def _sorted_percentiles(x: np.ndarray, pct) -> np.ndarray:
+    """``np.percentile(x, pct)`` of ascending ``x``, bit for bit, read off by index.
 
-    Bins are equal-width over ``[x[0], x[-1]]``; empty ones are dropped.
-    Returns each bin's count, the mean of its values and the sum of
-    squared deviations from that mean, so the binned columns keep the
-    exact total mean and variance of the data.
+    numpy's default linear rule: the q-th percentile sits at the virtual
+    index ``(n - 1) * q / 100``, between the order statistics at its floor
+    and the next one, and is interpolated as ``a + (b - a) * g`` with
+    fraction ``g``, or ``b - (b - a) * (1 - g)`` when ``g >= 0.5``. A
+    virtual index at or past ``n - 1`` reads the maximum, as numpy's does.
     """
-    lo, hi = x[0], x[-1]
-    index = np.minimum(np.floor((x - lo) / (hi - lo) * _MAX_COLUMNS), _MAX_COLUMNS - 1)
-    starts = np.flatnonzero(np.diff(index, prepend=-1.0))  # x is sorted: bins are runs
-    bin_counts = np.add.reduceat(counts, starts).astype(np.float64)
-    bin_means = np.add.reduceat(counts * x, starts) / bin_counts
-    dev = x - np.repeat(bin_means, np.diff(starts, append=x.size))
-    return bin_means, bin_counts, np.add.reduceat(counts * dev * dev, starts)
+    virtual = (x.size - 1) * np.true_divide(pct, 100)
+    top = virtual >= x.size - 1
+    below = np.where(top, -1.0, np.floor(virtual))
+    gamma = virtual - below
+    a, b = x[below.astype(np.intp)], x[np.where(top, -1, below + 1).astype(np.intp)]
+    diff = b - a
+    return np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma)
+
+
+def _run_starts(x: np.ndarray) -> np.ndarray:
+    """Flags marking where each run of equal values starts in ascending ``x``."""
+    new = np.empty(x.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(x[1:], x[:-1], out=new[1:])
+    return new
+
+
+def _bin_sorted(x: np.ndarray, new: np.ndarray):
+    """Fold ascending values into at most ``_MAX_COLUMNS`` equal-width bins.
+
+    ``new`` flags the starts of the runs of equal values. Value v falls in
+    bin ``floor((v - lo) / (hi - lo) * _MAX_COLUMNS)``, evaluated in
+    float64 over ``[lo, hi] = [x[0], x[-1]]``, the maximum in the last
+    bin. The formula is monotone in v, so each bin is a run of ``x`` and a
+    value on an edge falls in the upper bin. ``np.searchsorted`` cuts the
+    distinct values at ``lo + (hi - lo) * j / _MAX_COLUMNS``, and a cut
+    that the formula's rounding puts on the wrong side of a value moves
+    past it; only the 4095 cuts are evaluated. Empty bins are dropped.
+
+    Returns each bin's mean, its count and the sum of squared deviations
+    from that mean, so the binned columns keep the exact total mean and
+    variance of the data. Both sums run over the distinct values, each
+    weighted by its count.
+    """
+    lo, width = x[0], x[-1] - x[0]
+    distinct = x[new]
+    j = np.arange(1, _MAX_COLUMNS)
+
+    def bin_at(i):
+        return np.floor((distinct[i] - lo) / width * _MAX_COLUMNS)
+
+    # lo is in bin 0 and hi in the last, so every cut lies in [1, size - 1]
+    cuts = np.clip(np.searchsorted(distinct, lo + width * (j / _MAX_COLUMNS)), 1, distinct.size - 1)
+    while np.any(early := bin_at(cuts - 1) >= j):
+        cuts -= early
+    while np.any(late := bin_at(cuts) < j):
+        cuts += late
+    cuts = np.concatenate(([0], cuts, [distinct.size]))
+    keep = np.diff(cuts) > 0
+    starts = cuts[:-1][keep]
+    counts = np.diff(np.searchsorted(x, distinct[starts]), append=x.size)
+    # The values that repeat, at which index of ``distinct`` and how
+    # often; on continuous data they are few. A repeat at position p of
+    # x, after r earlier repeats, repeats the distinct value p - r - 1.
+    owner = np.flatnonzero(~new)
+    owner -= np.arange(1, owner.size + 1)
+    first = np.flatnonzero(np.diff(owner, prepend=-1))
+    at, lengths = owner[first], np.diff(first, append=owner.size) + 1
+    repeated = distinct[at]
+    distinct[at] *= lengths
+    means = np.add.reduceat(distinct, starts) / counts
+    distinct[at] = repeated
+    dev = np.repeat(means, np.diff(cuts)[keep])
+    np.subtract(distinct, dev, out=distinct)  # distinct now holds the deviations
+    np.multiply(distinct, distinct, out=dev)
+    dev[at] = lengths * distinct[at] * distinct[at]
+    return means, counts.astype(np.float64), np.add.reduceat(dev, starts)
 
 
 def _squarem_point(theta0, theta1, theta2, step_max):
@@ -299,26 +366,39 @@ def fit_em(values, k: int = 3, cfg: EmConfig | None = None) -> GmmParams:
         DegenerateComponentError: a component's responsibility mass
             collapsed below 1e-12.
     """
+    return _fit_sorted(np.sort(_as_values(values)), k, cfg)
+
+
+def _fit_sorted(x: np.ndarray, k: int, cfg: EmConfig | None) -> GmmParams:
+    """:func:`fit_em` on ``x``, finite float64 values sorted ascending.
+
+    Every per-value job reads ``x`` in place: the starting means by
+    index, the runs of equal values in one comparison pass, and then
+    either the distinct values with their counts or, above
+    ``_MAX_COLUMNS`` of them, the bins.
+    """
     cfg = cfg or EmConfig()
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
-    v = _as_values(values)
-    n = v.size
+    n = x.size
     if n < 10 * k:
         raise InsufficientDataError(f"need at least {10 * k} values, got {n}")
-    x = np.sort(v)  # the one sort: initial means, then the distinct values
-    means = np.percentile(x, 100.0 * np.arange(1, k + 1) / (k + 1))
-    starts = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
-    x, counts, within = x[starts], np.diff(starts, append=n), None  # frees the sorted copy
-    # A common factor of the counts scales the log-likelihood and nothing
-    # else; dividing it out keeps the fit of repeated values bit-equal to
-    # that of the values, which extrapolation would not otherwise do.
-    scale_ll = int(np.gcd.reduce(counts)) if counts.min() > 1 else 1
-    counts //= scale_ll
-    n //= scale_ll
-    if x.size > _MAX_COLUMNS:
-        x, counts, within = _bin_columns(x, counts)
-    counts = counts.astype(np.float64)
+    means = _sorted_percentiles(x, 100.0 * np.arange(1, k + 1) / (k + 1))
+    new = _run_starts(x)
+    distinct = np.count_nonzero(new)
+    # A common factor of the run lengths scales the log-likelihood and
+    # nothing else; dividing it out keeps the fit of repeated values
+    # bit-equal to that of the values, which extrapolation would not
+    # otherwise do. With more than n / 2 runs, one has length 1.
+    scale_ll = 1
+    if 2 * distinct <= n:
+        scale_ll = int(np.gcd.reduce(np.diff(np.flatnonzero(new), append=n)))
+        x, new, n = x[::scale_ll], new[::scale_ll], n // scale_ll  # each value once per factor
+    if distinct > _MAX_COLUMNS:
+        x, counts, within = _bin_sorted(x, new)
+    else:
+        starts = np.flatnonzero(new)
+        x, counts, within = x[starts], np.diff(starts, append=n).astype(np.float64), None
 
     centred = x - (counts * x).sum() / n
     spread = (counts * centred * centred).sum()

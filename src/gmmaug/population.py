@@ -22,7 +22,7 @@ import numpy as np
 from .errors import GmmAugError, InputError, InsufficientDataError, InvalidStatsError
 from .gmm import EmConfig
 from .preprocess import check_clip_window, fit_volume
-from .volume import Volume, _field, _read_json_object, read_volume
+from .volume import Volume, _field, _read_json_object, foreground_mask, read_volume
 
 logger = logging.getLogger(__name__)
 
@@ -59,6 +59,7 @@ class PopulationStats:
             raise InvalidStatsError("mu_mean must be ascending")
         if self.n_images < 2:
             raise InvalidStatsError("n_images must be >= 2")
+        check_clip_window(self.clip_lo_pct, self.clip_hi_pct, InvalidStatsError)
         for name, arr in arrays.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -125,7 +126,12 @@ def save_stats(stats: PopulationStats, path) -> None:
 
 
 def load_stats(path) -> PopulationStats:
-    return PopulationStats.from_json_dict(_read_json_object(path, InvalidStatsError))
+    """Read stats written by :func:`save_stats`; every InvalidStatsError names ``path``."""
+    obj = _read_json_object(path, InvalidStatsError)
+    try:
+        return PopulationStats.from_json_dict(obj)
+    except InvalidStatsError as exc:
+        raise InvalidStatsError(f"{path}: {exc}") from exc
 
 
 def estimate_population(
@@ -155,7 +161,7 @@ def estimate_population(
         name = f"volume {index}" if isinstance(item, Volume) else str(item)
         try:
             vol = item if isinstance(item, Volume) else read_volume(item)
-            params = fit_volume(vol, k, cfg, lo_pct, hi_pct)[2]
+            params = fit_volume(vol, foreground_mask(vol), k, cfg, lo_pct, hi_pct)[1]
         except (GmmAugError, OSError) as exc:  # OSError: e.g. a directory named *.nii
             skipped += 1
             # read_volume's messages, and an OSError's, already name the file

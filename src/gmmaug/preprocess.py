@@ -3,7 +3,10 @@
 Percentiles everywhere in this package use numpy's default linear
 interpolation between order statistics, and are always computed over
 the masked voxels only (background zeros would otherwise dominate the
-low percentile on skull-stripped images).
+low percentile on skull-stripped images). The clip window is read off
+the sorted masked values by index, with the bits ``np.percentile``
+would give: :func:`fit_volume` sorts the values it fits in place, and
+:func:`clip_normalize` sorts a copy.
 """
 
 from __future__ import annotations
@@ -11,22 +14,33 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateIntensityError, EmptyMaskError, InputError
-from .gmm import EmConfig, GmmParams, fit_em
-from .volume import LabelVolume, Volume, foreground_mask
+from .gmm import EmConfig, GmmParams, _fit_sorted, _sorted_percentiles
+from .volume import Volume
 
 
-def check_clip_window(lo_pct: float, hi_pct: float) -> None:
-    """Raise InputError unless ``0 <= lo_pct < hi_pct <= 100``."""
+def check_clip_window(lo_pct: float, hi_pct: float,
+                      error: type[InputError] = InputError) -> None:
+    """Raise ``error`` unless ``0 <= lo_pct < hi_pct <= 100``."""
     if not 0.0 <= lo_pct < hi_pct <= 100.0:
-        raise InputError(f"need 0 <= lo_pct < hi_pct <= 100, got ({lo_pct}, {hi_pct})")
+        raise error(f"need 0 <= lo_pct < hi_pct <= 100, got ({lo_pct}, {hi_pct})")
 
 
-def _normalized(values: np.ndarray, lo_pct: float, hi_pct: float) -> np.ndarray:
-    """Clip ``values`` in place to their percentile window, mapped onto [0, 1]."""
+def _clip_window(ordered: np.ndarray, lo_pct: float, hi_pct: float) -> tuple[float, float]:
+    """The raw window (p_low, p_high) of ascending masked values, as np.percentile gives it."""
     check_clip_window(lo_pct, hi_pct)
-    p_low, p_high = np.percentile(values, [lo_pct, hi_pct])
+    p_low, p_high = _sorted_percentiles(ordered, [lo_pct, hi_pct])
     if p_low == p_high:
         raise DegenerateIntensityError(f"percentiles {lo_pct} and {hi_pct} coincide at {p_low}")
+    return p_low, p_high
+
+
+def _apply_window(values: np.ndarray, window: tuple[float, float]) -> np.ndarray:
+    """Clip ``values`` in place to ``window``, mapped onto [0, 1].
+
+    Clipping, subtracting and dividing by a positive number are each
+    monotone in floating point, so sorted values stay sorted.
+    """
+    p_low, p_high = window
     np.clip(values, p_low, p_high, out=values)
     return np.divide(np.subtract(values, p_low, out=values), p_high - p_low, out=values)
 
@@ -52,24 +66,30 @@ def clip_normalize(
         raise InputError(f"mask length {mask.size} != voxel count {vol.n_voxels}")
     if not mask.any():
         raise EmptyMaskError("mask selects no voxels")
+    values = vol.data[mask]
     out = np.zeros(vol.n_voxels)
-    out[mask] = _normalized(vol.data[mask], lo_pct, hi_pct)
+    out[mask] = _apply_window(values, _clip_window(np.sort(values), lo_pct, hi_pct))
     return Volume(vol.dims, vol.spacing, out)
 
 
 def fit_volume(
     vol: Volume,
+    mask: np.ndarray,
     k: int,
     cfg: EmConfig | None,
     lo_pct: float,
     hi_pct: float,
-    explicit_mask: LabelVolume | None = None,
-) -> tuple[np.ndarray, np.ndarray, GmmParams]:
-    """Mask, clip-normalize and fit one volume: (mask, normalized masked values, params).
+) -> tuple[tuple[float, float], GmmParams]:
+    """Clip-normalize and fit the voxels of ``vol`` under ``mask``: (raw clip window, params).
 
     ``fit``, ``stats`` and ``augment`` all fit through here, so the spreads
     a corpus yields and the fits they perturb come from one procedure.
+    The masked values are gathered and sorted once, in place; the window
+    is read off them by index, and they are normalized in place, which
+    keeps them sorted, for the fit. ``_apply_window(vol.data[mask],
+    window)`` gives the normalized values in voxel order.
     """
-    mask = foreground_mask(vol, explicit_mask)
-    values = _normalized(vol.data[mask], lo_pct, hi_pct)
-    return mask, values, fit_em(values, k, cfg)
+    values = vol.data[mask]
+    values.sort()
+    window = _clip_window(values, lo_pct, hi_pct)
+    return window, _fit_sorted(_apply_window(values, window), k, cfg)

@@ -61,15 +61,15 @@ def write_stats(path, mu_std, var_std):
 
 @pytest.fixture()
 def fits(monkeypatch):
-    """One entry per fit_em call made through the shared volume-fit path."""
+    """One entry per call of the fit core made through the shared volume-fit path."""
     calls = []
-    real_fit_em = gmmaug.preprocess.fit_em
+    real_fit = gmmaug.preprocess._fit_sorted
 
-    def counting_fit_em(*args, **kwargs):
+    def counting_fit(*args, **kwargs):
         calls.append(1)
-        return real_fit_em(*args, **kwargs)
+        return real_fit(*args, **kwargs)
 
-    monkeypatch.setattr(gmmaug.preprocess, "fit_em", counting_fit_em)
+    monkeypatch.setattr(gmmaug.preprocess, "_fit_sorted", counting_fit)
     return calls
 
 
@@ -388,6 +388,19 @@ class TestAugment:
                      "--seed", "0", "--out-prefix", str(prefix)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("InvalidStatsError")
+        assert not Path(f"{prefix}_0.nii").exists()
+
+    def test_stats_with_an_empty_clip_window_exit_2(self, tmp_path, phantom_file,
+                                                     zero_stats_file, capsys):
+        doc = json.loads(zero_stats_file.read_text())
+        doc["preprocessing"].update(clip_lo_pct=50.0, clip_hi_pct=10.0)
+        zero_stats_file.write_text(json.dumps(doc))
+        prefix = tmp_path / "aug"
+        assert main(["augment", str(phantom_file), "--stats", str(zero_stats_file),
+                     "--seed", "0", "--out-prefix", str(prefix)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"InvalidStatsError: {zero_stats_file}: "
+                       "need 0 <= lo_pct < hi_pct <= 100, got (50.0, 10.0)\n")
         assert not Path(f"{prefix}_0.nii").exists()
 
     @pytest.mark.parametrize("flags", [[], ["--hard-assign"]])

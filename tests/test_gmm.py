@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gmmaug.gmm
 from gmmaug import (
@@ -129,6 +131,17 @@ class TestFitEm:
         for name in ("weights", "means", "variances"):
             assert np.max(np.abs(getattr(tripled, name) - getattr(single, name))) <= 1e-12
         assert tripled.log_likelihood == pytest.approx(3.0 * single.log_likelihood, rel=1e-12)
+
+    def test_repeated_values_fit_like_their_values_when_binned(self):
+        rng = np.random.Generator(np.random.Philox(5))
+        values = mixture_sample(rng, 20_000, TISSUE_WEIGHTS, TISSUE_MEANS, TISSUE_VARIANCES)
+        assert np.unique(values).size == values.size > gmmaug.gmm._MAX_COLUMNS
+        single = fit_em(values)
+        tripled = fit_em(np.repeat(values, 3))  # binned path, every run 3 long
+        assert tripled.iterations == single.iterations
+        for name in ("weights", "means", "variances"):
+            assert np.array_equal(getattr(tripled, name), getattr(single, name))
+        assert tripled.log_likelihood == 3.0 * single.log_likelihood
 
     def test_quantised_values_run_on_distinct_columns(self, monkeypatch):
         rng = np.random.Generator(np.random.Philox(6))
@@ -261,6 +274,79 @@ def perfbench_like_values():
     return clip_normalize(stored, mask).data[mask]
 
 
+# Percentile inputs: unit-scale floats or small integers, repeated up to
+# three times each, at magnitudes from 1e-5 to 1e5; percentiles anywhere
+# in [0, 100], the ends and integers included.
+SAMPLES = st.tuples(
+    st.lists(st.floats(-1.0, 1.0) | st.integers(-20, 20).map(float), min_size=1, max_size=40),
+    st.integers(1, 3),
+    st.sampled_from((1e-5, 1e-2, 1.0, 1e3, 1e5)),
+).map(lambda t: np.repeat(np.array(t[0]), t[1]) * t[2])
+PERCENTILES = st.lists(st.floats(0.0, 100.0) | st.sampled_from((0.0, 100.0)) | st.integers(0, 100),
+                       min_size=1, max_size=4)
+
+
+class TestSortedInput:
+    """The helpers that read percentiles and bins off sorted values by index."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(values=SAMPLES, pct=PERCENTILES)
+    def test_percentiles_are_numpys_bits(self, values, pct):
+        got = gmmaug.gmm._sorted_percentiles(np.sort(values), pct)
+        assert got.tobytes() == np.percentile(values, pct).tobytes()
+
+    def test_percentiles_of_one_value(self):
+        got = gmmaug.gmm._sorted_percentiles(np.array([-0.0]), [0.0, 37.5, 100.0])
+        assert got.tobytes() == np.percentile(np.array([-0.0]), [0.0, 37.5, 100.0]).tobytes()
+
+    def test_value_on_an_edge_falls_in_the_upper_bin(self):
+        # over [0, 1] the interior edges are j / 4096 exactly, and every
+        # even value of the ramp sits on one
+        bins = gmmaug.gmm._MAX_COLUMNS
+        ramp = np.arange(2 * bins + 1) / (2 * bins)
+        means, counts, within = gmmaug.gmm._bin_sorted(ramp, gmmaug.gmm._run_starts(ramp))
+        assert np.array_equal(counts, [2.0] * (bins - 1) + [3.0])  # 1.0 joins the last bin
+        assert np.array_equal(means[:-1], (4 * np.arange(bins - 1) + 1) / (4 * bins))
+        assert means[-1] == np.mean(ramp[-3:])
+        assert within[0] == 2 * (1 / (4 * bins)) ** 2
+
+    @pytest.mark.parametrize("case", ["across-zero", "float32-repeats", "far-from-zero"])
+    def test_bins_follow_the_bin_formula(self, case):
+        rng = np.random.Generator(np.random.Philox(14))
+        values = {
+            "across-zero": lambda: rng.normal(0.05, 0.1, 50_000),
+            "float32-repeats": lambda: rng.normal(0.4, 0.1, 200_000).astype(np.float32),
+            "far-from-zero": lambda: 1000.0 + 1e-6 * rng.random(30_000),
+        }[case]().astype(np.float64)
+        x, counts = np.unique(values, return_counts=True)
+        assert x.size > gmmaug.gmm._MAX_COLUMNS
+        # the bin formula evaluated on every distinct value, each bin's
+        # columns summed over the distinct values weighted by their counts
+        bins = gmmaug.gmm._MAX_COLUMNS
+        index = np.minimum(np.floor((x - x[0]) / (x[-1] - x[0]) * bins), bins - 1)
+        starts = np.flatnonzero(np.diff(index, prepend=-1.0))
+        expected_counts = np.add.reduceat(counts, starts).astype(np.float64)
+        expected_means = np.add.reduceat(counts * x, starts) / expected_counts
+        dev = x - np.repeat(expected_means, np.diff(starts, append=x.size))
+        expected_within = np.add.reduceat(counts * dev * dev, starts)
+        ordered = np.sort(values)
+        means, got_counts, within = gmmaug.gmm._bin_sorted(ordered, gmmaug.gmm._run_starts(ordered))
+        assert got_counts.tobytes() == expected_counts.tobytes()
+        assert means.tobytes() == expected_means.tobytes()
+        assert within.tobytes() == expected_within.tobytes()
+
+    def test_bins_keep_the_total_moments(self):
+        rng = np.random.Generator(np.random.Philox(12))
+        values = np.sort(rng.normal(0.4, 0.1, 20_000))
+        means, counts, within = gmmaug.gmm._bin_sorted(values, gmmaug.gmm._run_starts(values))
+        assert counts.sum() == values.size and np.all(counts > 0)
+        assert np.all(np.diff(means) > 0)
+        mean = (counts * means).sum() / values.size
+        assert mean == pytest.approx(values.mean(), rel=1e-13)
+        spread = (counts * (means - mean) ** 2).sum() + within.sum()
+        assert spread / values.size == pytest.approx(values.var(), rel=1e-11)
+
+
 class TestSquarem:
     def test_iterations_never_exceed_the_cap(self):
         rng = np.random.Generator(np.random.Philox(13))
@@ -279,7 +365,8 @@ class TestSquarem:
             rng = np.random.Generator(np.random.Philox(seed))
             values = mixture_sample(rng, 100_000, TISSUE_WEIGHTS, TISSUE_MEANS, TISSUE_VARIANCES)
             # the bin-mean columns the binned fit maximises over
-            x, counts, _ = gmmaug.gmm._bin_columns(*np.unique(values, return_counts=True))
+            ordered = np.sort(values)
+            x, counts, _ = gmmaug.gmm._bin_sorted(ordered, gmmaug.gmm._run_starts(ordered))
             fit = fit_em(values)
             _, plain_ll = plain_em(values, x, counts, 3, EmConfig().tol)
             best_means, _ = plain_em(values, x, counts, 3, 1e-12)

@@ -207,6 +207,12 @@ class TestStatsIO:
         with pytest.raises(InvalidStatsError, match="zscore"):
             load_stats(path)
 
+    @pytest.mark.parametrize("lo, hi", [(50.0, 10.0), (5.0, 5.0), (-1.0, 99.0), (1.0, 100.5)])
+    def test_clip_window_validated(self, lo, hi):
+        with pytest.raises(InvalidStatsError, match="lo_pct < hi_pct"):
+            PopulationStats(k=1, mu_mean=(0.5,), mu_std=(0.0,), var_mean=(1e-3,), var_std=(0.0,),
+                            n_images=2, clip_lo_pct=lo, clip_hi_pct=hi)
+
     def test_validation(self):
         with pytest.raises(InvalidStatsError):
             PopulationStats(

@@ -1,13 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import gmmaug.augment
+import gmmaug.gmm
 from gmmaug import (
     DegenerateIntensityError,
     EmptyMaskError,
     InputError,
     LabelVolume,
+    PopulationStats,
     Volume,
+    augment_draws,
     clip_normalize,
+    fit_em,
     foreground_mask,
 )
 from gmmaug.preprocess import fit_volume
@@ -97,9 +104,12 @@ class TestFitVolume:
         ("int16", 1.0, 99.0),
         ("label_mask", 2.5, 97.5),
     ])
-    def test_values_are_clip_normalize_bits(self, default_phantom, case, lo_pct, hi_pct):
-        # the fit path normalizes only the masked values; it must give
-        # the masked voxels of the public full-grid clip_normalize exactly
+    def test_values_are_clip_normalize_bits(self, default_phantom, monkeypatch, case, lo_pct,
+                                            hi_pct):
+        # the fit path sorts and normalizes only the masked values: its
+        # window must be np.percentile's, its fit that of clip_normalize's
+        # masked voxels, and the values augment_draws regathers those
+        # voxels, bit for bit
         vol, labels = default_phantom
         explicit = None
         if case == "int16":  # as stored by a scanner: integer intensities
@@ -108,9 +118,42 @@ class TestFitVolume:
             box = np.zeros(labels.dims, dtype=np.int32)
             box[4:-4, 4:-4, 4:-4] = 1
             explicit = LabelVolume(labels.dims, labels.spacing, box.ravel(order="F"))
-        mask, values, _ = fit_volume(vol, 3, None, lo_pct, hi_pct, explicit)
-        assert np.array_equal(mask, foreground_mask(vol, explicit))
+        mask = foreground_mask(vol, explicit)
+        window, params = fit_volume(vol, mask, 3, None, lo_pct, hi_pct)
         if explicit is not None:
             assert np.count_nonzero(vol.data[mask] == 0.0) > 0
+        assert np.array(window).tobytes() == np.percentile(vol.data[mask], [lo_pct, hi_pct]).tobytes()
         expected = clip_normalize(vol, mask, lo_pct, hi_pct).data[mask]
-        assert values.dtype == np.float64 and values.tobytes() == expected.tobytes()
+        assert params.dumps() == fit_em(expected, 3).dumps()
+        if explicit is None:  # augment masks by positive intensity only
+            regathered = []
+            real = gmmaug.augment._remap_basis
+
+            def spy(values, *args):
+                regathered.append(values.copy())
+                return real(values, *args)
+
+            monkeypatch.setattr(gmmaug.augment, "_remap_basis", spy)
+            stats = PopulationStats(k=3, mu_mean=params.means, mu_std=(0.0,) * 3,
+                                    var_mean=params.variances, var_std=(0.0,) * 3, n_images=2,
+                                    clip_lo_pct=lo_pct, clip_hi_pct=hi_pct)
+            next(augment_draws(vol, stats, [0]))
+            assert regathered[0].dtype == np.float64
+            assert regathered[0].tobytes() == expected.tobytes()
+
+    def test_peak_memory_is_capped(self, default_phantom):
+        # continuous values, so the fit bins them: the values sorted in
+        # place, their distinct copy and one deviation array stay under
+        # four times the values
+        vol, _ = default_phantom
+        mask = foreground_mask(vol)
+        values_bytes = vol.data[mask].nbytes
+        assert np.unique(vol.data[mask]).size > gmmaug.gmm._MAX_COLUMNS
+        fit_volume(vol, mask, 3, None, 1.0, 99.0)  # lazy imports happen here
+        tracemalloc.start()
+        try:
+            fit_volume(vol, mask, 3, None, 1.0, 99.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * values_bytes
