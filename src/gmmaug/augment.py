@@ -137,16 +137,18 @@ def _remap_basis(values: np.ndarray, params: GmmParams, hard_assign: bool) -> np
     k = params.k
     basis = np.empty((2 * k, values.size))
     gamma, scaled = basis[:k], basis[k:]
-    gmm._posterior(gmm._component_log_prob(
-        params.weights, params.means, params.variances, values, out=gamma))
+    gmm._component_log_prob(params.weights, params.means, params.variances, values, out=gamma)
     if hard_assign:
-        # Running maximum over the rows; ">" keeps the first maximum on
-        # ties, as np.argmax does, without its strided reduction.
+        # Running maximum over the log-probabilities, whose argmax is the
+        # posterior's; ">" keeps the first maximum on ties, as np.argmax
+        # does, without its strided reduction.
         best, winner = gamma[0].copy(), np.zeros(values.size, dtype=np.intp)
         for j in range(1, k):
             np.copyto(winner, j, where=gamma[j] > best)
             np.maximum(best, gamma[j], out=best)
         gamma[...] = np.arange(k)[:, None] == winner
+    else:
+        gmm._posterior(gamma)
     np.subtract(values, params.means[:, None], out=scaled)
     scaled /= np.sqrt(params.variances)[:, None]
     scaled *= gamma

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: fit | stats | augment | hist | metrics | phantom.
-Exit codes: 0 success, 2 usage or input error, 3 numerical failure.
+Exit codes: 0 success, 2 usage or input error (or too little memory), 3
+numerical failure.
 stdout carries only machine-readable output (--print-config dumps the
 resolved run configuration as JSON); diagnostics go to stderr.
 """
@@ -218,6 +219,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"IoError: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"MemoryError: {exc}", file=sys.stderr)
         return 2
 
 

@@ -11,12 +11,13 @@ collapse to a few hundred columns, and every input is fitted in full.
 Continuous data, with more than ``_MAX_COLUMNS`` (4096) distinct values,
 are first folded into that many equal-width bins over their range: value
 v lies in bin floor((v - lo) / (hi - lo) * 4096), evaluated in float64,
-and the maximum in the last. Each
-bin keeps its count, the mean of its values and their squared deviations
-from that mean; EM runs on the (bin mean, count) columns, and the
-responsibility-weighted within-bin variance is added to each component
-afterwards. So a k = 1 fit still returns the exact sample mean and
-variance, and each sweep costs O(4096 k) however many voxels there are.
+and the maximum in the last. Each bin keeps its count, the mean of its
+values and their squared deviations from that mean, both summed over the
+bin's values in ascending order; EM runs on the (bin mean, count)
+columns, and the responsibility-weighted within-bin variance is added to
+each component afterwards. So a k = 1 fit still returns the exact sample
+mean and variance, and each sweep costs O(4096 k) however many voxels
+there are.
 
 The EM sweeps are accelerated by SQUAREM (Varadhan & Roland, Scand. J.
 Stat. 2008, scheme S3) on the flat vector theta of weights, means and
@@ -44,9 +45,11 @@ sorted array. :func:`fit_em` sorts a copy of its input; the volume fit
 path sorts the masked values in place and hands them to the same core,
 ``_fit_sorted``. The core reads the starting means off the sorted values
 by index, finds their runs of equal values in one pass, and builds the
-columns from them. Initial means sit at equally spaced sample quantiles
-(``np.percentile``'s default linear rule, bit for bit), initial
-variances at sample variance / k^2, initial weights uniform.
+columns from them: the distinct values and their run lengths, or the
+bins, whose edges it finds by binary search. Initial means sit at
+equally spaced sample quantiles (``np.percentile``'s default linear
+rule, bit for bit), initial variances at sample variance / k^2, initial
+weights uniform.
 """
 
 from __future__ import annotations
@@ -213,19 +216,20 @@ def _component_log_prob(weights, means, variances, values, out=None) -> np.ndarr
     return lp
 
 
-def _posterior(log_prob: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Normalize (k, n) log probabilities: (responsibilities, log-evidence).
+def _posterior(log_prob: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Normalize (k, n) log probabilities: (responsibilities, top, total).
 
     The responsibilities overwrite ``log_prob``, so no second (k, n)
     buffer is held. One shared exp pass; rows where every density
-    underflows still resolve, and exact ties split evenly.
+    underflows still resolve, and exact ties split evenly. Each value's
+    log-evidence is ``top + np.log(total)``, for a caller that needs it.
     """
     top = log_prob.max(axis=0)
     log_prob -= top
     unnorm = np.exp(log_prob, out=log_prob)
     total = unnorm.sum(axis=0)
     unnorm /= total
-    return unnorm, top + np.log(total)
+    return unnorm, top, total
 
 
 def responsibilities(params: GmmParams, values) -> np.ndarray:
@@ -261,55 +265,42 @@ def _run_starts(x: np.ndarray) -> np.ndarray:
     return new
 
 
-def _bin_sorted(x: np.ndarray, new: np.ndarray):
+def _bin_sorted(x: np.ndarray):
     """Fold ascending values into at most ``_MAX_COLUMNS`` equal-width bins.
 
-    ``new`` flags the starts of the runs of equal values. Value v falls in
-    bin ``floor((v - lo) / (hi - lo) * _MAX_COLUMNS)``, evaluated in
-    float64 over ``[lo, hi] = [x[0], x[-1]]``, the maximum in the last
-    bin. The formula is monotone in v, so each bin is a run of ``x`` and a
-    value on an edge falls in the upper bin. ``np.searchsorted`` cuts the
-    distinct values at ``lo + (hi - lo) * j / _MAX_COLUMNS``, and a cut
-    that the formula's rounding puts on the wrong side of a value moves
-    past it; only the 4095 cuts are evaluated. Empty bins are dropped.
+    Value v falls in bin ``floor((v - lo) / (hi - lo) * _MAX_COLUMNS)``,
+    evaluated in float64 over ``[lo, hi] = [x[0], x[-1]]``, the maximum in
+    the last bin. The formula is monotone in v, so each bin is a run of
+    ``x`` and a value on an edge falls in the upper bin. ``np.searchsorted``
+    cuts ``x`` at ``lo + (hi - lo) * j / _MAX_COLUMNS``, and a cut that the
+    formula's rounding puts on the wrong side of a value moves past that
+    value's run of repeats; only the 4095 cuts are evaluated. Empty bins
+    are dropped.
 
     Returns each bin's mean, its count and the sum of squared deviations
     from that mean, so the binned columns keep the exact total mean and
-    variance of the data. Both sums run over the distinct values, each
-    weighted by its count.
+    variance of the data. Both sums run over the bin's values in
+    ascending order.
     """
     lo, width = x[0], x[-1] - x[0]
-    distinct = x[new]
     j = np.arange(1, _MAX_COLUMNS)
 
     def bin_at(i):
-        return np.floor((distinct[i] - lo) / width * _MAX_COLUMNS)
+        return np.floor((x[i] - lo) / width * _MAX_COLUMNS)
 
     # lo is in bin 0 and hi in the last, so every cut lies in [1, size - 1]
-    cuts = np.clip(np.searchsorted(distinct, lo + width * (j / _MAX_COLUMNS)), 1, distinct.size - 1)
+    cuts = np.clip(np.searchsorted(x, lo + width * (j / _MAX_COLUMNS)), 1, x.size - 1)
     while np.any(early := bin_at(cuts - 1) >= j):
-        cuts -= early
+        cuts[early] = np.searchsorted(x, x[cuts[early] - 1])
     while np.any(late := bin_at(cuts) < j):
-        cuts += late
-    cuts = np.concatenate(([0], cuts, [distinct.size]))
-    keep = np.diff(cuts) > 0
-    starts = cuts[:-1][keep]
-    counts = np.diff(np.searchsorted(x, distinct[starts]), append=x.size)
-    # The values that repeat, at which index of ``distinct`` and how
-    # often; on continuous data they are few. A repeat at position p of
-    # x, after r earlier repeats, repeats the distinct value p - r - 1.
-    owner = np.flatnonzero(~new)
-    owner -= np.arange(1, owner.size + 1)
-    first = np.flatnonzero(np.diff(owner, prepend=-1))
-    at, lengths = owner[first], np.diff(first, append=owner.size) + 1
-    repeated = distinct[at]
-    distinct[at] *= lengths
-    means = np.add.reduceat(distinct, starts) / counts
-    distinct[at] = repeated
-    dev = np.repeat(means, np.diff(cuts)[keep])
-    np.subtract(distinct, dev, out=distinct)  # distinct now holds the deviations
-    np.multiply(distinct, distinct, out=dev)
-    dev[at] = lengths * distinct[at] * distinct[at]
+        cuts[late] = np.searchsorted(x, x[cuts[late]], side="right")
+    cuts = np.concatenate(([0], cuts, [x.size]))
+    sizes = np.diff(cuts)
+    starts, counts = cuts[:-1][sizes > 0], sizes[sizes > 0]
+    means = np.add.reduceat(x, starts) / counts
+    dev = np.repeat(means, counts)
+    np.subtract(x, dev, out=dev)
+    dev *= dev
     return means, counts.astype(np.float64), np.add.reduceat(dev, starts)
 
 
@@ -395,7 +386,7 @@ def _fit_sorted(x: np.ndarray, k: int, cfg: EmConfig | None) -> GmmParams:
         scale_ll = int(np.gcd.reduce(np.diff(np.flatnonzero(new), append=n)))
         x, new, n = x[::scale_ll], new[::scale_ll], n // scale_ll  # each value once per factor
     if distinct > _MAX_COLUMNS:
-        x, counts, within = _bin_sorted(x, new)
+        x, counts, within = _bin_sorted(x)
     else:
         starts = np.flatnonzero(new)
         x, counts, within = x[starts], np.diff(starts, append=n).astype(np.float64), None
@@ -414,8 +405,8 @@ def _fit_sorted(x: np.ndarray, k: int, cfg: EmConfig | None) -> GmmParams:
         posterior and F(theta), or None for F(theta) when a component's
         mass collapsed.
         """
-        resp, log_evidence = _posterior(_component_log_prob(*theta, x))
-        ll = scale_ll * float(log_evidence @ counts)
+        resp, top, total = _posterior(_component_log_prob(*theta, x))
+        ll = scale_ll * float((top + np.log(total)) @ counts)
         resp *= counts
         mass = resp.sum(axis=1)
         if np.any(mass < _MASS_FLOOR):

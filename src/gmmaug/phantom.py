@@ -101,15 +101,14 @@ def _region_labels(spec: PhantomSpec) -> np.ndarray:
     z = (np.arange(nz) - cz)[None, None, :]
     radius = np.sqrt(x * x + y * y + z * z)
 
+    # A voxel's label is k less the number of boundaries inside its
+    # radius: the innermost region, from radius 0 (the centre voxel of an
+    # all-odd grid) to the first boundary, takes the brightest tissue k,
+    # and voxels past the last boundary take 0.
     half_extent = min(spec.dims) / 2.0
-    labels = np.zeros(spec.dims, dtype=np.int32)
-    k = spec.k
-    # Walk outward: innermost region gets the brightest tissue (label k).
-    inner = 0.0
-    for i, frac in enumerate(spec.radius_fractions):
-        outer = frac * half_extent
-        labels[(radius > inner) & (radius <= outer)] = k - i
-        inner = outer
+    labels = np.full(spec.dims, spec.k, dtype=np.int32)
+    for frac in spec.radius_fractions:
+        labels -= radius > frac * half_extent
     return labels.ravel(order="F")
 
 

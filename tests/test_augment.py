@@ -218,6 +218,24 @@ class TestRemap:
         expected = np.arange(3)[:, None] == np.argmax(soft, axis=0)
         assert np.array_equal(_remap_basis(values, params, hard_assign=True)[:3], expected)
 
+    @pytest.mark.parametrize("hard_assign", [False, True])
+    def test_basis_peak_memory_is_capped(self, default_phantom, hard_assign):
+        # the basis and at most 2.5 n float64s more: the posterior's
+        # running maximum and sum, or the hard assignment's running
+        # maximum, winners and one-hot comparison
+        vol, _ = default_phantom
+        mask = foreground_mask(vol)
+        values = clip_normalize(vol, mask).data[mask]
+        params = fit_em(values, 3)
+        _remap_basis(values, params, hard_assign)  # lazy imports happen here
+        tracemalloc.start()
+        try:
+            basis = _remap_basis(values, params, hard_assign)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= basis.nbytes + 2.5 * values.nbytes
+
     def test_output_clipped_to_unit_interval(self, separated_phantom):
         vol, _ = separated_phantom
         stats = make_stats((0.4, 0.4, 0.4), (5e-4, 5e-4, 5e-4))

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gmmaug.cli
 import gmmaug.gmm
 import gmmaug.preprocess
 from gmmaug import (
@@ -724,6 +725,18 @@ class TestPhantomCmd:
                      "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("InvalidSpecError") and "32767" in err
+        assert not out.exists()
+
+    def test_out_of_memory_exit_2(self, tmp_path, capsys, monkeypatch):
+        # dims within the NIfTI limit can still ask for more memory than
+        # there is; a real allocation that large is unsafe to try
+        def no_memory(spec):
+            raise MemoryError("Unable to allocate 8.00 GiB for an array")
+
+        monkeypatch.setattr(gmmaug.cli, "generate_phantom", no_memory)
+        out = tmp_path / "p.nii"
+        assert main(["phantom", "--seed", "0", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "MemoryError: Unable to allocate 8.00 GiB for an array\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("spec", ['{"dims": [8.5, 8, 8]}', '{"dims": [true, 8, 8]}',

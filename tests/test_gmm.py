@@ -304,33 +304,44 @@ class TestSortedInput:
         # even value of the ramp sits on one
         bins = gmmaug.gmm._MAX_COLUMNS
         ramp = np.arange(2 * bins + 1) / (2 * bins)
-        means, counts, within = gmmaug.gmm._bin_sorted(ramp, gmmaug.gmm._run_starts(ramp))
+        means, counts, within = gmmaug.gmm._bin_sorted(ramp)
         assert np.array_equal(counts, [2.0] * (bins - 1) + [3.0])  # 1.0 joins the last bin
         assert np.array_equal(means[:-1], (4 * np.arange(bins - 1) + 1) / (4 * bins))
         assert means[-1] == np.mean(ramp[-3:])
         assert within[0] == 2 * (1 / (4 * bins)) ** 2
 
-    @pytest.mark.parametrize("case", ["across-zero", "float32-repeats", "far-from-zero"])
+    @pytest.mark.parametrize("case", ["across-zero", "float32-repeats", "far-from-zero",
+                                      "run-below-its-bin", "run-above-its-bin"])
     def test_bins_follow_the_bin_formula(self, case):
         rng = np.random.Generator(np.random.Philox(14))
+
+        def run_across_an_edge(lo, hi, value):
+            # a long run of a value that the formula's rounding puts in the
+            # bin across the nearest edge lo + (hi - lo) * j / 4096, so the
+            # cut found there moves past the whole run
+            return np.concatenate([np.linspace(lo, hi, 10_000), np.full(100_000, value)])
+
         values = {
             "across-zero": lambda: rng.normal(0.05, 0.1, 50_000),
             "float32-repeats": lambda: rng.normal(0.4, 0.1, 200_000).astype(np.float32),
             "far-from-zero": lambda: 1000.0 + 1e-6 * rng.random(30_000),
+            "run-below-its-bin": lambda: run_across_an_edge(
+                0.9470809631292422, 222.63088059102, 62.429697266177065),  # edge 1136
+            "run-above-its-bin": lambda: run_across_an_edge(
+                -0.535669373161111, 3.4469531906089648, -0.46955161575477183),  # edge 68
         }[case]().astype(np.float64)
-        x, counts = np.unique(values, return_counts=True)
-        assert x.size > gmmaug.gmm._MAX_COLUMNS
-        # the bin formula evaluated on every distinct value, each bin's
-        # columns summed over the distinct values weighted by their counts
+        assert np.unique(values).size > gmmaug.gmm._MAX_COLUMNS
+        # the bin formula evaluated on every sorted value, each bin's
+        # columns summed over its values in ascending order
         bins = gmmaug.gmm._MAX_COLUMNS
+        x = np.sort(values)
         index = np.minimum(np.floor((x - x[0]) / (x[-1] - x[0]) * bins), bins - 1)
         starts = np.flatnonzero(np.diff(index, prepend=-1.0))
-        expected_counts = np.add.reduceat(counts, starts).astype(np.float64)
-        expected_means = np.add.reduceat(counts * x, starts) / expected_counts
+        expected_counts = np.diff(starts, append=x.size).astype(np.float64)
+        expected_means = np.add.reduceat(x, starts) / expected_counts
         dev = x - np.repeat(expected_means, np.diff(starts, append=x.size))
-        expected_within = np.add.reduceat(counts * dev * dev, starts)
-        ordered = np.sort(values)
-        means, got_counts, within = gmmaug.gmm._bin_sorted(ordered, gmmaug.gmm._run_starts(ordered))
+        expected_within = np.add.reduceat(dev * dev, starts)
+        means, got_counts, within = gmmaug.gmm._bin_sorted(x)
         assert got_counts.tobytes() == expected_counts.tobytes()
         assert means.tobytes() == expected_means.tobytes()
         assert within.tobytes() == expected_within.tobytes()
@@ -338,7 +349,7 @@ class TestSortedInput:
     def test_bins_keep_the_total_moments(self):
         rng = np.random.Generator(np.random.Philox(12))
         values = np.sort(rng.normal(0.4, 0.1, 20_000))
-        means, counts, within = gmmaug.gmm._bin_sorted(values, gmmaug.gmm._run_starts(values))
+        means, counts, within = gmmaug.gmm._bin_sorted(values)
         assert counts.sum() == values.size and np.all(counts > 0)
         assert np.all(np.diff(means) > 0)
         mean = (counts * means).sum() / values.size
@@ -366,7 +377,7 @@ class TestSquarem:
             values = mixture_sample(rng, 100_000, TISSUE_WEIGHTS, TISSUE_MEANS, TISSUE_VARIANCES)
             # the bin-mean columns the binned fit maximises over
             ordered = np.sort(values)
-            x, counts, _ = gmmaug.gmm._bin_sorted(ordered, gmmaug.gmm._run_starts(ordered))
+            x, counts, _ = gmmaug.gmm._bin_sorted(ordered)
             fit = fit_em(values)
             _, plain_ll = plain_em(values, x, counts, 3, EmConfig().tol)
             best_means, _ = plain_em(values, x, counts, 3, 1e-12)

@@ -27,6 +27,12 @@ class TestGeneratePhantom:
         assert set(np.unique(lab.labels)) == {0, 1, 2, 3}
         assert np.all(np.bincount(lab.labels)[1:] > 0)
 
+    def test_centre_of_an_odd_grid_is_core_tissue(self):
+        # the centre voxel of an all-odd grid lies at radius 0
+        vol, lab = generate_phantom(PhantomSpec(dims=(33, 33, 33)))
+        centre = np.ravel_multi_index((16, 16, 16), (33, 33, 33), order="F")
+        assert lab.labels[centre] == 3 and vol.data[centre] > 0
+
     def test_background_exactly_zero(self, default_phantom):
         vol, lab = default_phantom
         assert np.all(vol.data[lab.labels == 0] == 0.0)

@@ -143,8 +143,7 @@ class TestFitVolume:
 
     def test_peak_memory_is_capped(self, default_phantom):
         # continuous values, so the fit bins them: the values sorted in
-        # place, their distinct copy and one deviation array stay under
-        # four times the values
+        # place and one deviation array stay under three times the values
         vol, _ = default_phantom
         mask = foreground_mask(vol)
         values_bytes = vol.data[mask].nbytes
@@ -156,4 +155,4 @@ class TestFitVolume:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * values_bytes
+        assert peak <= 3 * values_bytes
