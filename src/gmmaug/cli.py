@@ -21,7 +21,7 @@ from . import metrics as met
 from .errors import InputError, NumericalError
 from .gmm import EmConfig
 from .phantom import PhantomSpec, generate_phantom
-from .population import estimate_population, load_stats, save_stats
+from .population import UNCONVERGED, estimate_population, load_stats, save_stats
 from .preprocess import fit_volume
 from .volume import (
     foreground_mask,
@@ -57,11 +57,18 @@ def _print_config(args) -> None:
     print(json.dumps({"command": config.pop("command"), **config}, sort_keys=True))
 
 
+def _report_unconverged(name, params) -> None:
+    """One stderr line when EM's cap stopped the fit; the run still succeeds."""
+    if not params.converged:
+        print(UNCONVERGED % (name, params.iterations, params.final_rel_change), file=sys.stderr)
+
+
 def cmd_fit(args) -> int:
     vol = read_volume(args.input)
     mask = foreground_mask(vol, read_label_volume(args.mask) if args.mask else None)
     params = fit_volume(vol, mask, args.k, _em_config(args), args.clip_lo, args.clip_hi)[1]
     Path(args.out).write_text(params.dumps() + "\n")
+    _report_unconverged(args.input, params)
     return 0
 
 
@@ -91,6 +98,7 @@ def cmd_augment(args) -> int:
         del out_vol
         sidecar = aug.provenance_dict(pert, perturbed)
         Path(f"{args.out_prefix}_{i}.json").write_text(json.dumps(sidecar, indent=2) + "\n")
+    _report_unconverged(args.input, perturbed.base)  # every draw shares the one fit
     return 0
 
 

@@ -26,6 +26,9 @@ from .volume import Volume, _field, _read_json_object, foreground_mask, read_vol
 
 logger = logging.getLogger(__name__)
 
+# The line that names a fit EM's cap stopped; the fit is still used.
+UNCONVERGED = "unconverged %s: EM stopped at max_iter after %d E-steps, final_rel_change %.3g"
+
 # The only normalization implemented (percentile clip mapped to [0, 1]);
 # stats files that name another are rejected.
 NORMALIZE_MODE = "minmax01"
@@ -147,6 +150,8 @@ def estimate_population(
     An item whose read, preprocessing or fit fails is skipped with a
     warning on this module's logger, ``skipping <name>: <Error>:
     <message>``, naming its path or else its position (``volume 1``).
+    A fit that ``cfg.max_iter`` stopped is kept, with one ``unconverged
+    <name>: ...`` warning naming its E-steps and final relative change.
     Needs at least two successful fits; the error says how many items
     were skipped. A ``k`` below 1 or a bad percentile window would fail
     every volume alike, so it raises InputError before the first read.
@@ -168,6 +173,8 @@ def estimate_population(
             reason = getattr(exc, "strerror", None) or str(exc).removeprefix(f"{name}: ")
             logger.warning("skipping %s: %s: %s", name, type(exc).__name__, reason)
             continue
+        if not params.converged:
+            logger.warning(UNCONVERGED, name, params.iterations, params.final_rel_change)
         fitted_means.append(params.means)
         fitted_vars.append(params.variances)
 

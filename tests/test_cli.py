@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -150,6 +151,17 @@ class TestFit:
         assert cut["final_rel_change"] >= 1e-6
         assert done["converged"] is True and done["final_rel_change"] < 1e-6
 
+    def test_unconverged_fit_warns_and_succeeds(self, tmp_path, phantom_file, capsys):
+        cut, done = tmp_path / "cut.json", tmp_path / "done.json"
+        assert main(["fit", str(phantom_file), "--max-iter", "2", "--out", str(cut)]) == 0
+        change = json.loads(cut.read_text())["final_rel_change"]
+        assert capsys.readouterr().err.splitlines() == [
+            f"unconverged {phantom_file}: EM stopped at max_iter after 2 E-steps, "
+            f"final_rel_change {change:.3g}"
+        ]
+        assert main(["fit", str(phantom_file), "--out", str(done)]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_constant_volume_exit_3(self, tmp_path, capsys):
         path = tmp_path / "const.nii"
         write_volume(Volume((8, 8, 8), (1, 1, 1), np.full(512, 0.7)), path)
@@ -194,6 +206,24 @@ class TestStats:
             assert main(["stats", str(corpus), "--out", str(out)]) == 0
         assert "skipping" in caplog.text
         assert json.loads(out.read_text())["n_images"] == 2
+
+    def test_unconverged_fits_logged_per_volume(self, tmp_path, phantom_file, caplog):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for name in ("a.nii", "b.nii"):
+            shutil.copy(phantom_file, corpus / name)
+        out = tmp_path / "stats.json"
+        with caplog.at_level("WARNING", logger="gmmaug.population"):
+            assert main(["stats", str(corpus), "--max-iter", "2", "--out", str(out)]) == 0
+        line = r"unconverged (.+): EM stopped at max_iter after 2 E-steps, final_rel_change \S+"
+        named = [re.fullmatch(line, record.getMessage()) for record in caplog.records]
+        assert [match and match[1] for match in named] == [str(corpus / "a.nii"),
+                                                           str(corpus / "b.nii")]
+        assert json.loads(out.read_text())["n_images"] == 2
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="gmmaug.population"):
+            assert main(["stats", str(corpus), "--out", str(out)]) == 0
+        assert caplog.records == []
 
     def test_unopenable_entry_skipped(self, tmp_path, phantom_file, caplog):
         corpus = tmp_path / "corpus"
@@ -436,6 +466,21 @@ class TestAugment:
         foreground = int(foreground_mask(read_volume(phantom_file)).sum())
         assert foreground > gmmaug.gmm._MAX_COLUMNS  # wider than any fit column set
         assert widths.count(foreground) == 1
+
+    def test_unconverged_fit_warns_once_and_succeeds(
+        self, tmp_path, phantom_file, spread_stats_file, capsys
+    ):
+        common = ["augment", str(phantom_file), "--stats", str(spread_stats_file),
+                  "--seed", "40", "--n", "2"]
+        cut = tmp_path / "cut"
+        assert main([*common, "--max-iter", "2", "--out-prefix", str(cut)]) == 0
+        fit = json.loads((tmp_path / "cut_1.json").read_text())["fit"]
+        assert capsys.readouterr().err.splitlines() == [
+            f"unconverged {phantom_file}: EM stopped at max_iter after 2 E-steps, "
+            f"final_rel_change {fit['final_rel_change']:.3g}"
+        ]
+        assert main([*common, "--out-prefix", str(tmp_path / "done")]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_holds_one_draw_at_a_time(self, tmp_path, spread_stats_file):
         spec = tmp_path / "spec48.json"

@@ -151,13 +151,13 @@ class TestFitEm:
         n_distinct = np.unique(values).size
         assert 250 <= n_distinct <= 350
         widths = []
-        real = gmmaug.gmm._component_log_prob
+        real = gmmaug.gmm._posterior
 
-        def spy(weights, means, variances, x):
-            widths.append(x.size)
-            return real(weights, means, variances, x)
+        def spy(log_prob):  # each E-step normalizes its (k, columns) log-densities
+            widths.append(log_prob.shape[1])
+            return real(log_prob)
 
-        monkeypatch.setattr(gmmaug.gmm, "_component_log_prob", spy)
+        monkeypatch.setattr(gmmaug.gmm, "_posterior", spy)
         fit_em(values)
         assert widths and set(widths) == {n_distinct}
 
@@ -421,6 +421,92 @@ class TestSquarem:
         assert np.all(params.weights > 0) and np.all(params.variances >= VARIANCE_FLOOR)
         again = GmmParams.from_json_dict(params.to_json_dict())
         assert np.array_equal(again.means, params.means)
+
+def two_pass_sweep(x, counts, centre, scale_ll):
+    """``gmm._em_sweep``'s contract, computed pass by pass over (k, n) arrays.
+
+    The reference formulation: log-densities from the squared distances
+    to each mean, then the M-step's weighted means and, in a second
+    pass, the weighted squared deviations from them. It needs no centre.
+    """
+    n = counts.sum()
+
+    def sweep(theta):
+        resp, top, total = gmmaug.gmm._posterior(gmmaug.gmm._component_log_prob(*theta, x))
+        ll = scale_ll * float((top + np.log(total)) @ counts)
+        weighted = resp * counts
+        mass = weighted.sum(axis=1)
+        if np.any(mass < gmmaug.gmm._MASS_FLOOR):
+            return ll, resp, None
+        means = (weighted * x).sum(axis=1) / mass
+        diff = x - means[:, None]
+        diff *= diff
+        variances = np.maximum((weighted * diff).sum(axis=1) / mass, VARIANCE_FLOOR)
+        return ll, resp, np.array((mass / n, means, variances))
+
+    return sweep
+
+
+def two_cluster_stress_values():
+    """200 draws at N(0.2, 0.01^2) plus 20-49 at N(0.8, 0.01^2): k = 3 overfits them."""
+    rng = np.random.default_rng(1)
+    return [np.concatenate([rng.normal(0.2, 0.01, 200), rng.normal(0.8, 0.01, m)])
+            for m in range(20, 50)]
+
+
+class TestMomentSweep:
+    """The sweep's two products against the pass-by-pass reference."""
+
+    def assert_matches_reference(self, monkeypatch, samples, k, mu_tol, var_tol):
+        for values in samples:
+            fit = fit_em(values, k)
+            with monkeypatch.context() as patch:
+                patch.setattr(gmmaug.gmm, "_em_sweep", two_pass_sweep)
+                reference = fit_em(values, k)
+            assert (fit.iterations, fit.converged) == (reference.iterations, reference.converged)
+            assert np.max(np.abs(fit.means - reference.means)) <= mu_tol
+            assert np.max(np.abs(fit.variances / reference.variances - 1.0)) <= var_tol
+
+    def test_quantised_phantom(self, monkeypatch):
+        # measured: 2.0e-14 and 1.7e-12
+        self.assert_matches_reference(monkeypatch, [perfbench_like_values()], 3, 1e-12, 1e-10)
+
+    def test_criterion_2_fixtures(self, monkeypatch):
+        samples = (mixture_sample(np.random.Generator(np.random.Philox(seed)), 100_000,
+                                  TISSUE_WEIGHTS, TISSUE_MEANS, TISSUE_VARIANCES)
+                   for seed in range(20))
+        # measured: 1.5e-13 and 1.1e-11
+        self.assert_matches_reference(monkeypatch, samples, 3, 1e-12, 1e-10)
+
+    def test_two_cluster_stress_set(self, monkeypatch):
+        # 8 of the 30 fits stop at the cap on both sides; measured: 2.8e-11 and 5.2e-9
+        self.assert_matches_reference(monkeypatch, two_cluster_stress_values(), 3, 1e-10, 2e-8)
+
+    def test_k1_is_the_sample_mean_and_variance(self):
+        for seed in range(10):
+            rng = np.random.Generator(np.random.Philox(seed))
+            for values in (rng.normal(0.4, 0.07, 4000),  # distinct values
+                           np.rint(rng.normal(300.0, 20.0, 5000)),  # repeats
+                           rng.normal(0.4, 0.07, 30_000)):  # bins
+                params = fit_em(values, k=1)
+                ordered = np.sort(values)
+                # measured: 2.2e-16 and 8.9e-16
+                assert params.means[0] == pytest.approx(np.mean(ordered), rel=1e-15)
+                assert params.variances[0] == pytest.approx(np.var(ordered), rel=4e-15)
+                assert params.weights[0] == 1.0
+
+    def test_point_mass_far_from_the_centre_sits_at_the_floor(self, monkeypatch):
+        # 0.05 lies 0.43 from the data's centre: its second moment about
+        # the centre and its squared mean offset cancel to below the floor
+        rng = np.random.default_rng(0)
+        values = np.concatenate([np.full(60, 0.05), rng.normal(0.9, 0.05, 60)])
+        fit = fit_em(values, 2)
+        assert fit.means[0] == pytest.approx(0.05, abs=1e-15)
+        assert fit.variances[0] == VARIANCE_FLOOR
+        self.assert_matches_reference(monkeypatch, [values], 2, 1e-15, 1e-12)
+        lone = fit_em(np.full(40, 0.37), k=1)
+        assert lone.means[0] == 0.37 and lone.variances[0] == VARIANCE_FLOOR
+
 
 class TestResponsibilities:
     def test_rows_sum_to_one(self):

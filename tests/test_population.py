@@ -21,6 +21,7 @@ from gmmaug import (
     save_stats,
     write_volume,
 )
+from gmmaug.preprocess import fit_volume
 
 CFG = EmConfig()
 
@@ -78,6 +79,22 @@ class TestEstimatePopulation:
             stats = estimate_population(volumes, cfg=CFG)
         assert stats.n_images == 2
         assert any("skipping volume 1" in rec.getMessage() for rec in caplog.records)
+
+    def test_unconverged_fits_kept_with_warning(self, caplog):
+        volumes = [small_phantom(0), small_phantom(1)]
+        cut = EmConfig(max_iter=2)
+        with caplog.at_level(logging.WARNING, logger="gmmaug.population"):
+            stats = estimate_population(volumes, cfg=cut)
+        assert stats.n_images == 2
+        fits = [fit_volume(vol, foreground_mask(vol), 3, cut, 1.0, 99.0)[1] for vol in volumes]
+        assert [record.getMessage() for record in caplog.records] == [
+            f"unconverged volume {i}: EM stopped at max_iter after 2 E-steps, "
+            f"final_rel_change {fit.final_rel_change:.3g}" for i, fit in enumerate(fits)
+        ]
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="gmmaug.population"):
+            estimate_population(volumes, cfg=CFG)
+        assert caplog.records == []
 
     def test_paths_read_in_turn_and_skipped_by_name(self, tmp_path, caplog):
         write_volume(small_phantom(0), tmp_path / "a.nii")
