@@ -9,15 +9,17 @@ EM runs on each distinct value and its count (the grouped-data EM of
 McLachlan & Jones, Biometrics 1988), which is exact: quantised volumes
 collapse to a few hundred columns, and every input is fitted in full.
 Continuous data, with more than ``_MAX_COLUMNS`` (4096) distinct values,
-are first folded into that many equal-width bins over their range: value
-v lies in bin floor((v - lo) / (hi - lo) * 4096), evaluated in float64,
-and the maximum in the last. Each bin keeps its count, the mean of its
-values and their squared deviations from that mean, both summed over the
-bin's values in ascending order; EM runs on the (bin mean, count)
-columns, and the responsibility-weighted within-bin variance is added to
-each component afterwards. So a k = 1 fit still returns the sample mean
-and variance (to rounding), and each sweep costs O(4096 k) however many
-voxels there are.
+are first folded into that many equal-width bins over their range [lo,
+hi]: bin j holds the values v with e_j <= v < e_{j+1} between the
+float64 edges e_j = lo + (hi - lo) * (j / 4096), and the maximum lies in
+the last. On the fit path's [0, 1] data the edges are exactly j / 4096.
+Each bin keeps its count, the mean of its values and their squared
+deviations from that mean, both summed over the bin's values in
+ascending order; EM runs on the (bin mean, count) columns, and the
+responsibility-weighted within-bin variance is added to each component
+afterwards. Exact columns carry a within-bin spread of zero. So a k = 1
+fit still returns the sample mean and variance (to rounding), and each
+sweep costs O(4096 k) however many voxels there are.
 
 Each sweep is two small matrix products over the columns' power rows
 P = [1, u, u^2], u = x - c, built once per fit about the data's
@@ -285,33 +287,21 @@ def _run_starts(x: np.ndarray) -> np.ndarray:
 def _bin_sorted(x: np.ndarray):
     """Fold ascending values into at most ``_MAX_COLUMNS`` equal-width bins.
 
-    Value v falls in bin ``floor((v - lo) / (hi - lo) * _MAX_COLUMNS)``,
-    evaluated in float64 over ``[lo, hi] = [x[0], x[-1]]``, the maximum in
-    the last bin. The formula is monotone in v, so each bin is a run of
-    ``x`` and a value on an edge falls in the upper bin. ``np.searchsorted``
-    cuts ``x`` at ``lo + (hi - lo) * j / _MAX_COLUMNS``, and a cut that the
-    formula's rounding puts on the wrong side of a value moves past that
-    value's run of repeats; only the 4095 cuts are evaluated. Empty bins
-    are dropped.
+    Bin j lies between the float64 edges ``e_j = lo + (hi - lo) * (j /
+    _MAX_COLUMNS)`` over ``[lo, hi] = [x[0], x[-1]]`` and holds the values
+    v with ``e_j <= v < e_{j+1}``; the maximum lies in the last bin. The
+    edges rise with j, so each bin is a run of ``x``, cut where
+    ``np.searchsorted`` finds its edge: a value on an edge falls in the
+    upper bin, and a run of equal values never splits. On [0, 1] data
+    the edges are exactly j / ``_MAX_COLUMNS``. Empty bins are dropped.
 
     Returns each bin's mean, its count and the sum of squared deviations
     from that mean, so the binned columns keep the exact total mean and
     variance of the data. Both sums run over the bin's values in
     ascending order.
     """
-    lo, width = x[0], x[-1] - x[0]
-    j = np.arange(1, _MAX_COLUMNS)
-
-    def bin_at(i):
-        return np.floor((x[i] - lo) / width * _MAX_COLUMNS)
-
-    # lo is in bin 0 and hi in the last, so every cut lies in [1, size - 1]
-    cuts = np.clip(np.searchsorted(x, lo + width * (j / _MAX_COLUMNS)), 1, x.size - 1)
-    while np.any(early := bin_at(cuts - 1) >= j):
-        cuts[early] = np.searchsorted(x, x[cuts[early] - 1])
-    while np.any(late := bin_at(cuts) < j):
-        cuts[late] = np.searchsorted(x, x[cuts[late]], side="right")
-    cuts = np.concatenate(([0], cuts, [x.size]))
+    edges = x[0] + (x[-1] - x[0]) * (np.arange(1, _MAX_COLUMNS) / _MAX_COLUMNS)
+    cuts = np.concatenate(([0], np.searchsorted(x, edges), [x.size]))
     sizes = np.diff(cuts)
     starts, counts = cuts[:-1][sizes > 0], sizes[sizes > 0]
     means = np.add.reduceat(x, starts) / counts
@@ -412,7 +402,9 @@ def fit_em(values, k: int = 3, cfg: EmConfig | None = None) -> GmmParams:
     Raises:
         InsufficientDataError: fewer than ``10 * k`` values.
         DegenerateComponentError: a component's responsibility mass
-            collapsed below 1e-12.
+            collapsed below 1e-12 on an E-step the fit moved to, including
+            the last one before ``max_iter`` stops it (a
+            ``NumericalError``: the CLI exits 3).
     """
     return _fit_sorted(np.sort(_as_values(values)), k, cfg)
 
@@ -446,13 +438,12 @@ def _fit_sorted(x: np.ndarray, k: int, cfg: EmConfig | None) -> GmmParams:
         x, counts, within = _bin_sorted(x)
     else:
         starts = np.flatnonzero(new)
-        x, counts, within = x[starts], np.diff(starts, append=n).astype(np.float64), None
+        x, counts = x[starts], np.diff(starts, append=n).astype(np.float64)
+        within = np.zeros(x.size)
 
     centre = (counts * x).sum() / n
     centred = x - centre
-    spread = (counts * centred * centred).sum()
-    if within is not None:
-        spread += within.sum()
+    spread = (counts * centred * centred).sum() + within.sum()
     variance = spread / n  # np.var(v), but order-free
     variances = np.full(k, max(float(variance) / (k * k), VARIANCE_FLOOR))
     sweep = _em_sweep(x, counts, centre, scale_ll)
@@ -462,13 +453,7 @@ def _fit_sorted(x: np.ndarray, k: int, cfg: EmConfig | None) -> GmmParams:
     trajectory = [ll]
     anchor, step_max, refused = theta, _STEP_MAX0, False
     evaluations, converged = 0, False
-    while not converged and evaluations < cfg.max_iter:
-        if mapped is None:
-            mass = resp @ counts
-            dead = int(np.argmin(mass))
-            raise DegenerateComponentError(
-                f"component {dead} responsibility mass {mass[dead]:.3e} collapsed"
-            )
+    while mapped is not None and not converged and evaluations < cfg.max_iter:
         jumped = False
         # Mid-cycle, theta = F(anchor) and mapped = F(theta). Jump only
         # when a refused jump leaves room for the fallback's E-step.
@@ -493,9 +478,14 @@ def _fit_sorted(x: np.ndarray, k: int, cfg: EmConfig | None) -> GmmParams:
             converged = not refused and ll - start < cfg.tol * max(1.0, abs(start))
             anchor, refused = theta, False
 
+    mass = resp @ counts  # resp holds the posterior of the returned parameters
+    if mapped is None:  # found on the last sweep, even one the cap ended on
+        dead = int(np.argmin(mass))
+        raise DegenerateComponentError(
+            f"component {dead} responsibility mass {mass[dead]:.3e} collapsed"
+        )
     weights, means, variances = theta
-    if within is not None:  # resp holds the posterior of the returned parameters
-        variances = variances + (resp @ within) / (resp @ counts)
+    variances = variances + (resp @ within) / mass
     order = np.lexsort((variances, means))  # stable tie-break on variance
     return GmmParams(
         k=k,

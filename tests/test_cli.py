@@ -169,6 +169,16 @@ class TestFit:
         assert code == 3
         assert "DegenerateIntensity" in capsys.readouterr().err
 
+    def test_collapse_at_the_iteration_cap_exit_3(self, tmp_path, capsys):
+        # normalised to 30 zeros and 30 ones: a third component's mass
+        # collapses on the third E-step, the last one --max-iter 3 allows
+        path, out = tmp_path / "two.nii", tmp_path / "o.json"
+        write_volume(Volume((3, 4, 5), (1, 1, 1), np.repeat([1.0, 2.0], 30)), path)
+        assert main(["fit", str(path), "--max-iter", "3", "--out", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("DegenerateComponentError: component 1 ")
+        assert not out.exists()
+
     def test_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["fit"])  # missing required arguments

@@ -50,14 +50,6 @@ class TestFitEm:
         assert np.all(np.abs(params.variances / TISSUE_VARIANCES - 1.0) <= 0.30)
         assert params.iterations < 500
 
-    def test_k1_is_exact_closed_form(self):
-        rng = np.random.Generator(np.random.Philox(1))
-        values = rng.normal(0.4, 0.07, 4000)
-        params = fit_em(values, k=1)
-        assert params.means[0] == np.mean(np.sort(values))
-        assert params.variances[0] == np.var(np.sort(values))
-        assert params.weights[0] == 1.0
-
     def test_point_masses_hit_variance_floor(self):
         values = np.array([0.1] * 50 + [0.9] * 50)
         params = fit_em(values, k=2)
@@ -116,6 +108,15 @@ class TestFitEm:
         values = np.array([0.0] * 30 + [1.0] * 30)
         with pytest.raises(DegenerateComponentError):
             fit_em(values, k=3, cfg=EmConfig(tol=1e-12))
+
+    def test_collapse_on_the_last_allowed_e_step_raises(self):
+        # the third E-step finds a mass of about 4e-13: with max_iter=3 the
+        # cap stops the fit on that same sweep, which must not hide it
+        values = np.array([0.0] * 30 + [1.0] * 30)
+        assert not fit_em(values, k=3, cfg=EmConfig(max_iter=2)).converged
+        for max_iter in (3, 4):
+            with pytest.raises(DegenerateComponentError, match="component 1 .* collapsed"):
+                fit_em(values, k=3, cfg=EmConfig(max_iter=max_iter))
 
     def test_non_finite_values_rejected(self):
         with pytest.raises(InputError):
@@ -311,14 +312,15 @@ class TestSortedInput:
         assert within[0] == 2 * (1 / (4 * bins)) ** 2
 
     @pytest.mark.parametrize("case", ["across-zero", "float32-repeats", "far-from-zero",
-                                      "run-below-its-bin", "run-above-its-bin"])
+                                      "run-below-its-bin", "run-above-its-bin", "unit-range"])
     def test_bins_follow_the_bin_formula(self, case):
         rng = np.random.Generator(np.random.Philox(14))
 
         def run_across_an_edge(lo, hi, value):
-            # a long run of a value that the formula's rounding puts in the
-            # bin across the nearest edge lo + (hi - lo) * j / 4096, so the
-            # cut found there moves past the whole run
+            # a long run of a value that sits by the edge lo + (hi - lo) *
+            # (j / 4096) but on the other side of it by the rounding of
+            # floor((v - lo) / (hi - lo) * 4096): the edge decides, and
+            # the run stays whole
             return np.concatenate([np.linspace(lo, hi, 10_000), np.full(100_000, value)])
 
         values = {
@@ -329,14 +331,23 @@ class TestSortedInput:
                 0.9470809631292422, 222.63088059102, 62.429697266177065),  # edge 1136
             "run-above-its-bin": lambda: run_across_an_edge(
                 -0.535669373161111, 3.4469531906089648, -0.46955161575477183),  # edge 68
+            # normalised data as the fit path sees it, a value on every edge
+            "unit-range": lambda: np.concatenate([rng.random(50_000), np.arange(4097) / 4096]),
         }[case]().astype(np.float64)
         assert np.unique(values).size > gmmaug.gmm._MAX_COLUMNS
-        # the bin formula evaluated on every sorted value, each bin's
-        # columns summed over its values in ascending order
+        # each sorted value's bin is the number of interior edges at or
+        # below it; each bin's columns are summed over its values in
+        # ascending order
         bins = gmmaug.gmm._MAX_COLUMNS
         x = np.sort(values)
-        index = np.minimum(np.floor((x - x[0]) / (x[-1] - x[0]) * bins), bins - 1)
-        starts = np.flatnonzero(np.diff(index, prepend=-1.0))
+        edges = x[0] + (x[-1] - x[0]) * (np.arange(1, bins) / bins)
+        index = np.searchsorted(edges, x, side="right")
+        if case == "unit-range":
+            # over [0, 1] the edges are j / 4096 exactly, so on the fit
+            # path's data the edges give the bins of the formula
+            assert x[0] == 0.0 and x[-1] == 1.0
+            assert np.array_equal(index, np.minimum(np.floor(bins * x), bins - 1))
+        starts = np.flatnonzero(np.diff(index, prepend=-1))
         expected_counts = np.diff(starts, append=x.size).astype(np.float64)
         expected_means = np.add.reduceat(x, starts) / expected_counts
         dev = x - np.repeat(expected_means, np.diff(starts, append=x.size))
