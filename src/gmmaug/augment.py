@@ -25,8 +25,10 @@ per voxel, and the basis, 2k * n * 8 bytes for n foreground voxels;
 
 Randomness comes from a Philox (counter-based) generator keyed with the
 caller's seed; the draw order is fixed as q_mu then q_var for component
-0, then component 1, and so on, so a seed identifies one augmentation
-everywhere.
+0, then component 1, and so on, so a seed identifies one perturbation
+(q_mu, q_var) on every machine. The remapped voxels also depend on the
+fit and on the basis product, which repeat bit for bit only under the
+same numpy build, SIMD target and BLAS kernel.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .errors import InputError, NumericalError
 from .gmm import VARIANCE_FLOOR, EmConfig, GmmParams
 from .population import PopulationStats
 from .preprocess import _apply_window, fit_volume
-from .volume import Volume, foreground_mask
+from .volume import Volume, _flat_float64, _freeze, _is_seed, foreground_mask
 
 # Bound on order-inversion rejection retries before giving up.
 _MAX_REDRAWS = 10_000
@@ -56,14 +58,10 @@ class Perturbation:
     seed: int
 
     def __post_init__(self):
-        q_mu = np.asarray(self.q_mu, dtype=np.float64).ravel()
-        q_var = np.asarray(self.q_var, dtype=np.float64).ravel()
+        q_mu, q_var = _flat_float64(self, "q_mu", "q_var")
         if q_mu.size != q_var.size:
             raise InputError("q_mu and q_var must have the same length")
-        q_mu.setflags(write=False)
-        q_var.setflags(write=False)
-        object.__setattr__(self, "q_mu", q_mu)
-        object.__setattr__(self, "q_var", q_var)
+        _freeze(self, q_mu=q_mu, q_var=q_var)
 
 
 @dataclass(frozen=True)
@@ -76,27 +74,26 @@ class PerturbedGmm:
     clamped: tuple[int, ...] = ()
 
     def __post_init__(self):
-        means = np.asarray(self.means, dtype=np.float64).ravel()
-        variances = np.asarray(self.variances, dtype=np.float64).ravel()
+        means, variances = _flat_float64(self, "means", "variances")
         if means.size != self.base.k or variances.size != self.base.k:
             raise InputError("perturbed parameter sizes disagree with base k")
         if np.any(variances < VARIANCE_FLOOR):
             raise InputError(f"perturbed variances must be >= {VARIANCE_FLOOR}")
-        means.setflags(write=False)
-        variances.setflags(write=False)
-        object.__setattr__(self, "means", means)
-        object.__setattr__(self, "variances", variances)
+        _freeze(self, means=means, variances=variances)
 
 
 def sample_perturbation(stats: PopulationStats, seed: int,
                         means: np.ndarray | None = None) -> Perturbation:
     """Draw q_mu[i] ~ U(-mu_std[i], +mu_std[i]) and likewise q_var.
 
-    Philox keyed with ``seed``; the same seed always reproduces the
-    same draw, on any platform. Given the fitted component ``means``,
-    draws that would leave ``means + q_mu`` out of ascending order are
-    discarded and redrawn from the same stream.
+    Philox keyed with ``seed``, a Python or numpy integer >= 0 (anything
+    else, a bool included, raises InputError); the same seed always
+    reproduces the same draw, on any platform. Given the fitted component
+    ``means``, draws that would leave ``means + q_mu`` out of ascending
+    order are discarded and redrawn from the same stream.
     """
+    if not _is_seed(seed):
+        raise InputError(f"seed must be a non-negative integer, got {seed!r}")
     rng = np.random.Generator(np.random.Philox(int(seed)))
     for _ in range(_MAX_REDRAWS):
         # one (mu, var) pair per component, component-major order

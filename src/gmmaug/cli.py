@@ -22,7 +22,7 @@ from .errors import InputError, NumericalError
 from .gmm import EmConfig
 from .phantom import PhantomSpec, generate_phantom
 from .population import UNCONVERGED, estimate_population, load_stats, save_stats
-from .preprocess import fit_volume
+from .preprocess import _CLIP_PCT, fit_volume
 from .volume import (
     foreground_mask,
     read_label_volume,
@@ -37,13 +37,14 @@ _MAX_BINS = 1_000_000
 
 def _add_em_options(parser):
     group = parser.add_argument_group("EM options")
-    group.add_argument("--tol", type=float, default=1e-6, help="relative log-likelihood tolerance")
-    group.add_argument("--max-iter", type=int, default=500, help="EM iteration cap")
+    group.add_argument("--tol", type=float, default=EmConfig.tol,
+                       help="relative log-likelihood tolerance")
+    group.add_argument("--max-iter", type=int, default=EmConfig.max_iter, help="EM iteration cap")
 
 
 def _add_clip_options(parser):
-    parser.add_argument("--clip-lo", type=float, default=1.0, help="low clip percentile")
-    parser.add_argument("--clip-hi", type=float, default=99.0, help="high clip percentile")
+    parser.add_argument("--clip-lo", type=float, default=_CLIP_PCT[0], help="low clip percentile")
+    parser.add_argument("--clip-hi", type=float, default=_CLIP_PCT[1], help="high clip percentile")
 
 
 def _em_config(args) -> EmConfig:

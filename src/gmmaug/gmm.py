@@ -80,7 +80,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateComponentError, InputError, InsufficientDataError
-from .volume import _field, _is_number
+from .volume import _field, _flat_float64, _freeze, _is_number
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -152,9 +152,7 @@ class GmmParams:
     )
 
     def __post_init__(self):
-        weights = np.asarray(self.weights, dtype=np.float64).ravel()
-        means = np.asarray(self.means, dtype=np.float64).ravel()
-        variances = np.asarray(self.variances, dtype=np.float64).ravel()
+        weights, means, variances = _flat_float64(self, "weights", "means", "variances")
         if not (self.k == weights.size == means.size == variances.size):
             raise InputError("k, weights, means, variances sizes disagree")
         if abs(weights.sum() - 1.0) > 1e-9 or np.any(weights < 0):
@@ -163,9 +161,7 @@ class GmmParams:
             raise InputError(f"variances must be >= {VARIANCE_FLOOR}")
         if np.any(np.diff(means) < 0):
             raise InputError("means must be sorted ascending")
-        for name, arr in (("weights", weights), ("means", means), ("variances", variances)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _freeze(self, weights=weights, means=means, variances=variances)
 
     def to_json_dict(self) -> dict:
         return {

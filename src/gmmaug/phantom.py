@@ -15,7 +15,8 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .errors import InputError, InvalidSpecError
-from .volume import MAX_DIM, LabelVolume, Volume, _check_geometry, _is_number, _read_json_object
+from .volume import (MAX_DIM, LabelVolume, Volume, _check_geometry, _is_number, _is_seed,
+                     _read_json_object)
 
 # Keeps clipped samples strictly positive.
 POSITIVE_FLOOR = 1e-6
@@ -62,13 +63,15 @@ class PhantomSpec:
             raise InvalidSpecError(str(exc)) from exc
         if max(dims) > MAX_DIM:
             raise InvalidSpecError(f"dims must be at most {MAX_DIM}, got {dims}")
+        if not _is_seed(self.seed):
+            raise InvalidSpecError(f"seed must be a non-negative integer, got {self.seed!r}")
 
     @property
     def k(self) -> int:
         return len(self.means)
 
     def with_seed(self, seed: int) -> "PhantomSpec":
-        return replace(self, seed=int(seed))
+        return replace(self, seed=seed)
 
     def to_json_dict(self) -> dict:
         return asdict(self)

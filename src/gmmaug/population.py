@@ -21,8 +21,9 @@ import numpy as np
 
 from .errors import GmmAugError, InputError, InsufficientDataError, InvalidStatsError
 from .gmm import EmConfig
-from .preprocess import check_clip_window, fit_volume
-from .volume import Volume, _field, _read_json_object, foreground_mask, read_volume
+from .preprocess import _CLIP_PCT, check_clip_window, fit_volume
+from .volume import (Volume, _field, _flat_float64, _freeze, _read_json_object, foreground_mask,
+                     read_volume)
 
 logger = logging.getLogger(__name__)
 
@@ -44,18 +45,17 @@ class PopulationStats:
     var_mean: np.ndarray
     var_std: np.ndarray
     n_images: int
-    clip_lo_pct: float = 1.0
-    clip_hi_pct: float = 99.0
+    clip_lo_pct: float = _CLIP_PCT[0]
+    clip_hi_pct: float = _CLIP_PCT[1]
 
     def __post_init__(self):
-        arrays = {}
-        for name in ("mu_mean", "mu_std", "var_mean", "var_std"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64).ravel()
+        names = ("mu_mean", "mu_std", "var_mean", "var_std")
+        arrays = dict(zip(names, _flat_float64(self, *names)))
+        for name, arr in arrays.items():
             if arr.size != self.k:
                 raise InvalidStatsError(f"{name} must hold {self.k} values")
             if not np.all(np.isfinite(arr)):
                 raise InvalidStatsError(f"{name} contains non-finite values")
-            arrays[name] = arr
         if np.any(arrays["mu_std"] < 0) or np.any(arrays["var_std"] < 0):
             raise InvalidStatsError("spreads must be non-negative")
         if np.any(np.diff(arrays["mu_mean"]) < 0):
@@ -63,9 +63,7 @@ class PopulationStats:
         if self.n_images < 2:
             raise InvalidStatsError("n_images must be >= 2")
         check_clip_window(self.clip_lo_pct, self.clip_hi_pct, InvalidStatsError)
-        for name, arr in arrays.items():
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _freeze(self, **arrays)
 
     def to_json_dict(self) -> dict:
         return {
@@ -141,8 +139,8 @@ def estimate_population(
     volumes: Iterable[Volume | str | os.PathLike],
     k: int = 3,
     cfg: EmConfig | None = None,
-    lo_pct: float = 1.0,
-    hi_pct: float = 99.0,
+    lo_pct: float = _CLIP_PCT[0],
+    hi_pct: float = _CLIP_PCT[1],
 ) -> PopulationStats:
     """Fit every volume and aggregate per-component spreads.
 

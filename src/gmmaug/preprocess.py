@@ -17,6 +17,9 @@ from .errors import DegenerateIntensityError, EmptyMaskError, InputError
 from .gmm import EmConfig, GmmParams, _fit_sorted, _sorted_percentiles
 from .volume import Volume
 
+# The default clip window, as (low, high) percentiles of the masked values.
+_CLIP_PCT = (1.0, 99.0)
+
 
 def check_clip_window(lo_pct: float, hi_pct: float,
                       error: type[InputError] = InputError) -> None:
@@ -48,8 +51,8 @@ def _apply_window(values: np.ndarray, window: tuple[float, float]) -> np.ndarray
 def clip_normalize(
     vol: Volume,
     mask: np.ndarray,
-    lo_pct: float = 1.0,
-    hi_pct: float = 99.0,
+    lo_pct: float = _CLIP_PCT[0],
+    hi_pct: float = _CLIP_PCT[1],
 ) -> Volume:
     """Clip masked intensities to a percentile window and map it to [0, 1].
 

@@ -39,6 +39,7 @@ MAGIC_SINGLE = b"n+1\x00"
 WRITE_VOX_OFFSET = 352
 MAX_DIM = 32767  # NIfTI-1 stores each dim as an int16
 MAX_SPACING = float(np.finfo(np.float32).max)  # and each pixdim as a float32
+_INT32_MAX = int(np.iinfo(np.int32).max)  # labels are stored as int32
 
 # NIfTI-1 datatype code -> numpy dtype character (without byte order)
 _DTYPE_CODES = {2: "u1", 4: "i2", 16: "f4", 64: "f8"}
@@ -65,6 +66,24 @@ def _field(obj: dict, name: str, kind=numbers.Real):
         what = {bool: "a bool", numbers.Integral: "an integer"}.get(kind, "a real number")
         raise TypeError(f"{name} must be {what}, got {value!r}")
     return int(value) if kind is numbers.Integral else value
+
+
+def _is_seed(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer >= 0; a bool is not a seed."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 0
+
+
+def _flat_float64(record, *names) -> list[np.ndarray]:
+    """The named fields of ``record`` as flat, C-contiguous float64 arrays."""
+    return [np.asarray(getattr(record, name), dtype=np.float64).ravel() for name in names]
+
+
+def _freeze(record, **fields) -> None:
+    """Set the fields of the frozen dataclass ``record``; each array becomes read-only."""
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(record, name, value)
 
 
 def _read_json_object(path, error: type[InputError]) -> dict:
@@ -97,6 +116,17 @@ def _check_geometry(dims, spacing):
     return tuple(int(d) for d in dims), tuple(float(s) for s in spacing)
 
 
+def _check_grid(grid, name: str, size: int):
+    """The checked (dims, spacing) of ``grid``, whose flat ``name`` array holds ``size`` values.
+
+    A ``size`` other than the product of the dims raises ShapeMismatchError.
+    """
+    dims, spacing = _check_geometry(grid.dims, grid.spacing)
+    if size != dims[0] * dims[1] * dims[2]:
+        raise ShapeMismatchError(f"{name} length {size} != product of dims {dims}")
+    return dims, spacing
+
+
 @dataclass(frozen=True)
 class Volume:
     """A 3-D scalar grid with voxel spacing.
@@ -111,18 +141,11 @@ class Volume:
     data: np.ndarray
 
     def __post_init__(self):
-        dims, spacing = _check_geometry(self.dims, self.spacing)
-        data = np.ascontiguousarray(np.asarray(self.data, dtype=np.float64).ravel())
-        if data.size != dims[0] * dims[1] * dims[2]:
-            raise ShapeMismatchError(
-                f"data length {data.size} != product of dims {dims}"
-            )
+        (data,) = _flat_float64(self, "data")
+        dims, spacing = _check_grid(self, "data", data.size)
         if not np.all(np.isfinite(data)):
             raise InputError("volume data contains NaN or Inf")
-        data.setflags(write=False)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "spacing", spacing)
-        object.__setattr__(self, "data", data)
+        _freeze(self, dims=dims, spacing=spacing, data=data)
 
     @property
     def n_voxels(self) -> int:
@@ -135,28 +158,26 @@ class Volume:
 
 @dataclass(frozen=True)
 class LabelVolume:
-    """Integer-labelled grid with the same geometry conventions as Volume."""
+    """Integer-labelled grid with the same geometry conventions as Volume.
+
+    ``labels`` are stored as int32; integer input outside [0, int32 max]
+    is refused, never wrapped.
+    """
 
     dims: tuple[int, int, int]
     spacing: tuple[float, float, float]
     labels: np.ndarray
 
     def __post_init__(self):
-        dims, spacing = _check_geometry(self.dims, self.spacing)
-        labels = np.ascontiguousarray(np.asarray(self.labels).ravel())
+        labels = np.asarray(self.labels).ravel()
+        dims, spacing = _check_grid(self, "labels", labels.size)
         if not np.issubdtype(labels.dtype, np.integer):
             raise InputError("labels must be integers")
-        labels = labels.astype(np.int32)
-        if labels.size != dims[0] * dims[1] * dims[2]:
-            raise ShapeMismatchError(
-                f"labels length {labels.size} != product of dims {dims}"
-            )
         if labels.min(initial=0) < 0:
             raise InputError("labels must be non-negative")
-        labels.setflags(write=False)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "spacing", spacing)
-        object.__setattr__(self, "labels", labels)
+        if labels.max(initial=0) > _INT32_MAX:
+            raise InputError(f"labels must be at most {_INT32_MAX}, the int32 maximum")
+        _freeze(self, dims=dims, spacing=spacing, labels=labels.astype(np.int32))
 
     def grid(self) -> np.ndarray:
         return self.labels.reshape(self.dims, order="F")
@@ -282,7 +303,14 @@ def write_volume(vol: Volume, path) -> None:
 
 
 def write_label_volume(labels: LabelVolume, path) -> None:
-    """Write labels through the float32 writer (exact for small ints)."""
+    """Write labels through the float32 writer.
+
+    float32 holds every integer up to 2**24 exactly but not all above it,
+    where two labels could read back as one; a label above 2**24 raises
+    InputError before the file opens.
+    """
+    if labels.labels.max() > 2**24:
+        raise InputError(f"labels above 2**24 = {2**24} may change in a float32 label file")
     write_volume(Volume(labels.dims, labels.spacing, labels.labels.astype(np.float64)), path)
 
 
@@ -292,7 +320,7 @@ def read_label_volume(path) -> LabelVolume:
     rounded = np.rint(vol.data)
     if np.max(np.abs(vol.data - rounded), initial=0.0) > 1e-6:
         raise InputError(f"{path}: voxel values are not integer labels")
-    if np.max(np.abs(rounded), initial=0.0) > np.iinfo(np.int32).max:
+    if np.max(np.abs(rounded), initial=0.0) > _INT32_MAX:
         raise InputError(f"{path}: label values exceed the int32 range")
     return LabelVolume(vol.dims, vol.spacing, rounded.astype(np.int32))
 

@@ -8,6 +8,7 @@ import pytest
 from gmmaug import (
     VARIANCE_FLOOR,
     GmmParams,
+    InputError,
     Perturbation,
     PopulationStats,
     Volume,
@@ -64,6 +65,19 @@ class TestSamplePerturbation:
         assert np.array_equal(a.q_var, b.q_var)
         c = sample_perturbation(stats, 8)
         assert not np.array_equal(a.q_mu, c.q_mu)
+
+    @pytest.mark.parametrize("seed", [1.5, True, False, "3", -1, None, np.float64(2.0),
+                                      np.bool_(True), np.int64(-2)], ids=repr)
+    def test_seed_that_is_not_a_non_negative_integer_refused(self, seed):
+        with pytest.raises(InputError, match="seed must be a non-negative integer"):
+            sample_perturbation(ZERO_STATS, seed)
+
+    @pytest.mark.parametrize("seed", [np.int64(7), np.uint8(7), 7])
+    def test_numpy_integer_seed_draws_as_python_int(self, seed):
+        stats = make_stats((0.03, 0.06, 0.08), (1e-3, 1e-3, 3e-3))
+        pert = sample_perturbation(stats, seed)
+        assert type(pert.seed) is int and pert.seed == 7
+        assert np.array_equal(pert.q_mu, sample_perturbation(stats, 7).q_mu)
 
     def test_pinned_generator_vectors(self):
         # Philox keyed with 0, draw order mu/var per component, q = 2u - 1

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import re
@@ -15,6 +16,7 @@ import gmmaug.cli
 import gmmaug.gmm
 import gmmaug.preprocess
 from gmmaug import (
+    EmConfig,
     InvalidStatsError,
     PhantomSpec,
     PopulationStats,
@@ -831,6 +833,24 @@ class TestPhantomCmd:
         labels = read_label_volume(labels_path)
         expected = np.bincount(generate_phantom(PhantomSpec(seed=11))[1].labels)
         assert np.array_equal(np.bincount(labels.labels), expected)
+
+
+@pytest.mark.parametrize("argv", [["fit", "v.nii", "--out", "o.json"],
+                                  ["stats", "corpus", "--out", "o.json"],
+                                  ["augment", "v.nii", "--stats", "s.json", "--seed", "0",
+                                   "--out-prefix", "a"]])
+def test_parsed_defaults_are_the_library_defaults(argv):
+    args = gmmaug.cli.build_parser().parse_args(argv)
+    assert (args.tol, args.max_iter) == (EmConfig().tol, EmConfig().max_iter)
+    window = gmmaug.preprocess._CLIP_PCT
+    if argv[0] != "augment":  # augment takes its window from the stats file
+        assert (args.clip_lo, args.clip_hi) == window
+    stats = PopulationStats(k=1, mu_mean=[0.5], mu_std=[0.0], var_mean=[0.01], var_std=[0.0],
+                            n_images=2)
+    assert (stats.clip_lo_pct, stats.clip_hi_pct) == window
+    for func in (estimate_population, clip_normalize):
+        params = inspect.signature(func).parameters
+        assert (params["lo_pct"].default, params["hi_pct"].default) == window
 
 
 class TestPrintConfig:

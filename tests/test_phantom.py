@@ -145,3 +145,22 @@ class TestPhantomSpec:
 
     def test_with_seed(self):
         assert PhantomSpec().with_seed(9).seed == 9
+
+    @pytest.mark.parametrize("seed", [1.5, True, "3", -1, -5, None, np.float64(2.0),
+                                      np.bool_(True)], ids=repr)
+    def test_seed_that_is_not_a_non_negative_integer_refused(self, seed):
+        with pytest.raises(InvalidSpecError, match="seed must be a non-negative integer"):
+            PhantomSpec(seed=seed)
+        with pytest.raises(InvalidSpecError, match="seed must be a non-negative integer"):
+            PhantomSpec().with_seed(seed)
+
+    def test_spec_file_with_negative_seed_refused(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"seed": -5}))
+        with pytest.raises(InvalidSpecError, match="got -5"):
+            PhantomSpec.from_json_file(path)
+
+    def test_numpy_integer_seed_draws_as_python_int(self):
+        spec = PhantomSpec(dims=(8, 8, 8))
+        vol = generate_phantom(spec.with_seed(np.int64(4)))[0]
+        assert np.array_equal(vol.data, generate_phantom(spec.with_seed(4))[0].data)

@@ -1,3 +1,4 @@
+import dataclasses
 import gzip
 import struct
 import tracemalloc
@@ -8,9 +9,13 @@ import pytest
 from gmmaug import (
     CorruptFileError,
     EmptyMaskError,
+    GmmParams,
     InputError,
     LabelVolume,
     NotNiftiError,
+    Perturbation,
+    PerturbedGmm,
+    PopulationStats,
     ShapeMismatchError,
     UnsupportedDatatypeError,
     Volume,
@@ -286,6 +291,20 @@ class TestLabelVolumeIO:
         with pytest.raises(InputError, match="int32"):
             read_label_volume(write_file(tmp_path, raw))
 
+    @pytest.mark.parametrize("top", [2**24 + 1, 2**24 + 3, 2**31 - 1])
+    def test_labels_float32_would_change_rejected_before_open(self, tmp_path, top):
+        # 16777217 would read back as 16777216, and 16777219 as 16777220
+        path = tmp_path / "lab.nii"
+        with pytest.raises(InputError, match="float32"):
+            write_label_volume(LabelVolume((2, 1, 1), (1, 1, 1), np.array([top, 1])), path)
+        assert not path.exists()
+
+    def test_largest_float32_exact_label_round_trips(self, tmp_path):
+        labels = LabelVolume((3, 1, 1), (1, 1, 1), np.array([2**24, 2**24 - 1, 0]))
+        path = tmp_path / "lab.nii"
+        write_label_volume(labels, path)
+        assert read_label_volume(path).labels.tolist() == [2**24, 2**24 - 1, 0]
+
 
 class TestVolumeInvariants:
     def test_length_mismatch(self):
@@ -319,6 +338,47 @@ class TestVolumeInvariants:
     def test_negative_labels_rejected(self):
         with pytest.raises(InputError):
             LabelVolume((1, 1, 1), (1, 1, 1), [-1])
+
+    @pytest.mark.parametrize("labels", [[2**32, 1], [2**32 + 5, 1], [2**31, 0], [2**32 - 1, 1],
+                                        np.array([2**63, 1], dtype=np.uint64)],
+                             ids=["2**32", "2**32+5", "2**31", "2**32-1", "uint64-2**63"])
+    def test_labels_beyond_int32_refused_not_wrapped(self, labels):
+        # cast unchecked, 2**32 became background 0 and 2**32 + 5 became 5
+        with pytest.raises(InputError, match="at most 2147483647"):
+            LabelVolume((2, 1, 1), (1, 1, 1), np.array(labels))
+
+    def test_int32_extremes_kept(self):
+        lab = LabelVolume((2, 1, 1), (1, 1, 1), np.array([2**31 - 1, 0], dtype=np.uint64))
+        assert lab.labels.dtype == np.int32 and lab.labels.tolist() == [2**31 - 1, 0]
+
+    def test_label_length_mismatch(self):
+        with pytest.raises(ShapeMismatchError, match="labels length 3 != product of dims"):
+            LabelVolume((2, 1, 1), (1, 1, 1), [0, 1, 2])
+
+    def test_frozen_records_hold_read_only_flat_arrays(self):
+        source = np.arange(4.0).reshape(2, 2)
+        params = GmmParams(k=2, weights=[[0.5, 0.5]], means=(0.2, 0.8), variances=[0.01, 0.01],
+                           log_likelihood=0.0, iterations=1)
+        records = [
+            (Volume((2, 2, 1), (1, 1, 1), source.T), ["data"]),
+            (LabelVolume((2, 2, 1), (1, 1, 1), np.arange(4).reshape(2, 2).T), ["labels"]),
+            (params, ["weights", "means", "variances"]),
+            (Perturbation(q_mu=[[0.1, 0.2]], q_var=[0.0, 0.0], seed=0), ["q_mu", "q_var"]),
+            (PerturbedGmm(base=params, means=[0.1, 0.9], variances=[0.02, 0.02]),
+             ["means", "variances"]),
+            (PopulationStats(k=2, mu_mean=[0.2, 0.8], mu_std=[0.01, 0.01], var_mean=[0.01, 0.01],
+                             var_std=[0.0, 0.0], n_images=2),
+             ["mu_mean", "mu_std", "var_mean", "var_std"]),
+        ]
+        for record, names in records:
+            for name in names:
+                arr = getattr(record, name)
+                assert arr.ndim == 1 and arr.flags.c_contiguous and not arr.flags.writeable
+                assert arr.dtype == (np.int32 if name == "labels" else np.float64)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, names[0], None)
+        assert records[0][0].data.tolist() == [0.0, 2.0, 1.0, 3.0]
+        assert source.flags.writeable  # the caller's array stays writable
 
     def test_grid_view_is_x_fastest(self):
         vol = Volume((2, 3, 4), (1, 1, 1), np.arange(24, dtype=float))
