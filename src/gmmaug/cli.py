@@ -4,7 +4,9 @@ Subcommands: fit | stats | augment | hist | metrics | phantom.
 Exit codes: 0 success, 2 usage or input error (or too little memory), 3
 numerical failure.
 stdout carries only machine-readable output (--print-config dumps the
-resolved run configuration as JSON); diagnostics go to stderr.
+resolved run configuration as JSON); diagnostics go to stderr: a failed
+run's one error line from :func:`main`, and per-volume lines (skipped
+or unconverged fits) as warnings on the ``gmmaug.population`` logger.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ import numpy as np
 from . import augment as aug
 from . import metrics as met
 from .errors import InputError, NumericalError
-from .gmm import EmConfig
+from .gmm import _DEFAULT_K, EmConfig
 from .phantom import PhantomSpec, generate_phantom
-from .population import UNCONVERGED, estimate_population, load_stats, save_stats
+from .population import estimate_population, load_stats, report_fit, save_stats
 from .preprocess import _CLIP_PCT, fit_volume
 from .volume import (
     foreground_mask,
@@ -58,18 +60,12 @@ def _print_config(args) -> None:
     print(json.dumps({"command": config.pop("command"), **config}, sort_keys=True))
 
 
-def _report_unconverged(name, params) -> None:
-    """One stderr line when EM's cap stopped the fit; the run still succeeds."""
-    if not params.converged:
-        print(UNCONVERGED % (name, params.iterations, params.final_rel_change), file=sys.stderr)
-
-
 def cmd_fit(args) -> int:
     vol = read_volume(args.input)
     mask = foreground_mask(vol, read_label_volume(args.mask) if args.mask else None)
     params = fit_volume(vol, mask, args.k, _em_config(args), args.clip_lo, args.clip_hi)[1]
     Path(args.out).write_text(params.dumps() + "\n")
-    _report_unconverged(args.input, params)
+    report_fit(args.input, params)
     return 0
 
 
@@ -99,7 +95,7 @@ def cmd_augment(args) -> int:
         del out_vol
         sidecar = aug.provenance_dict(pert, perturbed)
         Path(f"{args.out_prefix}_{i}.json").write_text(json.dumps(sidecar, indent=2) + "\n")
-    _report_unconverged(args.input, perturbed.base)  # every draw shares the one fit
+    report_fit(args.input, perturbed.base)  # every draw shares the one fit
     return 0
 
 
@@ -160,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit a mixture to one volume, write parameters JSON")
     p.add_argument("input", help="input .nii volume")
     p.add_argument("--mask", help="explicit foreground mask volume")
-    p.add_argument("--k", type=int, default=3, help="number of components")
+    p.add_argument("--k", type=int, default=_DEFAULT_K, help="number of components")
     p.add_argument("--out", required=True, help="output parameters JSON")
     _add_clip_options(p)
     _add_em_options(p)
@@ -168,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="estimate population spreads over a directory of volumes")
     p.add_argument("input_dir", help="directory scanned for *.nii / *.nii.gz (sorted by name)")
-    p.add_argument("--k", type=int, default=3)
+    p.add_argument("--k", type=int, default=_DEFAULT_K)
     p.add_argument("--out", required=True, help="output stats JSON")
     _add_clip_options(p)
     _add_em_options(p)
@@ -220,18 +216,12 @@ def main(argv=None) -> int:
     _print_config(args)
     try:
         return args.func(args)
-    except NumericalError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
-    except InputError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"IoError: {exc}", file=sys.stderr)
-        return 2
-    except MemoryError as exc:
-        print(f"MemoryError: {exc}", file=sys.stderr)
-        return 2
+    except (InputError, NumericalError, OSError, MemoryError) as exc:
+        # numpy raises its own MemoryError subclass; the line names the base
+        kind = ("IoError" if isinstance(exc, OSError) else
+                "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__)
+        print(f"{kind}: {exc}", file=sys.stderr)
+        return 3 if isinstance(exc, NumericalError) else 2
 
 
 def run() -> None:

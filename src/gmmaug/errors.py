@@ -51,7 +51,7 @@ class InvalidSpecError(InputError):
 
 
 class DegenerateIntensityError(NumericalError):
-    """Intensity distribution has no usable spread (e.g. constant image)."""
+    """Intensity distribution has no usable spread: none (a constant image), or beyond float64."""
 
 
 class DegenerateComponentError(NumericalError):

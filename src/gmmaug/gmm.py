@@ -79,10 +79,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateComponentError, InputError, InsufficientDataError
+from .errors import (DegenerateComponentError, DegenerateIntensityError, InputError,
+                     InsufficientDataError)
 from .volume import _field, _flat_float64, _freeze, _is_number
 
 LOG_2PI = math.log(2.0 * math.pi)
+
+# The default number of components: CSF, grey and white matter.
+_DEFAULT_K = 3
 
 # Smallest variance a fitted or perturbed component may carry on
 # [0, 1]-normalized data; prevents singular collapse.
@@ -161,6 +165,9 @@ class GmmParams:
             raise InputError(f"variances must be >= {VARIANCE_FLOOR}")
         if np.any(np.diff(means) < 0):
             raise InputError("means must be sorted ascending")
+        if not (np.all(np.isfinite(np.concatenate((weights, means, variances))))
+                and math.isfinite(self.log_likelihood) and math.isfinite(self.final_rel_change)):
+            raise InputError("mixture parameters contain NaN or Inf")
         _freeze(self, weights=weights, means=means, variances=variances)
 
     def to_json_dict(self) -> dict:
@@ -367,7 +374,7 @@ def _em_sweep(x, counts, centre, scale_ll):
     return sweep
 
 
-def fit_em(values, k: int = 3, cfg: EmConfig | None = None) -> GmmParams:
+def fit_em(values, k: int = _DEFAULT_K, cfg: EmConfig | None = None) -> GmmParams:
     """Fit a k-component mixture to 1-D samples by EM, accelerated by SQUAREM.
 
     Each sweep runs over the sorted distinct values weighted by their
@@ -397,6 +404,8 @@ def fit_em(values, k: int = 3, cfg: EmConfig | None = None) -> GmmParams:
 
     Raises:
         InsufficientDataError: fewer than ``10 * k`` values.
+        DegenerateIntensityError: the values' mean or spread overflows
+            float64 (a ``NumericalError``).
         DegenerateComponentError: a component's responsibility mass
             collapsed below 1e-12 on an E-step the fit moved to, including
             the last one before ``max_iter`` stops it (a
@@ -419,7 +428,7 @@ def _fit_sorted(x: np.ndarray, k: int, cfg: EmConfig | None) -> GmmParams:
     n = x.size
     if n < 10 * k:
         raise InsufficientDataError(f"need at least {10 * k} values, got {n}")
-    means = _sorted_percentiles(x, 100.0 * np.arange(1, k + 1) / (k + 1))
+    ordered = x
     new = _run_starts(x)
     distinct = np.count_nonzero(new)
     # A common factor of the run lengths scales the log-likelihood and
@@ -430,16 +439,21 @@ def _fit_sorted(x: np.ndarray, k: int, cfg: EmConfig | None) -> GmmParams:
     if 2 * distinct <= n:
         scale_ll = int(np.gcd.reduce(np.diff(np.flatnonzero(new), append=n)))
         x, new, n = x[::scale_ll], new[::scale_ll], n // scale_ll  # each value once per factor
-    if distinct > _MAX_COLUMNS:
-        x, counts, within = _bin_sorted(x)
-    else:
-        starts = np.flatnonzero(new)
-        x, counts = x[starts], np.diff(starts, append=n).astype(np.float64)
-        within = np.zeros(x.size)
-
-    centre = (counts * x).sum() / n
-    centred = x - centre
-    spread = (counts * centred * centred).sum() + within.sum()
+    # Values near the float64 limit can overflow a sum or a square on the
+    # way to the spread; a spread that is finite rules that out everywhere.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if distinct > _MAX_COLUMNS:
+            x, counts, within = _bin_sorted(x)
+        else:
+            starts = np.flatnonzero(new)
+            x, counts = x[starts], np.diff(starts, append=n).astype(np.float64)
+            within = np.zeros(x.size)
+        centre = (counts * x).sum() / n
+        centred = x - centre
+        spread = (counts * centred * centred).sum() + within.sum()
+    if not np.isfinite(spread):
+        raise DegenerateIntensityError("the values' mean or spread overflows float64")
+    means = _sorted_percentiles(ordered, 100.0 * np.arange(1, k + 1) / (k + 1))
     variance = spread / n  # np.var(v), but order-free
     variances = np.full(k, max(float(variance) / (k * k), VARIANCE_FLOOR))
     sweep = _em_sweep(x, counts, centre, scale_ll)

@@ -20,15 +20,12 @@ from typing import Iterable
 import numpy as np
 
 from .errors import GmmAugError, InputError, InsufficientDataError, InvalidStatsError
-from .gmm import EmConfig
+from .gmm import _DEFAULT_K, EmConfig, GmmParams
 from .preprocess import _CLIP_PCT, check_clip_window, fit_volume
 from .volume import (Volume, _field, _flat_float64, _freeze, _read_json_object, foreground_mask,
                      read_volume)
 
 logger = logging.getLogger(__name__)
-
-# The line that names a fit EM's cap stopped; the fit is still used.
-UNCONVERGED = "unconverged %s: EM stopped at max_iter after %d E-steps, final_rel_change %.3g"
 
 # The only normalization implemented (percentile clip mapped to [0, 1]);
 # stats files that name another are rejected.
@@ -113,8 +110,6 @@ class PopulationStats:
                 clip_hi_pct=float(_field(pre, "clip_hi_pct")),
                 **columns,
             )
-        except InvalidStatsError:
-            raise
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidStatsError(f"malformed stats object: {exc!r}") from exc
 
@@ -135,9 +130,21 @@ def load_stats(path) -> PopulationStats:
         raise InvalidStatsError(f"{path}: {exc}") from exc
 
 
+def report_fit(name: str, params: GmmParams) -> None:
+    """Log ``unconverged <name>: ...`` on this module's logger if EM's cap stopped the fit.
+
+    The fit is still used. ``fit``, ``stats`` and ``augment`` report every
+    fit through here; outside a logging configuration, Python prints the
+    bare message to stderr.
+    """
+    if not params.converged:
+        logger.warning("unconverged %s: EM stopped at max_iter after %d E-steps, "
+                       "final_rel_change %.3g", name, params.iterations, params.final_rel_change)
+
+
 def estimate_population(
     volumes: Iterable[Volume | str | os.PathLike],
-    k: int = 3,
+    k: int = _DEFAULT_K,
     cfg: EmConfig | None = None,
     lo_pct: float = _CLIP_PCT[0],
     hi_pct: float = _CLIP_PCT[1],
@@ -171,8 +178,7 @@ def estimate_population(
             reason = getattr(exc, "strerror", None) or str(exc).removeprefix(f"{name}: ")
             logger.warning("skipping %s: %s: %s", name, type(exc).__name__, reason)
             continue
-        if not params.converged:
-            logger.warning(UNCONVERGED, name, params.iterations, params.final_rel_change)
+        report_fit(name, params)
         fitted_means.append(params.means)
         fitted_vars.append(params.variances)
 

@@ -29,9 +29,19 @@ def check_clip_window(lo_pct: float, hi_pct: float,
 
 
 def _clip_window(ordered: np.ndarray, lo_pct: float, hi_pct: float) -> tuple[float, float]:
-    """The raw window (p_low, p_high) of ascending masked values, as np.percentile gives it."""
+    """The raw window (p_low, p_high) of ascending masked values, as np.percentile gives it.
+
+    A window whose width overflows float64 (values spanning more than
+    about 1.8e308) cannot be mapped onto [0, 1] and raises
+    DegenerateIntensityError, as a window of width 0 does.
+    """
     check_clip_window(lo_pct, hi_pct)
-    p_low, p_high = _sorted_percentiles(ordered, [lo_pct, hi_pct])
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        p_low, p_high = _sorted_percentiles(ordered, [lo_pct, hi_pct])
+        width = p_high - p_low
+    if not np.isfinite(width):
+        raise DegenerateIntensityError(
+            f"percentiles {lo_pct} and {hi_pct} span ({p_low}, {p_high}), wider than float64 holds")
     if p_low == p_high:
         raise DegenerateIntensityError(f"percentiles {lo_pct} and {hi_pct} coincide at {p_low}")
     return p_low, p_high
@@ -62,7 +72,7 @@ def clip_normalize(
 
     Raises:
         DegenerateIntensityError: the two percentiles coincide
-            (constant image).
+            (constant image), or their distance overflows float64.
     """
     mask = np.asarray(mask, dtype=bool).ravel()
     if mask.size != vol.n_voxels:

@@ -259,8 +259,9 @@ def read_volume(path) -> Volume:
     if scl_slope != 0.0 and math.isfinite(scl_slope):
         if not math.isfinite(scl_inter):
             raise CorruptFileError(f"{path}: scl_inter {scl_inter} is not finite")
-        data *= float(scl_slope)
-        data += float(scl_inter)
+        with np.errstate(over="ignore"):  # an overflow to inf is reported below
+            data *= float(scl_slope)
+            data += float(scl_inter)
     if not np.all(np.isfinite(data)):
         raise CorruptFileError(f"{path}: non-finite voxel values after scaling")
     return Volume(dims, spacing, data)
@@ -292,14 +293,22 @@ def write_volume(vol: Volume, path) -> None:
     The data block starts at offset 352 (header + empty extension
     flag), so ``read_volume(write_volume(v))`` round-trips data within
     float32 precision. ``.gz`` paths are gzip-compressed. The float32
-    body is written straight from its array, the one copy of the data
-    made here. A dim above 32767 raises InputError before the file opens.
+    body is cast before the file opens and written straight from its
+    array, the one copy of the data made here. A dim above 32767, or a
+    value beyond the float32 range (about 3.4e38), raises InputError
+    before the file opens.
     """
     path, header = Path(path), _pack_header(vol.dims, vol.spacing)
+    try:
+        with np.errstate(over="raise"):
+            body = vol.data.astype("<f4")
+    except FloatingPointError as exc:
+        raise InputError(f"{path}: values beyond the float32 range (about 3.4e38) "
+                         "cannot be written") from exc
     # mtime pinned so identical volumes produce identical bytes
     with (gzip.GzipFile(path, "wb", mtime=0) if path.suffix == ".gz" else open(path, "wb")) as fh:
         fh.write(header + b"\x00\x00\x00\x00")
-        fh.write(vol.data.astype("<f4"))
+        fh.write(body)
 
 
 def write_label_volume(labels: LabelVolume, path) -> None:

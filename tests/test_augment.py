@@ -9,6 +9,7 @@ from gmmaug import (
     VARIANCE_FLOOR,
     GmmParams,
     InputError,
+    NumericalError,
     Perturbation,
     PopulationStats,
     Volume,
@@ -100,6 +101,13 @@ class TestSamplePerturbation:
             assert abs(draws_mu[:, j].mean()) < tol
 
 
+    def test_order_preserving_redraws_run_out(self):
+        # spreads of 1e-6 can never put descending means in order
+        stats = make_stats((1e-6, 1e-6, 1e-6), (0.0, 0.0, 0.0))
+        with pytest.raises(NumericalError, match="no order-preserving perturbation"):
+            sample_perturbation(stats, 0, means=np.array([0.3, 0.2, 0.1]))
+
+
 class TestApplyPerturbation:
     def test_zero_is_identity(self):
         params = make_params((0.3, 0.4, 0.3), (0.1, 0.2, 0.3), (2e-3, 1e-3, 1e-3))
@@ -130,11 +138,17 @@ class TestApplyPerturbation:
     def test_length_mismatch(self):
         params = make_params((0.5, 0.5), (0.1, 0.9), (1e-3, 1e-3))
         pert = Perturbation(q_mu=np.zeros(3), q_var=np.zeros(3), seed=0)
-        with pytest.raises(Exception):
+        with pytest.raises(InputError, match="perturbation has 3 components, fit has 2"):
             apply_perturbation(params, pert)
 
 
 class TestRemap:
+    def test_mask_length_mismatch(self):
+        vol, mask = voxels([0.1, 10.0, 20.0])
+        pert = apply_perturbation(FAR_PARAMS, Perturbation(np.zeros(3), np.zeros(3), seed=0))
+        with pytest.raises(InputError, match="mask length 2 != voxel count 3"):
+            remap(vol, mask[:2], pert)
+
     def test_identity_perturbation(self, separated_phantom):
         vol, _ = separated_phantom
         mask = foreground_mask(vol)

@@ -23,6 +23,7 @@ from gmmaug import (
     Volume,
     clip_normalize,
     estimate_population,
+    fit_em,
     foreground_mask,
     generate_phantom,
     read_volume,
@@ -61,6 +62,22 @@ def write_stats(path, mu_std, var_std):
     }
     path.write_text(json.dumps(stats))
     return path
+
+
+def run_cli(*argv, **env):
+    """Run the CLI in a child process, whose stderr no pytest capture intercepts.
+
+    Outside pytest, log records reach stderr through logging's last-resort
+    handler, as they do for a user.
+    """
+    env = dict(os.environ, PYTHONPATH=str(Path(gmmaug.__file__).resolve().parents[1]), **env)
+    return subprocess.run([sys.executable, "-m", "gmmaug.cli", *map(str, argv)],
+                          env=env, capture_output=True, text=True)
+
+
+def unconverged_line(path, fit):
+    return (f"unconverged {path}: EM stopped at max_iter after 2 E-steps, "
+            f"final_rel_change {fit['final_rel_change']:.3g}")
 
 
 @pytest.fixture()
@@ -153,16 +170,23 @@ class TestFit:
         assert cut["final_rel_change"] >= 1e-6
         assert done["converged"] is True and done["final_rel_change"] < 1e-6
 
-    def test_unconverged_fit_warns_and_succeeds(self, tmp_path, phantom_file, capsys):
+    def test_unconverged_fit_warns_and_succeeds(self, tmp_path, phantom_file, caplog):
         cut, done = tmp_path / "cut.json", tmp_path / "done.json"
-        assert main(["fit", str(phantom_file), "--max-iter", "2", "--out", str(cut)]) == 0
-        change = json.loads(cut.read_text())["final_rel_change"]
-        assert capsys.readouterr().err.splitlines() == [
-            f"unconverged {phantom_file}: EM stopped at max_iter after 2 E-steps, "
-            f"final_rel_change {change:.3g}"
-        ]
-        assert main(["fit", str(phantom_file), "--out", str(done)]) == 0
-        assert capsys.readouterr().err == ""
+        with caplog.at_level("WARNING", logger="gmmaug.population"):
+            assert main(["fit", str(phantom_file), "--max-iter", "2", "--out", str(cut)]) == 0
+        fit = json.loads(cut.read_text())
+        assert [record.getMessage() for record in caplog.records] == [
+            unconverged_line(phantom_file, fit)]
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="gmmaug.population"):
+            assert main(["fit", str(phantom_file), "--out", str(done)]) == 0
+        assert caplog.records == []
+
+    def test_unconverged_line_reaches_stderr(self, tmp_path, phantom_file):
+        cut = tmp_path / "cut.json"
+        run = run_cli("fit", phantom_file, "--max-iter", "2", "--out", cut)
+        assert run.returncode == 0 and run.stdout == ""
+        assert run.stderr == unconverged_line(phantom_file, json.loads(cut.read_text())) + "\n"
 
     def test_constant_volume_exit_3(self, tmp_path, capsys):
         path = tmp_path / "const.nii"
@@ -170,6 +194,19 @@ class TestFit:
         code = main(["fit", str(path), "--out", str(tmp_path / "o.json")])
         assert code == 3
         assert "DegenerateIntensity" in capsys.readouterr().err
+
+    def test_window_wider_than_float64_exit_3(self, tmp_path, capsys):
+        # values uniform on +-1.7e308 under an all-ones mask: the clip
+        # window's width overflows float64
+        body = (1.7e308 * np.random.Generator(np.random.Philox(0)).uniform(-1.0, 1.0, 4000))
+        path, ones, out = tmp_path / "wide.nii", tmp_path / "ones.nii", tmp_path / "o.json"
+        path.write_bytes(build_nifti_bytes((20, 20, 10), body.astype("<f8").tobytes(), 64))
+        write_volume(Volume((20, 20, 10), (1, 1, 1), np.ones(4000)), ones)
+        assert main(["fit", str(path), "--mask", str(ones), "--out", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("DegenerateIntensityError: percentiles 1.0 and 99.0 span (")
+        assert not out.exists()
 
     def test_collapse_at_the_iteration_cap_exit_3(self, tmp_path, capsys):
         # normalised to 30 zeros and 30 ones: a third component's mass
@@ -200,6 +237,12 @@ class TestStats:
         for comp in stats["components"]:
             assert comp["mu_std"] == 0.0
             assert comp["var_std"] == 0.0
+
+    def test_input_that_is_not_a_directory_exit_2(self, tmp_path, phantom_file, capsys):
+        out = tmp_path / "s.json"
+        assert main(["stats", str(phantom_file), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"InputError: {phantom_file} is not a directory\n"
+        assert not out.exists()
 
     def test_empty_dir_exit_2(self, tmp_path, capsys):
         corpus = tmp_path / "empty"
@@ -276,11 +319,7 @@ class TestStats:
         for name, seed in (("d.nii", 1), ("e.nii", 2)):
             vol, _ = generate_phantom(PhantomSpec(dims=(20, 20, 20), seed=seed))
             write_volume(vol, corpus / name)
-        # Run outside pytest, whose log capture would keep the skip lines off stderr.
-        env = dict(os.environ, PYTHONPATH=str(Path(gmmaug.__file__).resolve().parents[1]))
-        run = subprocess.run([sys.executable, "-m", "gmmaug.cli", "stats", str(corpus),
-                              "--out", str(tmp_path / "stats.json")],
-                             env=env, capture_output=True, text=True)
+        run = run_cli("stats", corpus, "--out", tmp_path / "stats.json")
         assert run.returncode == 0 and run.stdout == ""
         assert run.stderr.splitlines() == [
             f"skipping {corpus / 'a.nii'}: NotNiftiError: sizeof_hdr is not 348 in either byte order",
@@ -480,19 +519,38 @@ class TestAugment:
         assert widths.count(foreground) == 1
 
     def test_unconverged_fit_warns_once_and_succeeds(
-        self, tmp_path, phantom_file, spread_stats_file, capsys
+        self, tmp_path, phantom_file, spread_stats_file, caplog
     ):
         common = ["augment", str(phantom_file), "--stats", str(spread_stats_file),
                   "--seed", "40", "--n", "2"]
         cut = tmp_path / "cut"
-        assert main([*common, "--max-iter", "2", "--out-prefix", str(cut)]) == 0
+        with caplog.at_level("WARNING", logger="gmmaug.population"):
+            assert main([*common, "--max-iter", "2", "--out-prefix", str(cut)]) == 0
         fit = json.loads((tmp_path / "cut_1.json").read_text())["fit"]
-        assert capsys.readouterr().err.splitlines() == [
-            f"unconverged {phantom_file}: EM stopped at max_iter after 2 E-steps, "
-            f"final_rel_change {fit['final_rel_change']:.3g}"
-        ]
-        assert main([*common, "--out-prefix", str(tmp_path / "done")]) == 0
-        assert capsys.readouterr().err == ""
+        assert [record.getMessage() for record in caplog.records] == [
+            unconverged_line(phantom_file, fit)]
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="gmmaug.population"):
+            assert main([*common, "--out-prefix", str(tmp_path / "done")]) == 0
+        assert caplog.records == []
+
+    def test_unconverged_line_reaches_stderr(self, tmp_path, phantom_file, spread_stats_file):
+        run = run_cli("augment", phantom_file, "--stats", spread_stats_file, "--seed", "40",
+                      "--n", "2", "--max-iter", "2", "--out-prefix", tmp_path / "cut")
+        assert run.returncode == 0 and run.stdout == ""
+        fit = json.loads((tmp_path / "cut_1.json").read_text())["fit"]
+        assert run.stderr == unconverged_line(phantom_file, fit) + "\n"
+
+    def test_draw_beyond_float32_exit_2_without_a_file(self, tmp_path, capsys):
+        # spreads of 1e300 and no clip: the draw overflows float32
+        phantom, prefix = tmp_path / "p.nii", tmp_path / "a"
+        write_volume(generate_phantom(PhantomSpec(seed=1))[0], phantom)
+        stats = write_stats(tmp_path / "huge.json", (1e300,) * 3, (1e-4,) * 3)
+        assert main(["augment", str(phantom), "--stats", str(stats), "--seed", "0", "--no-clip",
+                     "--out-prefix", str(prefix)]) == 2
+        assert capsys.readouterr().err == (f"InputError: {prefix}_0.nii: values beyond the "
+                                           "float32 range (about 3.4e38) cannot be written\n")
+        assert not list(tmp_path.glob("a_*"))
 
     def test_holds_one_draw_at_a_time(self, tmp_path, spread_stats_file):
         spec = tmp_path / "spec48.json"
@@ -517,12 +575,10 @@ class TestAugment:
         assert peak <= basis_bytes + 3 * volume_bytes
 
     def test_outputs_do_not_depend_on_blas_threads(self, tmp_path, phantom_file, spread_stats_file):
-        src = str(Path(gmmaug.__file__).resolve().parents[1])
         for threads in ("1", "2"):
-            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
-            subprocess.run([sys.executable, "-m", "gmmaug.cli", "augment", str(phantom_file),
-                            "--stats", str(spread_stats_file), "--seed", "3", "--n", "2",
-                            "--out-prefix", str(tmp_path / f"t{threads}")], env=env, check=True)
+            assert run_cli("augment", phantom_file, "--stats", spread_stats_file, "--seed", "3",
+                           "--n", "2", "--out-prefix", tmp_path / f"t{threads}",
+                           OPENBLAS_NUM_THREADS=threads).returncode == 0
         for i in range(2):
             for ext in ("nii", "json"):
                 one = (tmp_path / f"t1_{i}.{ext}").read_bytes()
@@ -670,6 +726,15 @@ class TestHist:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("InputError: 100 of 108 masked voxels lie outside [0, 1]")
+        assert not out.exists()
+
+    def test_scaling_overflow_exit_2_with_one_line(self, tmp_path, capsys):
+        path, out = tmp_path / "slope.nii", tmp_path / "h.csv"
+        body = np.array([1e300, 0.5, 0.25, 0.125]).astype("<f8").tobytes()
+        path.write_bytes(build_nifti_bytes((2, 2, 1), body, 64, scl_slope=1e10))
+        assert main(["hist", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"CorruptFileError: {path}: non-finite voxel values after scaling\n")
         assert not out.exists()
 
     def test_bad_bins(self, tmp_path, phantom_file, capsys):
@@ -843,8 +908,10 @@ def test_parsed_defaults_are_the_library_defaults(argv):
     args = gmmaug.cli.build_parser().parse_args(argv)
     assert (args.tol, args.max_iter) == (EmConfig().tol, EmConfig().max_iter)
     window = gmmaug.preprocess._CLIP_PCT
-    if argv[0] != "augment":  # augment takes its window from the stats file
+    if argv[0] != "augment":  # augment takes its window and k from the stats file
         assert (args.clip_lo, args.clip_hi) == window
+        for func in (fit_em, estimate_population):
+            assert inspect.signature(func).parameters["k"].default == args.k == 3
     stats = PopulationStats(k=1, mu_mean=[0.5], mu_std=[0.0], var_mean=[0.01], var_std=[0.0],
                             n_images=2)
     assert (stats.clip_lo_pct, stats.clip_hi_pct) == window

@@ -9,7 +9,8 @@ for each volume of its corpus: "skipping" for one it could not use, or
 "unconverged" for one whose fit EM's cap stopped. Options are passed as
 ``--flag=value`` so that values such as ``-inf`` reach the program
 instead of argparse, and every value has the option's type: usage
-errors of argparse itself are outside this contract.
+errors of argparse itself are outside this contract. A switch such as
+``--no-clip`` is passed bare or left out.
 """
 
 import contextlib
@@ -24,12 +25,15 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from gmmaug import PhantomSpec, generate_phantom, write_label_volume, write_volume
+from gmmaug import PhantomSpec, generate_phantom, read_volume, write_label_volume, write_volume
 from gmmaug.cli import main
+
+from conftest import build_nifti_bytes
 
 # (byte offset, little-endian struct format) of the header fields the
 # reader interprets: sizeof_hdr, dim[0..3], datatype, bitpix,
@@ -70,12 +74,16 @@ def _field_value(field):
 
 # None leaves the file intact; an int truncates it to that many bytes;
 # ("gzip", cut, flip) gzips it, cuts the stream to ``cut`` bytes and
-# inverts byte ``flip`` (none when negative).
+# inverts byte ``flip`` (none when negative); ("float64", lo, hi, slope)
+# stores each value v as the float64 lo * (1 - v) + hi * v, with that
+# scl_slope, so the values can reach the float64 limits.
+extremes = st.sampled_from([-1.7e308, -1.0, 0.0, 1.0, 1e300, 1.7e308])
 mutations = st.one_of(
     st.none(),
     st.sampled_from(HEADER_FIELDS).flatmap(_field_value),
     st.integers(0, 400),
     st.tuples(st.just("gzip"), st.integers(0, 8_000), st.integers(-40, 200)),
+    st.tuples(st.just("float64"), extremes, extremes, st.sampled_from([0.0, 1.0, 1e10])),
 )
 floats = st.floats(allow_nan=True, allow_infinity=True)
 K = {"--k": st.integers(-1, 5)}
@@ -84,12 +92,17 @@ EM = {"--tol": st.one_of(floats, st.sampled_from([1e-6, 1e-3])),
 CLIP = {"--clip-lo": st.one_of(floats, st.sampled_from([0.0, 1.0, 50.0])),
         "--clip-hi": st.one_of(floats, st.sampled_from([99.0, 100.0, 50.0]))}
 SEED = {"--seed": st.integers(-3, 2**70)}
+# switches: True passes the bare flag, False leaves it out
+AUGMENT_FLAGS = {flag: st.booleans()
+                 for flag in ("--no-clip", "--hard-assign", "--reject-order-inversion")}
 
 commands = st.one_of(
-    st.tuples(st.just("fit"), st.fixed_dictionaries({**K, **EM, **CLIP})),
+    # "--mask": True fits under the phantom's label mask
+    st.tuples(st.just("fit"), st.fixed_dictionaries({**K, **EM, **CLIP},
+                                                    optional={"--mask": st.booleans()})),
     st.tuples(st.just("stats"), st.fixed_dictionaries({**K, **EM, **CLIP})),
     st.tuples(st.just("augment"), st.fixed_dictionaries(
-        {**EM, **SEED, "--n": st.integers(-2, 2)})),
+        {**EM, **SEED, "--n": st.integers(-2, 2), **AUGMENT_FLAGS})),
     st.tuples(st.just("hist"), st.fixed_dictionaries(
         {"--bins": st.one_of(st.integers(-2, 300), st.integers(10**6 + 1, 10**18))})),
     st.tuples(st.just("metrics"), st.fixed_dictionaries(
@@ -123,6 +136,12 @@ def _mutated_copy(source: Path, dest: Path, mutation) -> Path:
         raw = bytearray(gzip.compress(bytes(raw), mtime=0)[:cut])
         if 0 <= flip < len(raw):
             raw[flip] ^= 0xFF
+    elif mutation and mutation[0] == "float64":
+        _, lo, hi, slope = mutation
+        vol = read_volume(source)
+        with np.errstate(over="ignore", invalid="ignore"):
+            body = lo * (1.0 - vol.data) + hi * vol.data
+        raw = build_nifti_bytes(vol.dims, body.astype("<f8").tobytes(), 64, scl_slope=slope)
     elif mutation is not None:
         offset, fmt, value = mutation
         struct.pack_into(fmt, raw, offset, value)
@@ -130,10 +149,19 @@ def _mutated_copy(source: Path, dest: Path, mutation) -> Path:
     return dest
 
 
+def _options(options):
+    """``--flag=value`` tokens; a True switch is passed bare and a False one left out."""
+    return [flag if value is True else f"{flag}={value}"
+            for flag, value in options.items() if value is not False]
+
+
 def _argv(command, options, inputs: Path, work: Path, mutation):
     volume = _mutated_copy(inputs / "volume.nii", work / "volume.nii", mutation)
+    options = dict(options)
     if command == "fit":
         positional = [str(volume), "--out", str(work / "fit.json")]
+        if options.pop("--mask", False):
+            positional += ["--mask", str(inputs / "labels.nii")]
     elif command == "stats":
         corpus = work / "corpus"
         corpus.mkdir()
@@ -151,7 +179,7 @@ def _argv(command, options, inputs: Path, work: Path, mutation):
         positional = [str(labels), str(inputs / "labels.nii"), "--out", str(work / "m.json")]
     else:
         positional = ["--spec", str(inputs / "spec.json"), "--out", str(work / "p.nii")]
-    return [command, *positional, *(f"{flag}={value}" for flag, value in options.items())]
+    return [command, *positional, *_options(options)]
 
 
 def _assert_contract(argv, max_volume_lines=0):
@@ -185,6 +213,10 @@ def _assert_contract(argv, max_volume_lines=0):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(command=commands, mutation=mutations)
+# a clip window wider than float64 holds
+@example(command=("fit", {"--mask": True}), mutation=("float64", -1.7e308, 1.7e308, 0.0))
+# scl_slope overflows float64 on read
+@example(command=("hist", {}), mutation=("float64", 0.0, 1e300, 1e10))
 def test_cli_exit_codes_and_streams(inputs, command, mutation):
     name, options = command
     with tempfile.TemporaryDirectory(dir=inputs) as work:
@@ -212,16 +244,20 @@ json_values = st.one_of(
     st.dictionaries(st.text(max_size=3), json_scalars, max_size=2),
 )
 documents = st.one_of(
-    st.tuples(st.just("augment"), st.sampled_from(list(_field_paths(STATS))), json_values),
-    st.tuples(st.just("phantom"), st.sampled_from(list(_field_paths(SPEC))), json_values),
+    st.tuples(st.just("augment"), st.sampled_from(list(_field_paths(STATS))), json_values,
+              st.fixed_dictionaries(AUGMENT_FLAGS)),
+    st.tuples(st.just("phantom"), st.sampled_from(list(_field_paths(SPEC))), json_values,
+              st.just({})),
 )
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(document=documents)
+# an unclipped draw beyond the float32 range of the written file
+@example(document=("augment", ("components", 0, "mu_std"), 1e300, {"--no-clip": True}))
 def test_cli_json_fields_of_any_type(inputs, document):
-    name, path, value = document
+    name, path, value, flags = document
     doc = copy.deepcopy(STATS if name == "augment" else SPEC)
     parent = doc
     for key in path[:-1]:
@@ -232,7 +268,7 @@ def test_cli_json_fields_of_any_type(inputs, document):
         (work / "doc.json").write_text(json.dumps(doc))
         if name == "augment":
             argv = [name, str(inputs / "volume.nii"), "--stats", str(work / "doc.json"),
-                    "--seed", "0", "--out-prefix", str(work / "aug")]
+                    "--seed", "0", "--out-prefix", str(work / "aug"), *_options(flags)]
         else:
             argv = [name, "--spec", str(work / "doc.json"), "--seed", "0",
                     "--out", str(work / "p.nii")]

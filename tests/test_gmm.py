@@ -9,6 +9,7 @@ import gmmaug.gmm
 from gmmaug import (
     VARIANCE_FLOOR,
     DegenerateComponentError,
+    DegenerateIntensityError,
     EmConfig,
     GmmParams,
     InputError,
@@ -121,6 +122,19 @@ class TestFitEm:
     def test_non_finite_values_rejected(self):
         with pytest.raises(InputError):
             fit_em(np.array([0.1] * 30 + [np.inf]), k=1)
+
+    def test_k_below_one_rejected(self):
+        with pytest.raises(InputError, match="k must be >= 1, got 0"):
+            fit_em(np.linspace(0.0, 1.0, 30), k=0)
+
+    @pytest.mark.parametrize("values", [
+        np.r_[np.full(30, 1e200), np.full(30, 2e200)],  # the squared offsets overflow
+        np.linspace(1e200, 2e200, 5000),  # binned, likewise
+        1.7e308 * np.linspace(-1.0, 1.0, 5000),  # the bins' range itself overflows
+    ], ids=["columns", "bins", "range"])
+    def test_spread_beyond_float64_rejected(self, values):
+        with pytest.raises(DegenerateIntensityError, match="overflows float64"):
+            fit_em(values, k=1)
 
     def test_repeated_values_fit_like_their_distinct_values(self):
         rng = np.random.Generator(np.random.Philox(5))
@@ -599,6 +613,18 @@ class TestGmmParams:
     def test_validation_rejects_sub_floor_variance(self):
         with pytest.raises(InputError):
             make_params((0.5, 0.5), (0.0, 1.0), (1e-12, 0.01))
+
+    @pytest.mark.parametrize("field, value", [
+        ("weights", [math.nan]), ("means", [math.nan]), ("means", [math.inf]),
+        ("variances", [math.inf]), ("log_likelihood", math.nan), ("final_rel_change", math.inf),
+    ], ids=["weights-nan", "means-nan", "means-inf", "variances-inf", "log_likelihood-nan",
+            "final_rel_change-inf"])
+    def test_validation_rejects_non_finite_fields(self, field, value):
+        fields = dict(k=1, weights=[1.0], means=[0.5], variances=[1e-3], log_likelihood=0.0,
+                      iterations=0)
+        fields[field] = value
+        with pytest.raises(InputError, match="NaN or Inf"):
+            GmmParams(**fields)
 
     def test_malformed_json_rejected(self):
         with pytest.raises(InputError):

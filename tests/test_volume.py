@@ -259,6 +259,12 @@ class TestWriteVolume:
         write_volume(Volume((32767, 1, 1), (1, 1, 1), np.zeros(32767)), path)
         assert read_volume(path).dims == (32767, 1, 1)
 
+    def test_values_beyond_float32_rejected_before_open(self, tmp_path):
+        path = tmp_path / "big.nii"
+        with pytest.raises(InputError, match="float32 range"):
+            write_volume(Volume((2, 1, 1), (1, 1, 1), np.array([0.5, 1e39])), path)
+        assert not path.exists()
+
     def test_round_trip_random_volumes(self, tmp_path):
         rng = np.random.Generator(np.random.Philox(9))
         for i in range(5):
@@ -350,6 +356,10 @@ class TestVolumeInvariants:
     def test_int32_extremes_kept(self):
         lab = LabelVolume((2, 1, 1), (1, 1, 1), np.array([2**31 - 1, 0], dtype=np.uint64))
         assert lab.labels.dtype == np.int32 and lab.labels.tolist() == [2**31 - 1, 0]
+
+    def test_float_labels_rejected(self):
+        with pytest.raises(InputError, match="labels must be integers"):
+            LabelVolume((2, 1, 1), (1, 1, 1), np.array([1.0, 2.0]))
 
     def test_label_length_mismatch(self):
         with pytest.raises(ShapeMismatchError, match="labels length 3 != product of dims"):
