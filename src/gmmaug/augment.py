@@ -15,20 +15,26 @@ in the perturbed parameters:
     v' = sum_k gamma_k * mu'_k + sum_k (gamma_k * D_k) * sigma'_k,
     D_k = (v - mu_k) / sigma_k
 
-gamma and D depend only on the fit, so :func:`augment_draws` builds the
-(2k, n) basis [gamma; gamma * D] once per volume, and each draw is one
-matrix-vector product [mu', sigma'] @ basis, scattered into a zero
+gamma and D depend only on the fit and the normalized value v, so each
+draw's remap is one function of v. :func:`remap` evaluates it exactly,
+as one matrix-vector product [mu', sigma'] @ basis over the (2k, n)
+basis [gamma; gamma * D] of the masked voxels. :func:`augment_draws`
+instead reduces each foreground voxel once to a code of at most 9
+bytes, and each draw evaluates the product on a table of knots (or
+the k affine maps of hard assignment) and reads every voxel off it;
+see its docstring. Either way the result is scattered into a zero
 background (clip-normalization zeroes every voxel outside the mask).
-While it draws, the generator holds only the foreground mask, one byte
-per voxel, and the basis, 2k * n * 8 bytes for n foreground voxels;
-``gmmaug augment`` adds one output volume at a time.
+While it draws, the generator holds only the foreground mask, one
+byte per voxel, and the codes; ``gmmaug augment`` adds one output
+volume at a time.
 
 Randomness comes from a Philox (counter-based) generator keyed with the
 caller's seed; the draw order is fixed as q_mu then q_var for component
 0, then component 1, and so on, so a seed identifies one perturbation
 (q_mu, q_var) on every machine. The remapped voxels also depend on the
-fit and on the basis product, which repeat bit for bit only under the
-same numpy build, SIMD target and BLAS kernel.
+fit and on the basis product (over the knots, or over the masked voxels
+in :func:`remap`), which repeat bit for bit only under the same numpy
+build, SIMD target and BLAS kernel.
 """
 
 from __future__ import annotations
@@ -47,6 +53,15 @@ from .volume import Volume, _flat_float64, _freeze, _is_seed, foreground_mask
 
 # Bound on order-inversion rejection retries before giving up.
 _MAX_REDRAWS = 10_000
+
+# Soft draws on continuous data interpolate the remap between these
+# uniform knots on [0, 1], where normalized values lie.
+_KNOT_INTERVALS = 4096
+_UNIT_KNOTS = np.linspace(0.0, 1.0, _KNOT_INTERVALS + 1)
+
+# Widest span (max - min) of integer-stored values whose integers are
+# the knots themselves.
+_MAX_INTEGER_SPAN = 2**16
 
 
 @dataclass(frozen=True)
@@ -124,6 +139,21 @@ def apply_perturbation(params: GmmParams, pert: Perturbation) -> PerturbedGmm:
     )
 
 
+def _winners(log_prob: np.ndarray) -> np.ndarray:
+    """Each column's argmax row of (k, n) ``log_prob``, as the smallest unsigned dtype allows.
+
+    A running maximum: ">" keeps the first maximum on ties, as np.argmax
+    does, without its strided reduction. For k up to 256 the rows fit in
+    uint8.
+    """
+    k, n = log_prob.shape
+    best, winner = log_prob[0].copy(), np.zeros(n, dtype=np.min_scalar_type(k - 1))
+    for j in range(1, k):
+        np.copyto(winner, j, where=log_prob[j] > best)
+        np.maximum(best, log_prob[j], out=best)
+    return winner
+
+
 def _remap_basis(values: np.ndarray, params: GmmParams, hard_assign: bool) -> np.ndarray:
     """(2k, n) rows [gamma; gamma * D] of the remap's linear form.
 
@@ -136,14 +166,7 @@ def _remap_basis(values: np.ndarray, params: GmmParams, hard_assign: bool) -> np
     gamma, scaled = basis[:k], basis[k:]
     gmm._component_log_prob(params.weights, params.means, params.variances, values, out=gamma)
     if hard_assign:
-        # Running maximum over the log-probabilities, whose argmax is the
-        # posterior's; ">" keeps the first maximum on ties, as np.argmax
-        # does, without its strided reduction.
-        best, winner = gamma[0].copy(), np.zeros(values.size, dtype=np.intp)
-        for j in range(1, k):
-            np.copyto(winner, j, where=gamma[j] > best)
-            np.maximum(best, gamma[j], out=best)
-        gamma[...] = np.arange(k)[:, None] == winner
+        gamma[...] = np.arange(k)[:, None] == _winners(gamma)
     else:
         gmm._posterior(gamma)
     np.subtract(values, params.means[:, None], out=scaled)
@@ -152,14 +175,17 @@ def _remap_basis(values: np.ndarray, params: GmmParams, hard_assign: bool) -> np
     return basis
 
 
-def _draw(basis: np.ndarray, background: np.ndarray, mask: np.ndarray, pert: PerturbedGmm,
-          clip: bool) -> np.ndarray:
-    """Write one perturbed mixture through ``basis`` into the masked voxels of ``background``.
+def _remapped(values: np.ndarray, pert: PerturbedGmm, hard_assign: bool = False) -> np.ndarray:
+    """Each of ``values`` remapped under ``pert``: [mu', sigma'] @ the exact basis, unclipped."""
+    scale = np.concatenate([pert.means, np.sqrt(pert.variances)])
+    return scale @ _remap_basis(values, pert.base, hard_assign)
 
-    ``background`` is a writable flat array owned by the caller; it is
-    filled in place and returned.
+
+def _fill(background: np.ndarray, mask: np.ndarray, remapped: np.ndarray, clip: bool) -> np.ndarray:
+    """Write ``remapped`` into the masked voxels of ``background``, a flat array, and return it.
+
+    ``remapped`` is clipped to [0, 1] in place first, unless ``clip`` is off.
     """
-    remapped = np.concatenate([pert.means, np.sqrt(pert.variances)]) @ basis
     if clip:
         np.clip(remapped, 0.0, 1.0, out=remapped)
     background[mask] = remapped
@@ -179,14 +205,75 @@ def remap(
     of the original fit, ``pert.base``; ``hard_assign`` instead takes the
     single argmax-responsibility component. Output is clipped to [0, 1]
     unless ``clip`` is disabled. Voxels outside the mask are untouched.
-    This builds the basis and applies one draw; :func:`augment_draws`
-    keeps the basis for every seed.
+    This is the exact remap: it builds the (2k, n) basis over the masked
+    voxels and takes one product with it. :func:`augment_draws` draws
+    from a small per-voxel code instead.
     """
     mask = np.asarray(mask, dtype=bool).ravel()
     if mask.size != vol.n_voxels:
         raise InputError(f"mask length {mask.size} != voxel count {vol.n_voxels}")
-    basis = _remap_basis(vol.data[mask], pert.base, hard_assign)
-    return Volume(vol.dims, vol.spacing, _draw(basis, vol.data.copy(), mask, pert, clip))
+    remapped = _remapped(vol.data[mask], pert, hard_assign)
+    return Volume(vol.dims, vol.spacing, _fill(vol.data.copy(), mask, remapped, clip))
+
+
+def _stored_integers(values: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(knots, index) for raw ``values`` stored as integers that span at most 2**16, else None.
+
+    ``knots`` are the integers from the smallest value to the largest,
+    and ``index`` the int32 position of each value among them, so
+    ``knots[index]`` is ``values`` bit for bit. Beyond 2**53 float64
+    steps over integers, so such values are never knots.
+    """
+    lo, hi = values.min(), values.max()
+    if (hi - lo > _MAX_INTEGER_SPAN or max(-lo, hi) >= 2.0**53
+            or not np.array_equal(values, np.rint(values))):
+        return None
+    return np.arange(lo, hi + 1.0), (values - lo).astype(np.int32)
+
+
+def _gather_draws(knots: np.ndarray, index: np.ndarray):
+    """Draw function for voxels that sit on normalized ``knots``: one gather, exact."""
+    return lambda pert: np.take(_remapped(knots, pert), index)
+
+
+def _lerp_draws(values: np.ndarray):
+    """Draw function for normalized ``values`` in [0, 1], linear between uniform knots.
+
+    Keeps each value's int32 knot interval and float32 fraction within
+    it; ``values`` are overwritten.
+    """
+    position = np.multiply(values, _KNOT_INTERVALS, out=values)
+    index = position.astype(np.int32)
+    np.minimum(index, _KNOT_INTERVALS - 1, out=index)  # 1.0 ends the last interval
+    fraction = np.subtract(position, index, out=position).astype(np.float32)
+
+    def draw(pert):
+        table = _remapped(_UNIT_KNOTS, pert)
+        remapped = np.take(np.diff(table), index)
+        remapped *= fraction
+        remapped += np.take(table, index)
+        return remapped
+    return draw
+
+
+def _hard_draws(values: np.ndarray, params: GmmParams):
+    """Draw function for normalized ``values`` under hard assignment, exact.
+
+    Keeps each value's argmax component j and its offset
+    ``D = (v - mu_j) / sigma_j``, written over ``values``; a draw is
+    ``mu'_j + sigma'_j * D``.
+    """
+    label = _winners(gmm._component_log_prob(params.weights, params.means, params.variances,
+                                             values))
+    offset = np.subtract(values, params.means[label], out=values)
+    offset /= np.sqrt(params.variances)[label]
+
+    def draw(pert):
+        remapped = np.take(np.sqrt(pert.variances), label)
+        remapped *= offset
+        remapped += np.take(pert.means, label)
+        return remapped
+    return draw
 
 
 def augment_draws(
@@ -206,15 +293,24 @@ def augment_draws(
     in ``stats``. Each draw is (remapped volume, perturbation, perturbed
     mixture), and ``perturbed.base`` is the fit. With
     ``reject_order_inversion`` perturbations that would invert the order
-    of the fitted means are redrawn from the same seed's stream. The
-    remap basis is built once, after the fit, and each seed costs one
-    matrix-vector product over it.
+    of the fitted means are redrawn from the same seed's stream.
 
-    After the fit the generator keeps only the mask and the basis: it
-    drops ``vol`` before building the basis and the normalized values
-    after, and each draw starts from a zero background. A caller that
-    keeps no other reference to ``vol`` and releases each draw before
-    asking for the next holds one output volume at a time.
+    After the fit each foreground voxel is reduced to a small code, and
+    a draw evaluates the remap on a few knots and reads every voxel off
+    them. A soft draw tabulates the exact remap at 4097 uniform knots on
+    [0, 1] and interpolates linearly between them, keeping each voxel's
+    int32 interval and float32 fraction (8 bytes; within 1e-7 of
+    :func:`remap`). When every foreground value is stored as an integer
+    and they span at most 2**16, as in int16 scans, the stored integers
+    are the knots and the draw is one exact gather (4 bytes). Under
+    ``hard_assign`` a voxel keeps its uint8 component and float64
+    offset, and a draw is ``mu'_j + sigma'_j * D`` (9 bytes). The last
+    two agree with :func:`remap` up to the last bit of a BLAS product.
+
+    The generator keeps only the mask and these codes: it drops ``vol``
+    before building them, and each draw starts from a zero background.
+    A caller that keeps no other reference to ``vol`` and releases each
+    draw before asking for the next holds one output volume at a time.
     """
     mask = foreground_mask(vol)
     # Gathered before the fit, which sorts its own copy: gathered after
@@ -222,16 +318,22 @@ def augment_draws(
     # against 83.9 MB.
     values = vol.data[mask]
     window, params = fit_volume(vol, mask, stats.k, cfg, stats.clip_lo_pct, stats.clip_hi_pct)
-    _apply_window(values, window)
     dims, spacing = vol.dims, vol.spacing
     del vol
-    basis = _remap_basis(values, params, hard_assign)
-    del values
+    stored = None if hard_assign else _stored_integers(values)
+    if stored is not None:
+        knots, index = stored
+        draw = _gather_draws(_apply_window(knots, window), index)
+    elif hard_assign:
+        draw = _hard_draws(_apply_window(values, window), params)
+    else:
+        draw = _lerp_draws(_apply_window(values, window))
+    del values, stored
     for seed in seeds:
         pert = sample_perturbation(stats, seed, params.means if reject_order_inversion else None)
         perturbed = apply_perturbation(params, pert)
         # no local keeps the draw, so the caller's release frees it
-        yield (Volume(dims, spacing, _draw(basis, np.zeros(mask.size), mask, perturbed, clip)),
+        yield (Volume(dims, spacing, _fill(np.zeros(mask.size), mask, draw(perturbed), clip)),
                pert, perturbed)
 
 

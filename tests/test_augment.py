@@ -23,8 +23,9 @@ from gmmaug import (
     remap,
     responsibilities,
     sample_perturbation,
+    write_volume,
 )
-from gmmaug.augment import _remap_basis
+from gmmaug.augment import _MAX_INTEGER_SPAN, _remap_basis, _stored_integers
 from gmmaug.phantom import generate_phantom
 
 
@@ -41,9 +42,18 @@ def make_params(weights, means, variances):
 
 
 ZERO_STATS = make_stats((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+SPREAD_STATS = make_stats((0.03, 0.06, 0.08), (1e-3, 1e-3, 3e-3))
 
 # Components far enough apart that posteriors are exactly one-hot.
 FAR_PARAMS = make_params((1 / 3, 1 / 3, 1 / 3), (0.1, 10.0, 20.0), (0.002, 0.002, 0.002))
+
+
+def exact_soft_remap(values, perturbed):
+    """The soft remap of ``values``, from a basis built here rather than the package's."""
+    params = perturbed.base
+    gamma = responsibilities(params, values)
+    offsets = (values[:, None] - params.means) / np.sqrt(params.variances)
+    return np.sum(gamma * (perturbed.means + np.sqrt(perturbed.variances) * offsets), axis=1)
 
 
 def voxels(values):
@@ -358,21 +368,73 @@ class TestAugmentVolume:
 
 
 class TestAugmentDraws:
-    def test_generator_holds_only_mask_and_basis(self, separated_spec):
+    @pytest.mark.parametrize("hard_assign, code_bytes", [(False, 8), (True, 9)],
+                             ids=["soft", "hard"])
+    def test_generator_holds_only_mask_and_voxel_codes(self, separated_spec, hard_assign,
+                                                       code_bytes):
         spec = dataclasses.replace(separated_spec, dims=(32, 32, 32))
         stats = make_stats((0.02, 0.02, 0.02), (2e-4, 2e-4, 2e-4))
-        augment_volume(generate_phantom(spec)[0], stats, seed=0)  # lazy imports happen here
+        augment_volume(generate_phantom(spec)[0], stats, seed=0,  # lazy imports happen here
+                       hard_assign=hard_assign)
         vol = generate_phantom(spec)[0]
         n_voxels, foreground = vol.n_voxels, int(foreground_mask(vol).sum())
         source = weakref.ref(vol)
         tracemalloc.start()
         try:
-            draws = augment_draws(vol, stats, range(3))
+            draws = augment_draws(vol, stats, range(3), hard_assign=hard_assign)
             del vol
             out, _, _ = next(draws)
             held = tracemalloc.get_traced_memory()[0] - out.data.nbytes
         finally:
             tracemalloc.stop()
         assert source() is None
-        # the basis (2k rows of float64), the bool mask, and small objects
-        assert held <= 2 * 3 * foreground * 8 + n_voxels + 64 * 1024
+        # each foreground voxel's code (soft: int32 knot interval and
+        # float32 fraction; hard: uint8 component and float64 offset),
+        # the bool mask, and small objects
+        assert held <= code_bytes * foreground + n_voxels + 64 * 1024
+
+    def test_soft_draws_within_1e7_of_exact_basis(self, default_phantom):
+        vol, _ = default_phantom
+        mask = foreground_mask(vol)
+        values = clip_normalize(vol, mask).data[mask]
+        assert np.unique(values).size > 0.9 * values.size  # continuous: the knots interpolate
+        for out, _, perturbed in augment_draws(vol, SPREAD_STATS, range(20), clip=False):
+            assert np.max(np.abs(out.data[mask] - exact_soft_remap(values, perturbed))) <= 1e-7
+
+    def test_zero_spread_soft_draw_reproduces_normalized_volume(self, default_phantom):
+        vol, _ = default_phantom
+        normalized = clip_normalize(vol, foreground_mask(vol))
+        out, _, _ = next(augment_draws(vol, ZERO_STATS, [0], clip=False))
+        # the identity table holds every knot to the last bit; between
+        # knots a voxel is off by its float32 fraction's rounding, at most
+        # 2**-25, times the knot spacing 2**-12
+        assert np.max(np.abs(out.data - normalized.data)) <= 2.0**-37 + 1e-15
+
+    @pytest.mark.parametrize("case", ["hard_assign", "int16"])
+    def test_exact_paths_write_the_bytes_of_remap(self, default_phantom, tmp_path, case):
+        # hard assignment on continuous values, and soft draws on integer
+        # intensities, whose stored integers are the knots
+        vol, _ = default_phantom
+        hard_assign = case == "hard_assign"
+        if case == "int16":
+            vol = Volume(vol.dims, vol.spacing, np.rint(vol.data * 700.0).astype(np.int16))
+        mask = foreground_mask(vol)
+        normalized = clip_normalize(vol, mask)
+        drawn_path, exact_path = tmp_path / "drawn.nii", tmp_path / "exact.nii"
+        for out, _, perturbed in augment_draws(vol, SPREAD_STATS, range(20),
+                                               hard_assign=hard_assign):
+            exact = remap(normalized, mask, perturbed, hard_assign=hard_assign)
+            # the basis product's BLAS kernel may fuse multiply-adds
+            assert np.max(np.abs(out.data - exact.data)) <= 1e-15
+            write_volume(out, drawn_path)
+            write_volume(exact, exact_path)
+            assert drawn_path.read_bytes() == exact_path.read_bytes()
+
+    def test_stored_integers_become_knots_within_their_span(self):
+        values = np.array([3.0, 3.0 + _MAX_INTEGER_SPAN, 7.0])
+        knots, index = _stored_integers(values)
+        assert index.dtype == np.int32 and knots.size == _MAX_INTEGER_SPAN + 1
+        assert np.array_equal(knots[index], values)
+        assert _stored_integers(values + np.array([0.0, 1.0, 0.0])) is None  # too wide
+        assert _stored_integers(values + np.array([0.0, 0.0, 0.5])) is None  # not integers
+        assert _stored_integers(values + 2.0**60) is None  # float64 skips integers there

@@ -516,7 +516,10 @@ class TestAugment:
                      "--seed", "40", "--n", "3", "--out-prefix", str(tmp_path / "a")]) == 0
         foreground = int(foreground_mask(read_volume(phantom_file)).sum())
         assert foreground > gmmaug.gmm._MAX_COLUMNS  # wider than any fit column set
-        assert widths.count(foreground) == 1
+        if flags:  # hard assignment labels each voxel once, for every draw
+            assert widths.count(foreground) == 1
+        else:  # soft draws evaluate the posterior on their knots only
+            assert widths and widths.count(foreground) == 0
 
     def test_unconverged_fit_warns_once_and_succeeds(
         self, tmp_path, phantom_file, spread_stats_file, caplog
@@ -558,7 +561,7 @@ class TestAugment:
         phantom = tmp_path / "p48.nii"
         assert main(["phantom", "--spec", str(spec), "--seed", "20", "--out", str(phantom)]) == 0
         vol = read_volume(phantom)
-        volume_bytes, basis_bytes = vol.data.nbytes, 2 * 3 * int(foreground_mask(vol).sum()) * 8
+        volume_bytes, code_bytes = vol.data.nbytes, 9 * int(foreground_mask(vol).sum())
         del vol
         common = ["augment", str(phantom), "--stats", str(spread_stats_file), "--seed", "40",
                   "--out-prefix", str(tmp_path / "a")]
@@ -569,10 +572,11 @@ class TestAugment:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the basis plus one output volume, its float32 body, the mask and
-        # foreground-sized temporaries; keeping the source, the normalized
-        # volume or the previous draw alive exceeds it
-        assert peak <= basis_bytes + 3 * volume_bytes
+        # the per-voxel codes (at most 9 bytes a foreground voxel) plus one
+        # output volume, its float32 body, the mask and foreground-sized
+        # temporaries; keeping the source, the normalized volume or the
+        # previous draw alive exceeds it
+        assert peak <= code_bytes + 3 * volume_bytes
 
     def test_outputs_do_not_depend_on_blas_threads(self, tmp_path, phantom_file, spread_stats_file):
         for threads in ("1", "2"):

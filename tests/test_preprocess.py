@@ -108,8 +108,10 @@ class TestFitVolume:
                                             hi_pct):
         # the fit path sorts and normalizes only the masked values: its
         # window must be np.percentile's, its fit that of clip_normalize's
-        # masked voxels, and the values augment_draws regathers those
-        # voxels, bit for bit
+        # masked voxels, and the voxel-order values augment_draws builds
+        # its draws from must be those voxels, bit for bit: the values it
+        # tabulates continuous data from, or the stored-integer knots
+        # read at each voxel's index
         vol, labels = default_phantom
         explicit = None
         if case == "int16":  # as stored by a scanner: integer intensities
@@ -127,19 +129,26 @@ class TestFitVolume:
         assert params.dumps() == fit_em(expected, 3).dumps()
         if explicit is None:  # augment masks by positive intensity only
             regathered = []
-            real = gmmaug.augment._remap_basis
+            lerp, gather = gmmaug.augment._lerp_draws, gmmaug.augment._gather_draws
 
-            def spy(values, *args):
-                regathered.append(values.copy())
-                return real(values, *args)
+            def lerp_spy(values):
+                regathered.append(("lerp", values.copy()))
+                return lerp(values)
 
-            monkeypatch.setattr(gmmaug.augment, "_remap_basis", spy)
+            def gather_spy(knots, index):
+                regathered.append(("gather", knots[index]))
+                return gather(knots, index)
+
+            monkeypatch.setattr(gmmaug.augment, "_lerp_draws", lerp_spy)
+            monkeypatch.setattr(gmmaug.augment, "_gather_draws", gather_spy)
             stats = PopulationStats(k=3, mu_mean=params.means, mu_std=(0.0,) * 3,
                                     var_mean=params.variances, var_std=(0.0,) * 3, n_images=2,
                                     clip_lo_pct=lo_pct, clip_hi_pct=hi_pct)
             next(augment_draws(vol, stats, [0]))
-            assert regathered[0].dtype == np.float64
-            assert regathered[0].tobytes() == expected.tobytes()
+            [(route, values)] = regathered
+            assert route == ("gather" if case == "int16" else "lerp")
+            assert values.dtype == np.float64
+            assert values.tobytes() == expected.tobytes()
 
     def test_peak_memory_is_capped(self, default_phantom):
         # continuous values, so the fit bins them: the values sorted in
