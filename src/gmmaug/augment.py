@@ -19,14 +19,14 @@ gamma and D depend only on the fit and the normalized value v, so each
 draw's remap is one function of v. :func:`remap` evaluates it exactly,
 as one matrix-vector product [mu', sigma'] @ basis over the (2k, n)
 basis [gamma; gamma * D] of the masked voxels. :func:`augment_draws`
-instead reduces each foreground voxel once to a code of at most 9
-bytes, and each draw evaluates the product on a table of knots (or
-the k affine maps of hard assignment) and reads every voxel off it;
-see its docstring. Either way the result is scattered into a zero
-background (clip-normalization zeroes every voxel outside the mask).
-While it draws, the generator holds only the foreground mask, one
-byte per voxel, and the codes; ``gmmaug augment`` adds one output
-volume at a time.
+instead codes each foreground voxel once as an index and an optional
+weight, at most 9 bytes, and every draw is the one expression
+a[index] + b[index] * weight over two small tables (a, b) built from
+the perturbation; see its docstring. Either way the result is
+scattered into a zero background (clip-normalization zeroes every
+voxel outside the mask). While it draws, the generator holds only the
+foreground mask, one byte per voxel, and the codes; ``gmmaug augment``
+adds one output volume at a time.
 
 Randomness comes from a Philox (counter-based) generator keyed with the
 caller's seed; the draw order is fixed as q_mu then q_var for component
@@ -231,49 +231,48 @@ def _stored_integers(values: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None
     return np.arange(lo, hi + 1.0), (values - lo).astype(np.int32)
 
 
-def _gather_draws(knots: np.ndarray, index: np.ndarray):
-    """Draw function for voxels that sit on normalized ``knots``: one gather, exact."""
-    return lambda pert: np.take(_remapped(knots, pert), index)
+def _voxel_code(values: np.ndarray, window: tuple[float, float], params: GmmParams,
+                hard_assign: bool) -> tuple[np.ndarray | None, np.ndarray, np.ndarray | None]:
+    """(knots, index, weight) of raw foreground ``values``, which are overwritten.
 
-
-def _lerp_draws(values: np.ndarray):
-    """Draw function for normalized ``values`` in [0, 1], linear between uniform knots.
-
-    Keeps each value's int32 knot interval and float32 fraction within
-    it; ``values`` are overwritten.
+    No knots under hard assignment, no weight for integer-stored values;
+    the codes are laid out in :func:`augment_draws`.
     """
+    stored = _stored_integers(values)
+    if stored is not None:
+        knots, index = stored
+        return _apply_window(knots, window), index, None
+    values = _apply_window(values, window)
+    if hard_assign:
+        index = _winners(gmm._component_log_prob(params.weights, params.means, params.variances,
+                                                 values))
+        weight = np.subtract(values, params.means[index], out=values)
+        weight /= np.sqrt(params.variances)[index]
+        return None, index, weight
     position = np.multiply(values, _KNOT_INTERVALS, out=values)
     index = position.astype(np.int32)
     np.minimum(index, _KNOT_INTERVALS - 1, out=index)  # 1.0 ends the last interval
-    fraction = np.subtract(position, index, out=position).astype(np.float32)
-
-    def draw(pert):
-        table = _remapped(_UNIT_KNOTS, pert)
-        remapped = np.take(np.diff(table), index)
-        remapped *= fraction
-        remapped += np.take(table, index)
-        return remapped
-    return draw
+    return _UNIT_KNOTS, index, np.subtract(position, index, out=position).astype(np.float32)
 
 
-def _hard_draws(values: np.ndarray, params: GmmParams):
-    """Draw function for normalized ``values`` under hard assignment, exact.
+def _draw(code: tuple, pert: PerturbedGmm, hard_assign: bool) -> np.ndarray:
+    """The voxels of ``code`` remapped under ``pert``: a[index] + b[index] * weight.
 
-    Keeps each value's argmax component j and its offset
-    ``D = (v - mu_j) / sigma_j``, written over ``values``; a draw is
-    ``mu'_j + sigma'_j * D``.
+    (a, b) is the remap on the knots and its steps, or (mu', sigma')
+    without knots; without a weight the draw is a[index]. Unclipped.
     """
-    label = _winners(gmm._component_log_prob(params.weights, params.means, params.variances,
-                                             values))
-    offset = np.subtract(values, params.means[label], out=values)
-    offset /= np.sqrt(params.variances)[label]
-
-    def draw(pert):
-        remapped = np.take(np.sqrt(pert.variances), label)
-        remapped *= offset
-        remapped += np.take(pert.means, label)
-        return remapped
-    return draw
+    knots, index, weight = code
+    if knots is None:
+        a, b = pert.means, np.sqrt(pert.variances)
+    else:
+        a = _remapped(knots, pert, hard_assign)
+        b = np.diff(a)
+    remapped = np.take(a, index)
+    if weight is not None:
+        step = np.take(b, index)
+        step *= weight
+        remapped += step
+    return remapped
 
 
 def augment_draws(
@@ -295,17 +294,21 @@ def augment_draws(
     ``reject_order_inversion`` perturbations that would invert the order
     of the fitted means are redrawn from the same seed's stream.
 
-    After the fit each foreground voxel is reduced to a small code, and
-    a draw evaluates the remap on a few knots and reads every voxel off
-    them. A soft draw tabulates the exact remap at 4097 uniform knots on
-    [0, 1] and interpolates linearly between them, keeping each voxel's
-    int32 interval and float32 fraction (8 bytes; within 1e-7 of
-    :func:`remap`). When every foreground value is stored as an integer
-    and they span at most 2**16, as in int16 scans, the stored integers
-    are the knots and the draw is one exact gather (4 bytes). Under
-    ``hard_assign`` a voxel keeps its uint8 component and float64
-    offset, and a draw is ``mu'_j + sigma'_j * D`` (9 bytes). The last
-    two agree with :func:`remap` up to the last bit of a BLAS product.
+    After the fit each foreground voxel is reduced to a code, an index
+    and an optional weight (:func:`_voxel_code`), and every draw reads
+    it off two small tables (a, b) of the perturbation:
+    ``a[index] + b[index] * weight``, or ``a[index]`` without a weight.
+    When every foreground value is stored as an integer and they span
+    at most 2**16, as in int16 scans, the index is the value's int32
+    position among those integers, there is no weight, and ``a`` is
+    the exact remap, soft or hard, on the integers (4 bytes). Otherwise
+    a soft draw's ``a`` is the exact remap at 4097 uniform knots on
+    [0, 1] and ``b`` its steps, and a voxel keeps its int32 interval
+    and float32 fraction (8 bytes; within 1e-7 of :func:`remap`).
+    Under ``hard_assign`` (a, b) is (mu', sigma'), and a voxel keeps
+    its uint8 component j and float64 offset D (9 bytes). The integer
+    and hard codes agree with :func:`remap` up to the last bit of a
+    BLAS product.
 
     The generator keeps only the mask and these codes: it drops ``vol``
     before building them, and each draw starts from a zero background.
@@ -313,27 +316,18 @@ def augment_draws(
     draw before asking for the next holds one output volume at a time.
     """
     mask = foreground_mask(vol)
-    # Gathered before the fit, which sorts its own copy: gathered after
-    # it, perfbench's augment-batch run peaked at 86.3 MB resident,
-    # against 83.9 MB.
     values = vol.data[mask]
     window, params = fit_volume(vol, mask, stats.k, cfg, stats.clip_lo_pct, stats.clip_hi_pct)
     dims, spacing = vol.dims, vol.spacing
     del vol
-    stored = None if hard_assign else _stored_integers(values)
-    if stored is not None:
-        knots, index = stored
-        draw = _gather_draws(_apply_window(knots, window), index)
-    elif hard_assign:
-        draw = _hard_draws(_apply_window(values, window), params)
-    else:
-        draw = _lerp_draws(_apply_window(values, window))
-    del values, stored
+    code = _voxel_code(values, window, params, hard_assign)
+    del values
     for seed in seeds:
         pert = sample_perturbation(stats, seed, params.means if reject_order_inversion else None)
         perturbed = apply_perturbation(params, pert)
         # no local keeps the draw, so the caller's release frees it
-        yield (Volume(dims, spacing, _fill(np.zeros(mask.size), mask, draw(perturbed), clip)),
+        yield (Volume(dims, spacing,
+                      _fill(np.zeros(mask.size), mask, _draw(code, perturbed, hard_assign), clip)),
                pert, perturbed)
 
 

@@ -368,15 +368,23 @@ class TestAugmentVolume:
 
 
 class TestAugmentDraws:
-    @pytest.mark.parametrize("hard_assign, code_bytes", [(False, 8), (True, 9)],
-                             ids=["soft", "hard"])
-    def test_generator_holds_only_mask_and_voxel_codes(self, separated_spec, hard_assign,
-                                                       code_bytes):
+    @pytest.mark.parametrize("integers, hard_assign, code_bytes", [
+        (False, False, 8), (False, True, 9), (True, False, 4), (True, True, 4),
+    ], ids=["soft", "hard", "int16-soft", "int16-hard"])
+    def test_generator_holds_only_mask_and_voxel_codes(self, separated_spec, integers,
+                                                       hard_assign, code_bytes):
         spec = dataclasses.replace(separated_spec, dims=(32, 32, 32))
         stats = make_stats((0.02, 0.02, 0.02), (2e-4, 2e-4, 2e-4))
-        augment_volume(generate_phantom(spec)[0], stats, seed=0,  # lazy imports happen here
+
+        def phantom():
+            vol = generate_phantom(spec)[0]
+            if integers:  # as stored by a scanner: integer intensities
+                vol = Volume(vol.dims, vol.spacing, np.rint(vol.data * 700.0).astype(np.int16))
+            return vol
+
+        augment_volume(phantom(), stats, seed=0,  # lazy imports happen here
                        hard_assign=hard_assign)
-        vol = generate_phantom(spec)[0]
+        vol = phantom()
         n_voxels, foreground = vol.n_voxels, int(foreground_mask(vol).sum())
         source = weakref.ref(vol)
         tracemalloc.start()
@@ -389,8 +397,9 @@ class TestAugmentDraws:
             tracemalloc.stop()
         assert source() is None
         # each foreground voxel's code (soft: int32 knot interval and
-        # float32 fraction; hard: uint8 component and float64 offset),
-        # the bool mask, and small objects
+        # float32 fraction; hard: uint8 component and float64 offset;
+        # integer intensities, soft or hard: an int32 index among their
+        # few hundred integer knots), the bool mask, and small objects
         assert held <= code_bytes * foreground + n_voxels + 64 * 1024
 
     def test_soft_draws_within_1e7_of_exact_basis(self, default_phantom):
@@ -410,13 +419,13 @@ class TestAugmentDraws:
         # 2**-25, times the knot spacing 2**-12
         assert np.max(np.abs(out.data - normalized.data)) <= 2.0**-37 + 1e-15
 
-    @pytest.mark.parametrize("case", ["hard_assign", "int16"])
+    @pytest.mark.parametrize("case", ["hard_assign", "int16", "int16_hard"])
     def test_exact_paths_write_the_bytes_of_remap(self, default_phantom, tmp_path, case):
-        # hard assignment on continuous values, and soft draws on integer
-        # intensities, whose stored integers are the knots
+        # hard assignment on continuous values, and soft or hard draws on
+        # integer intensities, whose stored integers are the knots
         vol, _ = default_phantom
-        hard_assign = case == "hard_assign"
-        if case == "int16":
+        hard_assign = "hard" in case
+        if case.startswith("int16"):
             vol = Volume(vol.dims, vol.spacing, np.rint(vol.data * 700.0).astype(np.int16))
         mask = foreground_mask(vol)
         normalized = clip_normalize(vol, mask)

@@ -500,10 +500,16 @@ class TestAugment:
                 batch_bytes = (tmp_path / f"batch_{i}.{ext}").read_bytes()
                 assert batch_bytes == (tmp_path / f"single{i}_0.{ext}").read_bytes()
 
-    @pytest.mark.parametrize("flags", [[], ["--hard-assign"]])
+    @pytest.mark.parametrize("integers, flags", [
+        (False, []), (False, ["--hard-assign"]), (True, ["--hard-assign"]),
+    ], ids=["flags0", "flags1", "integers-hard"])
     def test_draws_share_one_foreground_posterior(
-        self, tmp_path, phantom_file, spread_stats_file, monkeypatch, flags
+        self, tmp_path, phantom_file, spread_stats_file, monkeypatch, integers, flags
     ):
+        if integers:  # as stored by a scanner: integer intensities
+            vol = read_volume(phantom_file)
+            phantom_file = tmp_path / "integers.nii"
+            write_volume(Volume(vol.dims, vol.spacing, np.rint(vol.data * 700.0)), phantom_file)
         widths = []
         real = gmmaug.gmm._component_log_prob
 
@@ -516,9 +522,9 @@ class TestAugment:
                      "--seed", "40", "--n", "3", "--out-prefix", str(tmp_path / "a")]) == 0
         foreground = int(foreground_mask(read_volume(phantom_file)).sum())
         assert foreground > gmmaug.gmm._MAX_COLUMNS  # wider than any fit column set
-        if flags:  # hard assignment labels each voxel once, for every draw
+        if flags and not integers:  # hard assignment labels each voxel once, for every draw
             assert widths.count(foreground) == 1
-        else:  # soft draws evaluate the posterior on their knots only
+        else:  # draws evaluate the posterior on their knots only
             assert widths and widths.count(foreground) == 0
 
     def test_unconverged_fit_warns_once_and_succeeds(

@@ -17,7 +17,7 @@ from gmmaug import (
     fit_em,
     foreground_mask,
 )
-from gmmaug.preprocess import fit_volume
+from gmmaug.preprocess import _apply_window, fit_volume
 
 
 def volume_with_mask(values, pad_zeros=0):
@@ -108,10 +108,10 @@ class TestFitVolume:
                                             hi_pct):
         # the fit path sorts and normalizes only the masked values: its
         # window must be np.percentile's, its fit that of clip_normalize's
-        # masked voxels, and the voxel-order values augment_draws builds
-        # its draws from must be those voxels, bit for bit: the values it
-        # tabulates continuous data from, or the stored-integer knots
-        # read at each voxel's index
+        # masked voxels, and the voxel-order values augment_draws codes
+        # must be those voxels, bit for bit, once the window normalizes
+        # them; integer intensities must be coded on their own integer
+        # knots, which read at each voxel's index give them back
         vol, labels = default_phantom
         explicit = None
         if case == "int16":  # as stored by a scanner: integer intensities
@@ -128,27 +128,27 @@ class TestFitVolume:
         expected = clip_normalize(vol, mask, lo_pct, hi_pct).data[mask]
         assert params.dumps() == fit_em(expected, 3).dumps()
         if explicit is None:  # augment masks by positive intensity only
-            regathered = []
-            lerp, gather = gmmaug.augment._lerp_draws, gmmaug.augment._gather_draws
+            coded = []
+            voxel_code = gmmaug.augment._voxel_code
 
-            def lerp_spy(values):
-                regathered.append(("lerp", values.copy()))
-                return lerp(values)
+            def spy(values, window, params, hard_assign):
+                normalized = _apply_window(values.copy(), window)
+                knots, index, _ = code = voxel_code(values, window, params, hard_assign)
+                uniform = knots is gmmaug.augment._UNIT_KNOTS
+                coded.append(("uniform" if uniform else "integer", normalized, knots[index]))
+                return code
 
-            def gather_spy(knots, index):
-                regathered.append(("gather", knots[index]))
-                return gather(knots, index)
-
-            monkeypatch.setattr(gmmaug.augment, "_lerp_draws", lerp_spy)
-            monkeypatch.setattr(gmmaug.augment, "_gather_draws", gather_spy)
+            monkeypatch.setattr(gmmaug.augment, "_voxel_code", spy)
             stats = PopulationStats(k=3, mu_mean=params.means, mu_std=(0.0,) * 3,
                                     var_mean=params.variances, var_std=(0.0,) * 3, n_images=2,
                                     clip_lo_pct=lo_pct, clip_hi_pct=hi_pct)
             next(augment_draws(vol, stats, [0]))
-            [(route, values)] = regathered
-            assert route == ("gather" if case == "int16" else "lerp")
+            [(route, values, on_knots)] = coded
+            assert route == ("integer" if case == "int16" else "uniform")
             assert values.dtype == np.float64
             assert values.tobytes() == expected.tobytes()
+            if route == "integer":
+                assert on_knots.tobytes() == expected.tobytes()
 
     def test_peak_memory_is_capped(self, default_phantom):
         # continuous values, so the fit bins them: the values sorted in
