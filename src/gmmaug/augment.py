@@ -49,7 +49,7 @@ from .errors import InputError, NumericalError
 from .gmm import VARIANCE_FLOOR, EmConfig, GmmParams
 from .population import PopulationStats
 from .preprocess import _apply_window, fit_volume
-from .volume import Volume, _flat_float64, _freeze, _is_seed, foreground_mask
+from .volume import Volume, _finite_volume, _flat_float64, _freeze, _is_seed, foreground_mask
 
 # Bound on order-inversion rejection retries before giving up.
 _MAX_REDRAWS = 10_000
@@ -255,24 +255,45 @@ def _voxel_code(values: np.ndarray, window: tuple[float, float], params: GmmPara
     return _UNIT_KNOTS, index, np.subtract(position, index, out=position).astype(np.float32)
 
 
-def _draw(code: tuple, pert: PerturbedGmm, hard_assign: bool) -> np.ndarray:
-    """The voxels of ``code`` remapped under ``pert``: a[index] + b[index] * weight.
+def _tables(code: tuple, pert: PerturbedGmm, hard_assign: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The tables (a, b) that a draw under ``pert`` reads ``code`` off.
 
     (a, b) is the remap on the knots and its steps, or (mu', sigma')
-    without knots; without a weight the draw is a[index]. Unclipped.
+    without knots.
     """
-    knots, index, weight = code
+    knots = code[0]
     if knots is None:
-        a, b = pert.means, np.sqrt(pert.variances)
-    else:
-        a = _remapped(knots, pert, hard_assign)
-        b = np.diff(a)
+        return pert.means, np.sqrt(pert.variances)
+    a = _remapped(knots, pert, hard_assign)
+    return a, np.diff(a)
+
+
+def _draw(code: tuple, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The voxels of ``code`` read off (a, b): a[index] + b[index] * weight, unclipped.
+
+    Without a weight the draw is a[index].
+    """
+    _, index, weight = code
     remapped = np.take(a, index)
     if weight is not None:
         step = np.take(b, index)
         step *= weight
         remapped += step
     return remapped
+
+
+def _proves_finite(a: np.ndarray, b: np.ndarray, reach: float) -> bool:
+    """Whether (a, b) prove every draw off them finite, for weights within [-reach, reach].
+
+    A voxel's magnitude is then at most |a[i]| + |b[i]| * reach, and
+    rounding, being monotone, keeps the computed voxel within the
+    computed bound: so a finite bound table proves the draw finite
+    without a pass over its voxels.
+    """
+    bound = np.abs(a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound[:b.size] += np.abs(b) * reach
+    return bool(np.isfinite(bound).all())
 
 
 def augment_draws(
@@ -310,6 +331,10 @@ def augment_draws(
     and hard codes agree with :func:`remap` up to the last bit of a
     BLAS product.
 
+    A draw whose tables bound every voxel's magnitude by a finite number
+    (:func:`_proves_finite`) is built without the Volume's scan of its
+    voxels for NaN and infinities; any other draw is scanned.
+
     The generator keeps only the mask and these codes: it drops ``vol``
     before building them, and each draw starts from a zero background.
     A caller that keeps no other reference to ``vol`` and releases each
@@ -322,13 +347,20 @@ def augment_draws(
     del vol
     code = _voxel_code(values, window, params, hard_assign)
     del values
+    weight = code[2]
+    reach = 0.0 if weight is None else float(max(weight.max(), -weight.min()))
+
+    def draw(perturbed: PerturbedGmm) -> Volume:
+        a, b = _tables(code, perturbed, hard_assign)
+        data = _fill(np.zeros(mask.size), mask, _draw(code, a, b), clip)
+        # tables that prove the draw finite spare it the Volume's scan
+        return (_finite_volume if _proves_finite(a, b, reach) else Volume)(dims, spacing, data)
+
     for seed in seeds:
         pert = sample_perturbation(stats, seed, params.means if reject_order_inversion else None)
         perturbed = apply_perturbation(params, pert)
         # no local keeps the draw, so the caller's release frees it
-        yield (Volume(dims, spacing,
-                      _fill(np.zeros(mask.size), mask, _draw(code, perturbed, hard_assign), clip)),
-               pert, perturbed)
+        yield draw(perturbed), pert, perturbed
 
 
 def augment_volume(

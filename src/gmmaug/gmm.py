@@ -37,18 +37,34 @@ j's mean, where they cancel, the quadratic's terms are each about
 about 1e-16 of that: at most about 1e-8 on [0, 1] data at the variance
 floor.
 
-The EM sweeps are accelerated by SQUAREM (Varadhan & Roland, Scand. J.
-Stat. 2008, scheme S3) on the flat vector theta of weights, means and
-variances. A cycle takes two EM maps theta1 = F(theta0) and theta2 =
-F(theta1), sets r = theta1 - theta0 and v = theta2 - theta1 - r, and
-jumps to theta0 + 2 alpha r + alpha^2 v with alpha = ||r|| / ||v||,
-at least 1 and at most a step bound that starts at 1 and grows fourfold
-each time alpha reaches it; alpha = 1 gives back theta2. The jump is
+The EM sweeps come in cycles that jump, by Newton's method where it
+applies and by SQUAREM (Varadhan & Roland, Scand. J. Stat. 2008, scheme
+S3) elsewhere: the hybrid EM-Newton scheme of Redner & Walker (SIAM
+Review 1984). A cycle takes two EM maps theta1 = F(theta0) and theta2 =
+F(theta1) and then proposes a jump from theta1. It first tries Newton's
+point on the 3k - 1 unknowns: the means, the log variances and the
+k - 1 weight logits log(w_j / w_0). Its gradient and Hessian are sums
+over the columns of polynomials of degree <= 4 in u, read off theta1's
+posterior with one (columns, 5) table of counts * u^p, built once per
+fit. Newton's point is proposed only where the negated Hessian has a
+Cholesky factor and the point is a valid mixture; near the maximum it
+converges quadratically, where EM crawls along the overlap of the
+components. Otherwise SQUAREM's jump, on the flat vector theta of
+weights, means and variances, is proposed: with r = theta1 - theta0 and
+v = theta2 - theta1 - r it is theta0 + 2 alpha r + alpha^2 v, where
+alpha = ||r|| / ||v||, at least 1 and at most a step bound that starts
+at 1 and grows fourfold each time alpha reaches it; alpha = 1 gives back
+theta2 and proposes nothing. Either jump costs one E-step. It is
 refused, and the cycle moves to theta2 instead, if it proposes a weight
 <= 0 or a variance below the floor, if a component's mass collapses
 there, or if its log-likelihood is below that of theta1; so the
-log-likelihood never decreases. One plain EM step from where the cycle
-moved closes it and starts the next. A fit converges when a cycle whose
+log-likelihood never decreases. After the first refused jump of a fit,
+Newton's or SQUAREM's, only SQUAREM jumps: a refusal marks a fit off
+the regular path, such as k components on fewer clusters, where the
+likelihood has flat ridges along which Newton steps run far (on such
+samples, Newton's steps after a refusal stopped more fits at the cap).
+One plain EM step from where the cycle moved closes it and starts the
+next. A fit converges when a cycle whose
 jump was not refused raised the log-likelihood by less than the
 tolerance (relative): one EM map gains little along a slowly converging
 direction even far from the maximum, which is where plain EM's per-step
@@ -72,6 +88,7 @@ weights uniform.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
@@ -106,13 +123,17 @@ _MAX_COLUMNS = 4096
 _STEP_MAX0 = 1.0
 _STEP_GROWTH = 4.0
 
+# Index of u^(p + q) in a row of power sums, for p, q < 3: the Hessian
+# pairs two scores that are each quadratic in u.
+_HANKEL = np.add.outer(np.arange(3), np.arange(3))
+
 
 @dataclass(frozen=True)
 class EmConfig:
     """Convergence knobs for :func:`fit_em`.
 
     ``tol`` bounds the relative log-likelihood gain of a converged
-    SQUAREM cycle (denominator ``max(1, |previous|)``); ``max_iter`` caps
+    cycle (denominator ``max(1, |previous|)``); ``max_iter`` caps
     the E-steps. No fitted variance falls below ``VARIANCE_FLOOR``.
     """
 
@@ -337,6 +358,74 @@ def _squarem_point(theta0, theta1, theta2, step_max):
     return candidate, alpha
 
 
+def _newton_point(theta, resp, table, centre):
+    """Newton's point from ``theta``, whose posterior is ``resp``, or None.
+
+    The unknowns are the means, the log variances and the k - 1 weight
+    logits log(w_j / w_0). The log-likelihood's gradient and Hessian
+    are sums over the columns of polynomials of degree <= 4 in u = x -
+    centre, so they come from ``table``, the (columns, 5) array of
+    counts * u^p: one product with the posterior rows gives the sums of
+    counts * gamma_j * u^p, and one with each product gamma_j * gamma_l
+    (j < l) the posterior's covariance. There is no point unless the
+    negated Hessian has a Cholesky factor, that is unless theta lies
+    where the log-likelihood is concave, and the point is a valid
+    mixture with finite parameters.
+    """
+    weights, means, variances = theta
+    k = weights.size
+    own = np.arange(k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = resp @ table
+        # sum of counts * (delta_jl gamma_j - gamma_j gamma_l) * u^p; the
+        # diagonal gamma_j (1 - gamma_j) is summed from the pairs, which
+        # keeps its digits where gamma_j is near 1
+        cov = np.zeros((k, k, 5))
+        row = np.empty(resp.shape[1])
+        for j, l in itertools.combinations(range(k), 2):
+            pair = table.T @ np.multiply(resp[j], resp[l], out=row)
+            cov[j, l] = cov[l, j] = -pair
+            cov[j, j] += pair
+            cov[l, l] += pair
+        # row (j, p): the u^p coefficient of component j's log-density's
+        # derivatives by the means, the log variances and the logits
+        offset, inv = means - centre, 1.0 / variances
+        score = np.zeros((k, 3, 3 * k - 1))
+        score[own, 0, own] = -offset * inv
+        score[own, 1, own] = inv
+        score[own, 0, k + own] = 0.5 * (offset * offset * inv - 1.0)
+        score[own, 1, k + own] = -offset * inv
+        score[own, 2, k + own] = 0.5 * inv
+        score[:, 0, 2 * k:] = np.eye(k)[:, 1:] - weights[1:]
+        score = score.reshape(3 * k, 3 * k - 1)
+        grad = sums[:, :3].ravel() @ score
+        hankel = cov[..., _HANKEL].transpose(0, 2, 1, 3).reshape(3 * k, 3 * k)
+        hess = score.T @ hankel @ score
+        # plus the posterior-weighted second derivatives of each component's log-density
+        first = sums[:, 1] - offset * sums[:, 0]  # of counts * gamma_j * (x - mu_j)
+        second = sums[:, 2] - offset * (sums[:, 1] + first)  # and of its square
+        hess[own, own] -= sums[:, 0] * inv
+        hess[own, k + own] -= first * inv
+        hess[k + own, own] -= first * inv
+        hess[k + own, k + own] -= 0.5 * second * inv
+        tail = weights[1:]
+        hess[2 * k:, 2 * k:] -= sums[:, 0].sum() * (np.diag(tail) - np.outer(tail, tail))
+        if not (np.isfinite(grad).all() and np.isfinite(hess).all()):
+            return None
+        try:
+            factor = np.linalg.cholesky(-hess)
+        except np.linalg.LinAlgError:
+            return None
+        step = np.linalg.solve(factor.T, np.linalg.solve(factor, grad))
+        weights = weights * np.exp(np.concatenate(([0.0], step[2 * k:])))
+        candidate = np.array((weights / weights.sum(), means + step[:k],
+                              variances * np.exp(step[k:2 * k])))
+    if not (np.isfinite(candidate).all() and np.all(candidate[0] > 0)
+            and np.all(candidate[2] >= VARIANCE_FLOOR)):
+        return None
+    return candidate
+
+
 def _em_sweep(x, counts, centre, scale_ll):
     """The EM sweep over columns ``x`` with ``counts``, as two small products.
 
@@ -375,7 +464,7 @@ def _em_sweep(x, counts, centre, scale_ll):
 
 
 def fit_em(values, k: int = _DEFAULT_K, cfg: EmConfig | None = None) -> GmmParams:
-    """Fit a k-component mixture to 1-D samples by EM, accelerated by SQUAREM.
+    """Fit a k-component mixture to 1-D samples by EM, with Newton and SQUAREM jumps.
 
     Each sweep runs over the sorted distinct values weighted by their
     counts, so the fit does not depend on the order of ``values``. Above
@@ -387,15 +476,17 @@ def fit_em(values, k: int = _DEFAULT_K, cfg: EmConfig | None = None) -> GmmParam
     mean so that a variance, second moment less squared mean offset,
     keeps its digits (see the module docstring).
 
-    The sweeps come in SQUAREM cycles (see the module docstring): two EM
-    maps, one extrapolated jump, kept only if it is a valid mixture whose
-    log-likelihood is no lower than that of the point it jumps from
-    (else the second map's point is taken), and one plain EM step that
-    closes the cycle. The fit converges when a cycle without a refused
-    jump raised the log-likelihood by less than ``cfg.tol`` relative to
-    its start, so only a closing plain step can end it. ``iterations``
-    counts the E-steps after the one at the starting point, refused
-    jumps included, and never exceeds ``cfg.max_iter``; ``converged`` is
+    The sweeps come in cycles (see the module docstring): two EM maps,
+    one jump, to Newton's point where the log-likelihood is concave and
+    until a jump is refused, else SQUAREM's extrapolation, kept only if
+    it is a valid mixture whose log-likelihood is no lower than that of
+    the point it jumps from (else the second map's point is taken), and
+    one plain EM step that closes the cycle. The fit converges when a
+    cycle without a refused jump raised the log-likelihood by less than
+    ``cfg.tol`` relative to its start, so only a closing plain step can
+    end it. ``iterations`` still counts E-steps: those after the one at
+    the starting point, each evaluated jump, refused or kept, included;
+    it never exceeds ``cfg.max_iter``; ``converged`` is
     false when the cap stopped the fit. The reported ``log_likelihood``
     refers to the returned means and weights (for a binned fit, on the
     bin-mean columns with the variances before the within-bin term),
@@ -451,6 +542,7 @@ def _fit_sorted(x: np.ndarray, k: int, cfg: EmConfig | None) -> GmmParams:
         centre = (counts * x).sum() / n
         centred = x - centre
         spread = (counts * centred * centred).sum() + within.sum()
+        table = (counts * centred ** np.arange(5)[:, None]).T  # Newton's power sums
     if not np.isfinite(spread):
         raise DegenerateIntensityError("the values' mean or spread overflows float64")
     means = _sorted_percentiles(ordered, 100.0 * np.arange(1, k + 1) / (k + 1))
@@ -462,22 +554,26 @@ def _fit_sorted(x: np.ndarray, k: int, cfg: EmConfig | None) -> GmmParams:
     ll, resp, mapped = sweep(theta)
     trajectory = [ll]
     anchor, step_max, refused = theta, _STEP_MAX0, False
-    evaluations, converged = 0, False
+    evaluations, converged, newton = 0, False, True
     while mapped is not None and not converged and evaluations < cfg.max_iter:
         jumped = False
         # Mid-cycle, theta = F(anchor) and mapped = F(theta). Jump only
         # when a refused jump leaves room for the fallback's E-step.
         if len(trajectory) % 3 == 2 and cfg.max_iter - evaluations >= 2:
-            candidate, alpha = _squarem_point(anchor, theta, mapped, step_max)
-            if alpha == step_max:
-                step_max *= _STEP_GROWTH
-            refused = alpha > 1.0
+            candidate = _newton_point(theta, resp, table, centre) if newton else None
+            refused = candidate is not None  # a proposed jump is refused until kept
+            if not refused:
+                candidate, alpha = _squarem_point(anchor, theta, mapped, step_max)
+                if alpha == step_max:
+                    step_max *= _STEP_GROWTH
+                refused = alpha > 1.0
             if candidate is not None:
                 evaluations += 1
                 jump = sweep(candidate)
                 if jump[0] >= ll and jump[2] is not None:
                     theta, jumped, refused = candidate, True, False
                     ll, resp, mapped = jump
+            newton = newton and not refused  # after a refused jump, only SQUAREM jumps
         if not jumped:
             evaluations += 1
             theta = mapped
@@ -508,3 +604,7 @@ def _fit_sorted(x: np.ndarray, k: int, cfg: EmConfig | None) -> GmmParams:
         final_rel_change=abs(ll - trajectory[-2]) / max(1.0, abs(trajectory[-2])),
         ll_trajectory=tuple(trajectory),
     )
+
+
+
+

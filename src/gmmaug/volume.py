@@ -140,10 +140,10 @@ class Volume:
     spacing: tuple[float, float, float]
     data: np.ndarray
 
-    def __post_init__(self):
+    def __post_init__(self, scan: bool = True):
         (data,) = _flat_float64(self, "data")
         dims, spacing = _check_grid(self, "data", data.size)
-        if not np.all(np.isfinite(data)):
+        if scan and not np.all(np.isfinite(data)):
             raise InputError("volume data contains NaN or Inf")
         _freeze(self, dims=dims, spacing=spacing, data=data)
 
@@ -154,6 +154,18 @@ class Volume:
     def grid(self) -> np.ndarray:
         """Data viewed as a (nx, ny, nz) array (x-fastest storage)."""
         return self.data.reshape(self.dims, order="F")
+
+
+def _finite_volume(dims, spacing, data: np.ndarray) -> Volume:
+    """A Volume over ``data``, which the caller has proved finite.
+
+    Every check of the constructor runs but its finiteness scan, the one
+    pass over all the voxels; a Volume built by its constructor keeps it.
+    """
+    vol = object.__new__(Volume)
+    _freeze(vol, dims=dims, spacing=spacing, data=data)
+    vol.__post_init__(scan=False)
+    return vol
 
 
 @dataclass(frozen=True)
@@ -264,7 +276,7 @@ def read_volume(path) -> Volume:
             data += float(scl_inter)
     if not np.all(np.isfinite(data)):
         raise CorruptFileError(f"{path}: non-finite voxel values after scaling")
-    return Volume(dims, spacing, data)
+    return _finite_volume(dims, spacing, data)
 
 
 def _pack_header(dims, spacing) -> bytes:

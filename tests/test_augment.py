@@ -5,6 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
+import gmmaug.augment
 from gmmaug import (
     VARIANCE_FLOOR,
     GmmParams,
@@ -418,6 +419,56 @@ class TestAugmentDraws:
         # knots a voxel is off by its float32 fraction's rounding, at most
         # 2**-25, times the knot spacing 2**-12
         assert np.max(np.abs(out.data - normalized.data)) <= 2.0**-37 + 1e-15
+
+    @pytest.mark.parametrize("integers, hard_assign", [
+        (False, False), (False, True), (True, False), (True, True),
+    ], ids=["soft", "hard", "int16-soft", "int16-hard"])
+    def test_draws_are_proved_finite_without_a_scan(self, default_phantom, monkeypatch,
+                                                    integers, hard_assign):
+        vol, _ = default_phantom
+        if integers:
+            vol = Volume(vol.dims, vol.spacing, np.rint(vol.data * 700.0))
+        scanned = []
+        isfinite = np.isfinite
+
+        def spy(x, *args, **kwargs):
+            scanned.append(np.size(x))
+            return isfinite(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", spy)
+        draws = list(augment_draws(vol, SPREAD_STATS, range(3), hard_assign=hard_assign,
+                                   clip=False))
+        # the tables are scanned, never the voxels
+        assert scanned and max(scanned) < int(foreground_mask(vol).sum())
+        for out, _, _ in draws:
+            assert isfinite(out.data).all() and not out.data.flags.writeable
+
+    def test_draw_the_tables_do_not_prove_finite_is_scanned(self, default_phantom, monkeypatch):
+        vol, _ = default_phantom
+        n_voxels = vol.n_voxels
+        tables = gmmaug.augment._tables
+        scanned = []
+        isfinite = np.isfinite
+
+        def spy(x, *args, **kwargs):
+            scanned.append(np.size(x))
+            return isfinite(x, *args, **kwargs)
+
+        def unread(code, pert, hard_assign):  # the knot at 1.0 only ends the last interval
+            a, b = tables(code, pert, hard_assign)
+            return np.concatenate((a[:-1], [np.inf])), b
+
+        def infinite(code, pert, hard_assign):
+            a, b = tables(code, pert, hard_assign)
+            return np.full_like(a, np.inf), b
+
+        monkeypatch.setattr(np, "isfinite", spy)
+        monkeypatch.setattr(gmmaug.augment, "_tables", unread)
+        out, _, _ = next(augment_draws(vol, SPREAD_STATS, [0], clip=False))
+        assert scanned.count(n_voxels) == 1 and isfinite(out.data).all()
+        monkeypatch.setattr(gmmaug.augment, "_tables", infinite)
+        with pytest.raises(InputError, match="volume data contains NaN or Inf"):
+            next(augment_draws(vol, SPREAD_STATS, [0], clip=False))
 
     @pytest.mark.parametrize("case", ["hard_assign", "int16", "int16_hard"])
     def test_exact_paths_write_the_bytes_of_remap(self, default_phantom, tmp_path, case):

@@ -385,11 +385,19 @@ class TestSortedInput:
 
 class TestSquarem:
     def test_iterations_never_exceed_the_cap(self):
+        # Newton's steps fit the tissue sample in 12 E-steps; a stress
+        # sample, where SQUAREM's jumps carry the fit, still takes more
+        # than 12, so every cut from 1 to 12 falls inside it
         rng = np.random.Generator(np.random.Philox(13))
-        values = mixture_sample(rng, 5_000, TISSUE_WEIGHTS, TISSUE_MEANS, TISSUE_VARIANCES)
-        full = fit_em(values)
+        tissue = mixture_sample(rng, 5_000, TISSUE_WEIGHTS, TISSUE_MEANS, TISSUE_VARIANCES)
+        stress = two_cluster_stress_values()[0]
+        full = fit_em(stress)
         assert full.converged and full.iterations > 12
-        for max_iter in range(1, 13):
+        cuts = [(stress, max_iter) for max_iter in range(1, 13)]
+        full = fit_em(tissue)
+        assert full.converged
+        cuts += [(tissue, max_iter) for max_iter in range(1, full.iterations)]
+        for values, max_iter in cuts:
             cut = fit_em(values, cfg=EmConfig(max_iter=max_iter))
             assert cut.iterations == max_iter
             assert not cut.converged
@@ -416,7 +424,7 @@ class TestSquarem:
         fit = fit_em(values)
         _, plain_ll = plain_em(values, x, counts, 3, EmConfig().tol)
         best_means, _ = plain_em(values, x, counts, 3, 1e-12)
-        assert fit.converged and fit.iterations <= 100
+        assert fit.converged and fit.iterations <= 20
         assert fit.log_likelihood >= plain_ll
         assert np.max(np.abs(fit.means - best_means)) <= 1e-4
 
@@ -446,6 +454,58 @@ class TestSquarem:
         assert np.all(params.weights > 0) and np.all(params.variances >= VARIANCE_FLOOR)
         again = GmmParams.from_json_dict(params.to_json_dict())
         assert np.array_equal(again.means, params.means)
+
+    def test_newton_never_ends_a_stress_fit_lower(self, monkeypatch):
+        # the SQUAREM-only reference proposes no Newton point
+        shipped = [fit_em(values) for values in two_cluster_stress_values()]
+        with monkeypatch.context() as patch:
+            patch.setattr(gmmaug.gmm, "_newton_point", lambda *args: None)
+            reference = [fit_em(values) for values in two_cluster_stress_values()]
+        tol = EmConfig().tol
+        for fit, ref in zip(shipped, reference):
+            ll = ref.log_likelihood
+            assert fit.log_likelihood >= ll - tol * max(1.0, abs(ll))
+        capped = sum(not fit.converged for fit in shipped)
+        assert capped <= sum(not ref.converged for ref in reference)
+
+    def test_newton_point_is_newtons_step_on_the_log_likelihood(self):
+        # central differences of the log-likelihood in the means, log
+        # variances and logits log(w_j / w_0), near the maximum
+        rng = np.random.default_rng(3)
+        values = np.concatenate([rng.normal(mu, 0.05, 100) for mu in (0.2, 0.5, 0.8)])
+        x, counts = np.unique(np.round(values, 3), return_counts=True)
+        counts = counts.astype(np.float64)
+        centre = (counts * x).sum() / counts.sum()
+        table = (counts * (x - centre) ** np.arange(5)[:, None]).T
+        k = 3
+
+        def theta_of(phi):
+            logits = np.concatenate(([0.0], phi[2 * k:]))
+            return np.array((np.exp(logits) / np.exp(logits).sum(), phi[:k], np.exp(phi[k:2 * k])))
+
+        def phi_of(theta):
+            weights, means, variances = theta
+            return np.concatenate((means, np.log(variances), np.log(weights[1:] / weights[0])))
+
+        def log_likelihood(phi):
+            lp = gmmaug.gmm._component_log_prob(*theta_of(phi), x)
+            top = lp.max(axis=0)
+            return float(counts @ (top + np.log(np.exp(lp - top).sum(axis=0))))
+
+        phi = np.array([0.202, 0.497, 0.803, *np.log([0.0027, 0.0024, 0.0026]), 0.1, -0.05])
+        h, eye = 1e-5, np.eye(phi.size)
+        grad = np.array([log_likelihood(phi + h * e) - log_likelihood(phi - h * e)
+                         for e in eye]) / (2 * h)
+        hess = np.array([[log_likelihood(phi + h * (a + b)) - log_likelihood(phi + h * (a - b))
+                          - log_likelihood(phi - h * (a - b)) + log_likelihood(phi - h * (a + b))
+                          for b in eye] for a in eye]) / (4 * h * h)
+        theta = theta_of(phi)
+        resp = gmmaug.gmm._posterior(gmmaug.gmm._component_log_prob(*theta, x))[0]
+        point = gmmaug.gmm._newton_point(theta, resp, table, centre)
+        # measured: 2.9e-7
+        assert np.max(np.abs(point / theta_of(phi - np.linalg.solve(hess, grad)) - 1.0)) <= 1e-5
+        assert log_likelihood(phi_of(point)) > log_likelihood(phi)
+
 
 def two_pass_sweep(x, counts, centre, scale_ll):
     """``gmm._em_sweep``'s contract, computed pass by pass over (k, n) arrays.

@@ -145,6 +145,21 @@ class TestReadVolume:
         with pytest.raises(CorruptFileError):
             read_volume(write_file(tmp_path, raw))
 
+    def test_voxels_scanned_once(self, tmp_path, monkeypatch):
+        raw = build_nifti_bytes((4, 3, 2), struct.pack("<24f", *range(24)), datatype=16)
+        path = write_file(tmp_path, raw)
+        scanned = []
+        isfinite = np.isfinite
+
+        def spy(x, *args, **kwargs):
+            scanned.append(np.size(x))
+            return isfinite(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", spy)
+        vol = read_volume(path)
+        assert scanned.count(24) == 1
+        assert not vol.data.flags.writeable and np.array_equal(vol.data, np.arange(24.0))
+
     @pytest.mark.parametrize("slope", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_slope_means_unscaled(self, tmp_path, slope):
         raw = build_nifti_bytes((1, 1, 2), struct.pack("<2f", 0.0, -1.0), datatype=16,
