@@ -7,20 +7,18 @@ voxel so its standardised offset from every component is preserved:
     v'_k = mu'_k + sigma'_k * (v - mu_k) / sigma_k
 
 The per-component values are blended with the voxel's posterior
-responsibilities gamma_k under the original fit (or assigned hard from
-the argmax component, a one-hot gamma), which keeps tissue geometry
-intact while the contrast between tissues changes. The blend is linear
-in the perturbed parameters:
+responsibilities gamma_k under the original fit (or the argmax
+component's value is taken alone under hard assignment), which keeps
+tissue geometry intact while the contrast between tissues changes:
 
-    v' = sum_k gamma_k * mu'_k + sum_k (gamma_k * D_k) * sigma'_k,
-    D_k = (v - mu_k) / sigma_k
+    v' = sum_k gamma_k * (D_k * sigma'_k + mu'_k),  D_k = (v - mu_k) / sigma_k
 
 gamma and D depend only on the fit and the normalized value v, so each
-draw's remap is one function of v. :func:`remap` evaluates it exactly,
-as one matrix-vector product [mu', sigma'] @ basis over the (2k, n)
-basis [gamma; gamma * D] of the masked voxels. :func:`augment_draws`
-instead codes each foreground voxel once as an index and an optional
-weight, at most 9 bytes, and every draw is the one expression
+draw's remap is one function of v. :func:`remap` evaluates it exactly
+on the masked voxels, component by component, with no basis and no
+matrix product. :func:`augment_draws` instead codes each foreground
+voxel once as an index and an optional weight, at most 9 bytes, and
+every draw is the one expression
 a[index] + b[index] * weight over two small tables (a, b) built from
 the perturbation; see its docstring. Either way the result is
 scattered into a zero background (clip-normalization zeroes every
@@ -32,9 +30,10 @@ Randomness comes from a Philox (counter-based) generator keyed with the
 caller's seed; the draw order is fixed as q_mu then q_var for component
 0, then component 1, and so on, so a seed identifies one perturbation
 (q_mu, q_var) on every machine. The remapped voxels also depend on the
-fit and on the basis product (over the knots, or over the masked voxels
-in :func:`remap`), which repeat bit for bit only under the same numpy
-build, SIMD target and BLAS kernel.
+fit, which repeats bit for bit only under the same numpy build, SIMD
+target and BLAS kernel. Given the fit, no draw calls BLAS; the
+posterior still follows numpy's exp and log, whose last bits can change
+with the SIMD target.
 """
 
 from __future__ import annotations
@@ -154,31 +153,26 @@ def _winners(log_prob: np.ndarray) -> np.ndarray:
     return winner
 
 
-def _remap_basis(values: np.ndarray, params: GmmParams, hard_assign: bool) -> np.ndarray:
-    """(2k, n) rows [gamma; gamma * D] of the remap's linear form.
-
-    ``gamma`` is the posterior of ``params`` (one-hot at its argmax under
-    ``hard_assign``) and ``D_k = (v - mu_k) / sigma_k``. Every row is
-    written in place, so the basis is the only (k, n)-sized array made.
-    """
-    k = params.k
-    basis = np.empty((2 * k, values.size))
-    gamma, scaled = basis[:k], basis[k:]
-    gmm._component_log_prob(params.weights, params.means, params.variances, values, out=gamma)
-    if hard_assign:
-        gamma[...] = np.arange(k)[:, None] == _winners(gamma)
-    else:
-        gmm._posterior(gamma)
-    np.subtract(values, params.means[:, None], out=scaled)
-    scaled /= np.sqrt(params.variances)[:, None]
-    scaled *= gamma
-    return basis
-
-
 def _remapped(values: np.ndarray, pert: PerturbedGmm, hard_assign: bool = False) -> np.ndarray:
-    """Each of ``values`` remapped under ``pert``: [mu', sigma'] @ the exact basis, unclipped."""
-    scale = np.concatenate([pert.means, np.sqrt(pert.variances)])
-    return scale @ _remap_basis(values, pert.base, hard_assign)
+    """Each of ``values`` remapped under ``pert``, unclipped.
+
+    Each value v is mapped along component j as
+    ``((v - mu_j) / sigma_j) * sigma'_j + mu'_j``, the operation order of
+    the hard draw's ``a[j] + b[j] * D``. ``hard_assign`` takes j as the
+    argmax of the posterior of ``pert.base``; otherwise every component's
+    map is weighted by that posterior and summed.
+    """
+    params = pert.base
+    log_prob = gmm._component_log_prob(params.weights, params.means, params.variances, values)
+    j = _winners(log_prob) if hard_assign else np.arange(params.k)[:, None]
+    mapped = np.subtract(values, params.means[j])
+    mapped /= np.sqrt(params.variances)[j]
+    mapped *= np.sqrt(pert.variances)[j]
+    mapped += pert.means[j]
+    if hard_assign:
+        return mapped
+    mapped *= gmm._posterior(log_prob)[0]
+    return mapped.sum(axis=0)
 
 
 def _fill(background: np.ndarray, mask: np.ndarray, remapped: np.ndarray, clip: bool) -> np.ndarray:
@@ -205,9 +199,9 @@ def remap(
     of the original fit, ``pert.base``; ``hard_assign`` instead takes the
     single argmax-responsibility component. Output is clipped to [0, 1]
     unless ``clip`` is disabled. Voxels outside the mask are untouched.
-    This is the exact remap: it builds the (2k, n) basis over the masked
-    voxels and takes one product with it. :func:`augment_draws` draws
-    from a small per-voxel code instead.
+    This is the exact remap, evaluated on every masked voxel.
+    :func:`augment_draws` draws from a small per-voxel code instead; its
+    hard and integer draws equal this one in float64.
     """
     mask = np.asarray(mask, dtype=bool).ravel()
     if mask.size != vol.n_voxels:
@@ -255,20 +249,21 @@ def _voxel_code(values: np.ndarray, window: tuple[float, float], params: GmmPara
     return _UNIT_KNOTS, index, np.subtract(position, index, out=position).astype(np.float32)
 
 
-def _tables(code: tuple, pert: PerturbedGmm, hard_assign: bool) -> tuple[np.ndarray, np.ndarray]:
+def _tables(code: tuple, pert: PerturbedGmm,
+            hard_assign: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """The tables (a, b) that a draw under ``pert`` reads ``code`` off.
 
     (a, b) is the remap on the knots and its steps, or (mu', sigma')
-    without knots.
+    without knots. A code without weights reads no steps: b is None.
     """
-    knots = code[0]
+    knots, _, weight = code
     if knots is None:
         return pert.means, np.sqrt(pert.variances)
     a = _remapped(knots, pert, hard_assign)
-    return a, np.diff(a)
+    return a, None if weight is None else np.diff(a)
 
 
-def _draw(code: tuple, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _draw(code: tuple, a: np.ndarray, b: np.ndarray | None) -> np.ndarray:
     """The voxels of ``code`` read off (a, b): a[index] + b[index] * weight, unclipped.
 
     Without a weight the draw is a[index].
@@ -282,17 +277,18 @@ def _draw(code: tuple, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return remapped
 
 
-def _proves_finite(a: np.ndarray, b: np.ndarray, reach: float) -> bool:
+def _proves_finite(a: np.ndarray, b: np.ndarray | None, reach: float) -> bool:
     """Whether (a, b) prove every draw off them finite, for weights within [-reach, reach].
 
-    A voxel's magnitude is then at most |a[i]| + |b[i]| * reach, and
-    rounding, being monotone, keeps the computed voxel within the
-    computed bound: so a finite bound table proves the draw finite
-    without a pass over its voxels.
+    A voxel's magnitude is then at most |a[i]| + |b[i]| * reach, or
+    |a[i]| when b is None, and rounding, being monotone, keeps the
+    computed voxel within the computed bound: so a finite bound table
+    proves the draw finite without a pass over its voxels.
     """
     bound = np.abs(a)
-    with np.errstate(over="ignore", invalid="ignore"):
-        bound[:b.size] += np.abs(b) * reach
+    if b is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound[:b.size] += np.abs(b) * reach
     return bool(np.isfinite(bound).all())
 
 
@@ -328,8 +324,7 @@ def augment_draws(
     and float32 fraction (8 bytes; within 1e-7 of :func:`remap`).
     Under ``hard_assign`` (a, b) is (mu', sigma'), and a voxel keeps
     its uint8 component j and float64 offset D (9 bytes). The integer
-    and hard codes agree with :func:`remap` up to the last bit of a
-    BLAS product.
+    and hard codes equal :func:`remap` in float64.
 
     A draw whose tables bound every voxel's magnitude by a finite number
     (:func:`_proves_finite`) is built without the Volume's scan of its

@@ -238,11 +238,11 @@ def _as_values(values) -> np.ndarray:
     return v
 
 
-def _component_log_prob(weights, means, variances, values, out=None) -> np.ndarray:
-    """(k, n) array of log(w_k) + log N(v | mu_k, var_k), written into ``out``.
+def _component_log_prob(weights, means, variances, values) -> np.ndarray:
+    """(k, n) array of log(w_k) + log N(v | mu_k, var_k).
 
-    Computed in place in one (k, n) buffer, a new one when ``out`` is
-    None. The steps keep the operation order of
+    Computed in place in the one (k, n) buffer it returns. The steps
+    keep the operation order of
     ``log w - 0.5 * (LOG_2PI + log var + d * d / var)``, so the result is
     that expression bit for bit. Component-major layout keeps the
     posterior's reductions contiguous. The EM sweep builds its
@@ -250,7 +250,7 @@ def _component_log_prob(weights, means, variances, values, out=None) -> np.ndarr
     """
     with np.errstate(divide="ignore"):  # zero weights -> -inf is fine
         log_w = np.log(weights)
-    lp = np.subtract(values[None, :], means[:, None], out=out)
+    lp = np.subtract(values[None, :], means[:, None])
     lp *= lp
     lp /= variances[:, None]
     lp += LOG_2PI + np.log(variances)[:, None]
@@ -542,7 +542,9 @@ def _fit_sorted(x: np.ndarray, k: int, cfg: EmConfig | None) -> GmmParams:
         centre = (counts * x).sum() / n
         centred = x - centre
         spread = (counts * centred * centred).sum() + within.sum()
-        table = (counts * centred ** np.arange(5)[:, None]).T  # Newton's power sums
+        square = centred * centred  # Newton's power sums; products, since pow is slow
+        table = (counts * np.array((np.ones_like(centred), centred, square,
+                                    square * centred, square * square))).T
     if not np.isfinite(spread):
         raise DegenerateIntensityError("the values' mean or spread overflows float64")
     means = _sorted_percentiles(ordered, 100.0 * np.arange(1, k + 1) / (k + 1))

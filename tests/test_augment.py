@@ -1,6 +1,10 @@
 import dataclasses
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +30,7 @@ from gmmaug import (
     sample_perturbation,
     write_volume,
 )
-from gmmaug.augment import _MAX_INTEGER_SPAN, _remap_basis, _stored_integers
+from gmmaug.augment import _MAX_INTEGER_SPAN, _remapped, _stored_integers, _winners
 from gmmaug.phantom import generate_phantom
 
 
@@ -252,28 +256,40 @@ class TestRemap:
         # identical components have bit-equal posteriors: exact two- and three-way ties
         params = make_params((1 / 3, 1 / 3, 1 / 3), means, (0.01, 0.01, 0.01))
         values = np.linspace(-0.5, 1.5, 401)
-        soft = _remap_basis(values, params, hard_assign=False)[:3]
+        soft = responsibilities(params, values).T
         assert np.any(np.sum(soft == soft.max(axis=0), axis=0) == tie)
-        expected = np.arange(3)[:, None] == np.argmax(soft, axis=0)
-        assert np.array_equal(_remap_basis(values, params, hard_assign=True)[:3], expected)
+        log_prob = gmmaug.gmm._component_log_prob(params.weights, params.means,
+                                                  params.variances, values)
+        assert np.array_equal(_winners(log_prob), np.argmax(soft, axis=0))
+
+    def test_remap_does_not_depend_on_the_blas_kernel(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(gmmaug.augment.__file__).resolve().parents[1]))
+        env.pop("OPENBLAS_CORETYPE", None)  # the first child runs the default kernel
+        digests = {subprocess.run([sys.executable, "-c", REMAP_HASH], env=dict(env, **kernel),
+                                  capture_output=True, text=True, check=True).stdout
+                   for kernel in ({}, {"OPENBLAS_CORETYPE": "Sandybridge"},
+                                  {"OPENBLAS_CORETYPE": "Prescott"})}
+        assert len(digests) == 1
 
     @pytest.mark.parametrize("hard_assign", [False, True])
     def test_basis_peak_memory_is_capped(self, default_phantom, hard_assign):
-        # the basis and at most 2.5 n float64s more: the posterior's
-        # running maximum and sum, or the hard assignment's running
-        # maximum, winners and one-hot comparison
+        # at most what a (2k, n) basis [gamma; gamma * D] and 2.5 n
+        # float64s more took: the remap holds the (k, n) log-densities,
+        # (k, n) component maps or the hard assignment's n, and the
+        # posterior's running maximum and sum or the winners
         vol, _ = default_phantom
         mask = foreground_mask(vol)
         values = clip_normalize(vol, mask).data[mask]
         params = fit_em(values, 3)
-        _remap_basis(values, params, hard_assign)  # lazy imports happen here
+        perturbed = apply_perturbation(params, sample_perturbation(SPREAD_STATS, 0))
+        _remapped(values, perturbed, hard_assign)  # lazy imports happen here
         tracemalloc.start()
         try:
-            basis = _remap_basis(values, params, hard_assign)
+            _remapped(values, perturbed, hard_assign)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= basis.nbytes + 2.5 * values.nbytes
+        assert peak <= (2 * params.k + 2.5) * values.nbytes
 
     def test_output_clipped_to_unit_interval(self, separated_phantom):
         vol, _ = separated_phantom
@@ -286,6 +302,29 @@ class TestRemap:
         stats = make_stats((0.4, 0.4, 0.4), (5e-4, 5e-4, 5e-4))
         out, _, _ = augment_volume(vol, stats, seed=0, clip=False)
         assert out.data.min() < 0.0 or out.data.max() > 1.0
+
+
+# Hashes the remap over the soft knots and over a fixed sample, soft and
+# hard, for ten perturbations of one fixed fit; run in a child process.
+REMAP_HASH = """
+import hashlib
+import numpy as np
+from gmmaug import GmmParams, PopulationStats, apply_perturbation, sample_perturbation
+from gmmaug.augment import _UNIT_KNOTS, _remapped
+
+params = GmmParams(k=3, weights=(0.2, 0.45, 0.35), means=(0.3, 0.55, 0.75),
+                   variances=(6e-3, 3e-3, 2e-3), log_likelihood=0.0, iterations=0)
+stats = PopulationStats(k=3, mu_mean=(0.3, 0.55, 0.75), mu_std=(0.03, 0.06, 0.08),
+                        var_mean=(6e-3, 3e-3, 2e-3), var_std=(1e-3, 1e-3, 3e-3), n_images=2)
+sample = np.random.Generator(np.random.Philox(5)).uniform(-0.25, 1.25, 300_000)
+digest = hashlib.sha256()
+for seed in range(10):
+    perturbed = apply_perturbation(params, sample_perturbation(stats, seed))
+    for hard_assign in (False, True):
+        for values in (_UNIT_KNOTS, sample):
+            digest.update(_remapped(values, perturbed, hard_assign).tobytes())
+print(digest.hexdigest())
+"""
 
 
 class TestAugmentVolume:
@@ -484,11 +523,26 @@ class TestAugmentDraws:
         for out, _, perturbed in augment_draws(vol, SPREAD_STATS, range(20),
                                                hard_assign=hard_assign):
             exact = remap(normalized, mask, perturbed, hard_assign=hard_assign)
-            # the basis product's BLAS kernel may fuse multiply-adds
-            assert np.max(np.abs(out.data - exact.data)) <= 1e-15
+            assert np.array_equal(out.data, exact.data)
             write_volume(out, drawn_path)
             write_volume(exact, exact_path)
             assert drawn_path.read_bytes() == exact_path.read_bytes()
+
+    @pytest.mark.parametrize("clip", [True, False], ids=["clip", "no_clip"])
+    @pytest.mark.parametrize("hard_assign", [False, True], ids=["soft", "hard"])
+    @pytest.mark.parametrize("integers", [False, True], ids=["float", "integers"])
+    @pytest.mark.parametrize("spread", [1e300, 1.7e308])
+    def test_extreme_spreads_draw_without_a_warning(self, default_phantom, spread, integers,
+                                                    hard_assign, clip):
+        # means shifted to near the float64 limit: the suite turns any
+        # numpy overflow warning on the way into an error
+        vol, _ = default_phantom
+        if integers:  # as stored by a scanner: integer intensities
+            vol = Volume(vol.dims, vol.spacing, np.rint(vol.data * 700.0))
+        stats = make_stats((spread,) * 3, SPREAD_STATS.var_std)
+        for out, _, _ in augment_draws(vol, stats, range(5), hard_assign=hard_assign,
+                                       clip=clip):
+            assert np.isfinite(out.data).all()
 
     def test_stored_integers_become_knots_within_their_span(self):
         values = np.array([3.0, 3.0 + _MAX_INTEGER_SPAN, 7.0])

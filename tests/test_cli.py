@@ -513,9 +513,9 @@ class TestAugment:
         widths = []
         real = gmmaug.gmm._component_log_prob
 
-        def spy(weights, means, variances, values, out=None):
+        def spy(weights, means, variances, values):
             widths.append(values.size)
-            return real(weights, means, variances, values, out=out)
+            return real(weights, means, variances, values)
 
         monkeypatch.setattr(gmmaug.gmm, "_component_log_prob", spy)
         assert main(["augment", str(phantom_file), "--stats", str(spread_stats_file), *flags,
