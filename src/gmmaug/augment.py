@@ -18,9 +18,10 @@ draw's remap is one function of v. :func:`remap` evaluates it exactly
 on the masked voxels, component by component, with no basis and no
 matrix product. :func:`augment_draws` instead codes each foreground
 voxel once as an index and an optional weight, at most 9 bytes, and
-every draw is the one expression
-a[index] + b[index] * weight over two small tables (a, b) built from
-the perturbation; see its docstring. Either way the result is
+every draw is the one expression a[index] + b[index] * weight over two
+small tables (a, b) built from the perturbation. :func:`_draw` is the
+one place that builds those tables, reads the voxels off them and
+bounds the draw. Either way the result is
 scattered into a zero background (clip-normalization zeroes every
 voxel outside the mask). While it draws, the generator holds only the
 foreground mask, one byte per voxel, and the codes; ``gmmaug augment``
@@ -226,70 +227,59 @@ def _stored_integers(values: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None
 
 
 def _voxel_code(values: np.ndarray, window: tuple[float, float], params: GmmParams,
-                hard_assign: bool) -> tuple[np.ndarray | None, np.ndarray, np.ndarray | None]:
-    """(knots, index, weight) of raw foreground ``values``, which are overwritten.
+                hard_assign: bool) -> tuple[np.ndarray | None, np.ndarray, np.ndarray | None, float]:
+    """(knots, index, weight, reach) of raw foreground ``values``, which are overwritten.
 
     No knots under hard assignment, no weight for integer-stored values;
-    the codes are laid out in :func:`augment_draws`.
+    ``reach`` is the largest weight magnitude, 0 without weights. The
+    codes are laid out in :func:`augment_draws`.
     """
     stored = _stored_integers(values)
     if stored is not None:
         knots, index = stored
-        return _apply_window(knots, window), index, None
+        return _apply_window(knots, window), index, None, 0.0
     values = _apply_window(values, window)
     if hard_assign:
         index = _winners(gmm._component_log_prob(params.weights, params.means, params.variances,
                                                  values))
         weight = np.subtract(values, params.means[index], out=values)
         weight /= np.sqrt(params.variances)[index]
-        return None, index, weight
-    position = np.multiply(values, _KNOT_INTERVALS, out=values)
-    index = position.astype(np.int32)
-    np.minimum(index, _KNOT_INTERVALS - 1, out=index)  # 1.0 ends the last interval
-    return _UNIT_KNOTS, index, np.subtract(position, index, out=position).astype(np.float32)
+        knots = None
+    else:
+        position = np.multiply(values, _KNOT_INTERVALS, out=values)
+        index = position.astype(np.int32)
+        np.minimum(index, _KNOT_INTERVALS - 1, out=index)  # 1.0 ends the last interval
+        weight = np.subtract(position, index, out=position).astype(np.float32)
+        knots = _UNIT_KNOTS
+    return knots, index, weight, float(max(weight.max(), -weight.min()))
 
 
-def _tables(code: tuple, pert: PerturbedGmm,
-            hard_assign: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """The tables (a, b) that a draw under ``pert`` reads ``code`` off.
+def _draw(code: tuple, pert: PerturbedGmm, hard_assign: bool) -> tuple[np.ndarray, bool]:
+    """The voxels of ``code`` drawn under ``pert``, unclipped, and whether they are proved finite.
 
-    (a, b) is the remap on the knots and its steps, or (mu', sigma')
-    without knots. A code without weights reads no steps: b is None.
+    A draw reads two tables (a, b): the remap on the knots and its
+    steps, or (mu', sigma') without knots. Each voxel is
+    a[index] + b[index] * weight, or a[index] without a weight. Its
+    magnitude is then at most |a[i]| + |b[i]| * reach, or |a[i]|, and
+    rounding, being monotone, keeps the computed voxel within the
+    computed bound: so a finite bound table proves the draw finite
+    without a pass over its voxels.
     """
-    knots, _, weight = code
+    knots, index, weight, reach = code
     if knots is None:
-        return pert.means, np.sqrt(pert.variances)
-    a = _remapped(knots, pert, hard_assign)
-    return a, None if weight is None else np.diff(a)
-
-
-def _draw(code: tuple, a: np.ndarray, b: np.ndarray | None) -> np.ndarray:
-    """The voxels of ``code`` read off (a, b): a[index] + b[index] * weight, unclipped.
-
-    Without a weight the draw is a[index].
-    """
-    _, index, weight = code
+        a, b = pert.means, np.sqrt(pert.variances)
+    else:
+        a = _remapped(knots, pert, hard_assign)
+        b = None if weight is None else np.diff(a)
     remapped = np.take(a, index)
+    bound = np.abs(a)
     if weight is not None:
         step = np.take(b, index)
         step *= weight
         remapped += step
-    return remapped
-
-
-def _proves_finite(a: np.ndarray, b: np.ndarray | None, reach: float) -> bool:
-    """Whether (a, b) prove every draw off them finite, for weights within [-reach, reach].
-
-    A voxel's magnitude is then at most |a[i]| + |b[i]| * reach, or
-    |a[i]| when b is None, and rounding, being monotone, keeps the
-    computed voxel within the computed bound: so a finite bound table
-    proves the draw finite without a pass over its voxels.
-    """
-    bound = np.abs(a)
-    if b is not None:
         with np.errstate(over="ignore", invalid="ignore"):
             bound[:b.size] += np.abs(b) * reach
-    return bool(np.isfinite(bound).all())
+    return remapped, bool(np.isfinite(bound).all())
 
 
 def augment_draws(
@@ -326,9 +316,10 @@ def augment_draws(
     its uint8 component j and float64 offset D (9 bytes). The integer
     and hard codes equal :func:`remap` in float64.
 
-    A draw whose tables bound every voxel's magnitude by a finite number
-    (:func:`_proves_finite`) is built without the Volume's scan of its
-    voxels for NaN and infinities; any other draw is scanned.
+    :func:`_draw` is the one place a draw's tables (a, b) are built,
+    read and bounded. A draw whose tables bound every voxel's magnitude
+    by a finite number is built without the Volume's scan of its voxels
+    for NaN and infinities; any other draw is scanned.
 
     The generator keeps only the mask and these codes: it drops ``vol``
     before building them, and each draw starts from a zero background.
@@ -342,14 +333,12 @@ def augment_draws(
     del vol
     code = _voxel_code(values, window, params, hard_assign)
     del values
-    weight = code[2]
-    reach = 0.0 if weight is None else float(max(weight.max(), -weight.min()))
 
     def draw(perturbed: PerturbedGmm) -> Volume:
-        a, b = _tables(code, perturbed, hard_assign)
-        data = _fill(np.zeros(mask.size), mask, _draw(code, a, b), clip)
-        # tables that prove the draw finite spare it the Volume's scan
-        return (_finite_volume if _proves_finite(a, b, reach) else Volume)(dims, spacing, data)
+        remapped, proved = _draw(code, perturbed, hard_assign)
+        data = _fill(np.zeros(mask.size), mask, remapped, clip)
+        # a draw proved finite is spared the Volume's scan
+        return (_finite_volume if proved else Volume)(dims, spacing, data)
 
     for seed in seeds:
         pert = sample_perturbation(stats, seed, params.means if reject_order_inversion else None)

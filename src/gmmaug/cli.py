@@ -104,9 +104,10 @@ def cmd_hist(args) -> int:
         raise InputError(f"--bins must be in [1, {_MAX_BINS}], got {args.bins}")
     vol = read_volume(args.input)
     values = vol.data[foreground_mask(vol)]
-    outside = np.count_nonzero(values > 1.0)  # the mask keeps only positive values
+    below = np.count_nonzero(vol.data < 0.0)  # the mask keeps only positive values
+    outside = below + np.count_nonzero(values > 1.0)
     if outside:
-        raise InputError(f"{outside} of {values.size} masked voxels lie outside [0, 1]; "
+        raise InputError(f"{outside} of {values.size + below} masked voxels lie outside [0, 1]; "
                          "hist bins normalized intensities")
     counts, edges = np.histogram(values, bins=args.bins, range=(0.0, 1.0))
     centers = 0.5 * (edges[:-1] + edges[1:])
@@ -185,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_augment)
 
     p = sub.add_parser("hist", help="masked-intensity histogram as CSV")
-    p.add_argument("input")
+    p.add_argument("input", help="normalized .nii volume; values outside [0,1] exit 2")
     p.add_argument("--bins", type=int, default=100,
                    help=f"fixed-width bins over [0,1], 1 to {_MAX_BINS}")
     p.add_argument("--out", required=True, help="output CSV of bin_center,count")

@@ -738,6 +738,19 @@ class TestHist:
         assert err.startswith("InputError: 100 of 108 masked voxels lie outside [0, 1]")
         assert not out.exists()
 
+    def test_values_below_0_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "under.nii"
+        data = np.zeros(216)
+        data[:100] = np.linspace(-0.2, 0.8, 100)  # undershot, as an unclipped draw can be
+        write_volume(Volume((6, 6, 6), (1, 1, 1), data), path)
+        out = tmp_path / "h.csv"
+        assert main(["hist", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        below = int(np.count_nonzero(data < 0.0))
+        assert err.startswith(f"InputError: {below} of 100 masked voxels lie outside [0, 1]")
+        assert not out.exists()
+
     def test_scaling_overflow_exit_2_with_one_line(self, tmp_path, capsys):
         path, out = tmp_path / "slope.nii", tmp_path / "h.csv"
         body = np.array([1e300, 0.5, 0.25, 0.125]).astype("<f8").tobytes()

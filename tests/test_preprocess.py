@@ -133,7 +133,8 @@ class TestFitVolume:
 
             def spy(values, window, params, hard_assign):
                 normalized = _apply_window(values.copy(), window)
-                knots, index, _ = code = voxel_code(values, window, params, hard_assign)
+                code = voxel_code(values, window, params, hard_assign)
+                knots, index = code[:2]
                 uniform = knots is gmmaug.augment._UNIT_KNOTS
                 coded.append(("uniform" if uniform else "integer", normalized, knots[index]))
                 return code
