@@ -39,6 +39,7 @@ with the SIMD target.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -49,7 +50,7 @@ from .errors import InputError, NumericalError
 from .gmm import VARIANCE_FLOOR, EmConfig, GmmParams
 from .population import PopulationStats
 from .preprocess import _apply_window, fit_volume
-from .volume import Volume, _finite_volume, _flat_float64, _freeze, _is_seed, foreground_mask
+from .volume import Volume, _finite_volume, _flat_float64, _foreground, _freeze, _is_seed
 
 # Bound on order-inversion rejection retries before giving up.
 _MAX_REDRAWS = 10_000
@@ -283,7 +284,7 @@ def _draw(code: tuple, pert: PerturbedGmm, hard_assign: bool) -> tuple[np.ndarra
 
 
 def augment_draws(
-    vol: Volume,
+    vol: Volume | str | os.PathLike,
     stats: PopulationStats,
     seeds: Iterable[int],
     cfg: EmConfig | None = None,
@@ -294,6 +295,10 @@ def augment_draws(
 ) -> Iterator[tuple[Volume, Perturbation, PerturbedGmm]]:
     """Mask, normalize and fit ``vol`` once, then yield one draw per seed.
 
+    ``vol`` is a :class:`Volume` or the path of a volume file. A path is
+    read for its positive voxels alone (see
+    :func:`gmmaug.volume._read_foreground`), with the values of
+    ``read_volume`` bit for bit, so either input yields the same draws.
     The volume must be skull-stripped (foreground derivable from
     positive intensities); normalization uses the percentiles recorded
     in ``stats``. Each draw is (remapped volume, perturbation, perturbed
@@ -322,15 +327,15 @@ def augment_draws(
     for NaN and infinities; any other draw is scanned.
 
     The generator keeps only the mask and these codes: it drops ``vol``
-    before building them, and each draw starts from a zero background.
+    before the fit, and each draw starts from a zero background; from a
+    path it never holds the whole volume as float64.
     A caller that keeps no other reference to ``vol`` and releases each
     draw before asking for the next holds one output volume at a time.
     """
-    mask = foreground_mask(vol)
-    values = vol.data[mask]
-    window, params = fit_volume(vol, mask, stats.k, cfg, stats.clip_lo_pct, stats.clip_hi_pct)
-    dims, spacing = vol.dims, vol.spacing
+    dims, spacing, mask, values = _foreground(vol)
     del vol
+    window, params = fit_volume(values.copy(), stats.k, cfg, stats.clip_lo_pct,
+                                stats.clip_hi_pct)
     code = _voxel_code(values, window, params, hard_assign)
     del values
 
@@ -348,7 +353,7 @@ def augment_draws(
 
 
 def augment_volume(
-    vol: Volume,
+    vol: Volume | str | os.PathLike,
     stats: PopulationStats,
     seed: int,
     cfg: EmConfig | None = None,
@@ -357,7 +362,10 @@ def augment_volume(
     reject_order_inversion: bool = False,
     clip: bool = True,
 ) -> tuple[Volume, GmmParams, Perturbation]:
-    """:func:`augment_draws` for one seed: (remapped volume, fit, perturbation)."""
+    """:func:`augment_draws` for one seed: (remapped volume, fit, perturbation).
+
+    ``vol`` is a :class:`Volume` or a path, read as :func:`augment_draws` reads it.
+    """
     draws = augment_draws(vol, stats, (seed,), cfg, hard_assign=hard_assign,
                           reject_order_inversion=reject_order_inversion, clip=clip)
     out, pert, perturbed = next(draws)

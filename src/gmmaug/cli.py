@@ -12,6 +12,7 @@ or unconverged fits) as warnings on the ``gmmaug.population`` logger.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -26,6 +27,7 @@ from .phantom import PhantomSpec, generate_phantom
 from .population import estimate_population, load_stats, report_fit, save_stats
 from .preprocess import _CLIP_PCT, fit_volume
 from .volume import (
+    _read_foreground,
     foreground_mask,
     read_label_volume,
     read_volume,
@@ -61,9 +63,12 @@ def _print_config(args) -> None:
 
 
 def cmd_fit(args) -> int:
-    vol = read_volume(args.input)
-    mask = foreground_mask(vol, read_label_volume(args.mask) if args.mask else None)
-    params = fit_volume(vol, mask, args.k, _em_config(args), args.clip_lo, args.clip_hi)[1]
+    if args.mask:
+        vol = read_volume(args.input)
+        values = vol.data[foreground_mask(vol, read_label_volume(args.mask))]
+    else:
+        values = _read_foreground(args.input)[3]
+    params = fit_volume(values, args.k, _em_config(args), args.clip_lo, args.clip_hi)[1]
     Path(args.out).write_text(params.dumps() + "\n")
     report_fit(args.input, params)
     return 0
@@ -82,10 +87,10 @@ def cmd_stats(args) -> int:
 def cmd_augment(args) -> int:
     if args.n < 1 or args.seed < 0:
         raise InputError(f"need --n >= 1 and --seed >= 0, got --n {args.n} --seed {args.seed}")
-    # No local keeps the source volume, and each draw is deleted once
-    # written, so the generator frees both (``enumerate`` would keep
+    # The generator reads the input's foreground itself, and each draw is
+    # deleted once written, so it frees both (``enumerate`` would keep
     # draw i alive while draw i + 1 is built).
-    draws = aug.augment_draws(read_volume(args.input), load_stats(args.stats),
+    draws = aug.augment_draws(args.input, load_stats(args.stats),
                               range(args.seed, args.seed + args.n), _em_config(args),
                               hard_assign=args.hard_assign, clip=not args.no_clip,
                               reject_order_inversion=args.reject_order_inversion)
@@ -103,12 +108,13 @@ def cmd_hist(args) -> int:
     if not 1 <= args.bins <= _MAX_BINS:
         raise InputError(f"--bins must be in [1, {_MAX_BINS}], got {args.bins}")
     vol = read_volume(args.input)
-    values = vol.data[foreground_mask(vol)]
-    below = np.count_nonzero(vol.data < 0.0)  # the mask keeps only positive values
-    outside = below + np.count_nonzero(values > 1.0)
+    # counted over the nonzero voxels before the mask, which keeps only
+    # positive ones and refuses a volume without any
+    outside = np.count_nonzero(vol.data < 0.0) + np.count_nonzero(vol.data > 1.0)
     if outside:
-        raise InputError(f"{outside} of {values.size + below} masked voxels lie outside [0, 1]; "
-                         "hist bins normalized intensities")
+        raise InputError(f"{outside} of {np.count_nonzero(vol.data)} masked voxels lie outside "
+                         "[0, 1]; hist bins normalized intensities")
+    values = vol.data[foreground_mask(vol)]
     counts, edges = np.histogram(values, bins=args.bins, range=(0.0, 1.0))
     centers = 0.5 * (edges[:-1] + edges[1:])
     lines = ["bin_center,count"]
@@ -147,6 +153,7 @@ def cmd_phantom(args) -> int:
     return 0
 
 
+@functools.cache  # one parser per process: main parses many argument lists with it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gmmaug",

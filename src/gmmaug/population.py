@@ -22,8 +22,7 @@ import numpy as np
 from .errors import GmmAugError, InputError, InsufficientDataError, InvalidStatsError
 from .gmm import _DEFAULT_K, EmConfig, GmmParams
 from .preprocess import _CLIP_PCT, check_clip_window, fit_volume
-from .volume import (Volume, _field, _flat_float64, _freeze, _read_json_object, foreground_mask,
-                     read_volume)
+from .volume import Volume, _field, _flat_float64, _foreground, _freeze, _read_json_object
 
 logger = logging.getLogger(__name__)
 
@@ -152,6 +151,9 @@ def estimate_population(
     """Fit every volume and aggregate per-component spreads.
 
     Each item of ``volumes`` is a ``Volume`` or a path, read in its turn.
+    A path is read for its positive voxels alone, the only ones fitted
+    (see :func:`gmmaug.volume._read_foreground`); the values are those
+    of ``read_volume`` bit for bit, so either item gives the same fit.
     An item whose read, preprocessing or fit fails is skipped with a
     warning on this module's logger, ``skipping <name>: <Error>:
     <message>``, naming its path or else its position (``volume 1``).
@@ -170,11 +172,10 @@ def estimate_population(
     for index, item in enumerate(volumes):
         name = f"volume {index}" if isinstance(item, Volume) else str(item)
         try:
-            vol = item if isinstance(item, Volume) else read_volume(item)
-            params = fit_volume(vol, foreground_mask(vol), k, cfg, lo_pct, hi_pct)[1]
+            params = fit_volume(_foreground(item)[3], k, cfg, lo_pct, hi_pct)[1]
         except (GmmAugError, OSError) as exc:  # OSError: e.g. a directory named *.nii
             skipped += 1
-            # read_volume's messages, and an OSError's, already name the file
+            # the reader's messages, and an OSError's, already name the file
             reason = getattr(exc, "strerror", None) or str(exc).removeprefix(f"{name}: ")
             logger.warning("skipping %s: %s: %s", name, type(exc).__name__, reason)
             continue

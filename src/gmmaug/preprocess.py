@@ -86,23 +86,21 @@ def clip_normalize(
 
 
 def fit_volume(
-    vol: Volume,
-    mask: np.ndarray,
+    values: np.ndarray,
     k: int,
     cfg: EmConfig | None,
     lo_pct: float,
     hi_pct: float,
 ) -> tuple[tuple[float, float], GmmParams]:
-    """Clip-normalize and fit the voxels of ``vol`` under ``mask``: (raw clip window, params).
+    """Clip-normalize and fit the masked float64 ``values``: (raw clip window, params).
 
     ``fit``, ``stats`` and ``augment`` all fit through here, so the spreads
     a corpus yields and the fits they perturb come from one procedure.
-    The masked values are gathered and sorted once, in place; the window
-    is read off them by index, and they are normalized in place, which
-    keeps them sorted, for the fit. ``_apply_window(vol.data[mask],
-    window)`` gives the normalized values in voxel order.
+    The caller hands over ``values``, which are sorted and normalized in
+    place: the window is read off them by index, and normalizing keeps
+    them sorted, for the fit. ``_apply_window(vol.data[mask], window)``
+    gives the normalized values in voxel order.
     """
-    values = vol.data[mask]
     values.sort()
     window = _clip_window(values, lo_pct, hi_pct)
     return window, _fit_sorted(_apply_window(values, window), k, cfg)

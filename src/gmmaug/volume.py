@@ -6,6 +6,16 @@ three spatial dims, either endianness (detected via ``sizeof_hdr``).
 Extension blocks are skipped by honouring ``vox_offset``. Orientation
 matrices are ignored; only ``pixdim`` is kept as voxel spacing.
 
+One parser checks the header and the body's size and returns the body
+in its stored dtype; :func:`read_volume` decodes every voxel to float64
+from it. The fits of ``fit``, ``stats`` and ``augment`` need only the
+positive voxels, and their private reader masks the stored body and
+widens only the masked voxels when the file is unscaled or scaled by
+exactly 1 and 0, as this module writes: widening to float64 is exact
+and that scaling changes no positive value, so those values are
+``read_volume``'s bit for bit. Under any other scaling it decodes the
+whole body as ``read_volume`` does.
+
 The writer always emits float32 little-endian with the data block at
 offset 352. Paths ending in ``.gz`` are compressed/decompressed
 transparently; gzip input is also auto-detected from its magic bytes.
@@ -206,22 +216,14 @@ def _read_file_bytes(path) -> bytes:
     return raw
 
 
-def read_volume(path) -> Volume:
-    """Read a single-file NIfTI-1 volume into 64-bit reals.
+def _parse_nifti(path):
+    """(dims, spacing, stored, scaling) of the single-file NIfTI-1 volume at ``path``.
 
-    Values are scaled by ``scl_slope``/``scl_inter`` when the slope is
-    finite and nonzero; a zero or non-finite slope (NaN is a common
-    writer default) means unscaled. Non-positive or non-finite ``pixdim``
-    entries fall back to 1.0 mm.
-
-    Raises:
-        NotNiftiError: bad sizeof_hdr or magic.
-        UnsupportedDatatypeError: datatype outside {2, 4, 16, 64} or
-            more than three spatial dims.
-        CorruptFileError: a damaged gzip stream, truncated header/body,
-            a non-finite or header-overlapping ``vox_offset``, a
-            non-finite ``scl_inter`` under a valid slope, or non-finite
-            values.
+    ``stored`` is the body in its file dtype and byte order, a read-only
+    view of the file bytes. ``scaling`` is (``scl_slope``, ``scl_inter``)
+    when the slope is finite and nonzero, else None (unscaled). Every
+    check of the header and body size is made here; see
+    :func:`read_volume` for what each raises.
     """
     raw = _read_file_bytes(path)
     if len(raw) < HEADER_SIZE:
@@ -267,16 +269,91 @@ def read_volume(path) -> Volume:
     if len(raw) < offset + n * dtype.itemsize:
         raise CorruptFileError(f"{path}: body holds fewer than {n} voxels")
 
-    data = np.frombuffer(raw, dtype, count=n, offset=offset).astype(np.float64)
+    stored = np.frombuffer(raw, dtype, count=n, offset=offset)
+    scaling = None
     if scl_slope != 0.0 and math.isfinite(scl_slope):
         if not math.isfinite(scl_inter):
             raise CorruptFileError(f"{path}: scl_inter {scl_inter} is not finite")
-        with np.errstate(over="ignore"):  # an overflow to inf is reported below
-            data *= float(scl_slope)
-            data += float(scl_inter)
-    if not np.all(np.isfinite(data)):
+        scaling = (float(scl_slope), float(scl_inter))
+    return dims, spacing, stored, scaling
+
+
+def _check_finite(path, values: np.ndarray) -> None:
+    if not np.all(np.isfinite(values)):
         raise CorruptFileError(f"{path}: non-finite voxel values after scaling")
-    return _finite_volume(dims, spacing, data)
+
+
+def _decode(path, stored: np.ndarray, scaling) -> np.ndarray:
+    """Every voxel of ``stored`` as float64, scaled in place and checked finite."""
+    data = stored.astype(np.float64)
+    if scaling is not None:
+        with np.errstate(over="ignore"):  # an overflow to inf is reported below
+            data *= scaling[0]
+            data += scaling[1]
+    _check_finite(path, data)
+    return data
+
+
+def read_volume(path) -> Volume:
+    """Read a single-file NIfTI-1 volume into 64-bit reals.
+
+    Values are scaled by ``scl_slope``/``scl_inter`` when the slope is
+    finite and nonzero; a zero or non-finite slope (NaN is a common
+    writer default) means unscaled. Non-positive or non-finite ``pixdim``
+    entries fall back to 1.0 mm.
+
+    Raises:
+        NotNiftiError: bad sizeof_hdr or magic.
+        UnsupportedDatatypeError: datatype outside {2, 4, 16, 64} or
+            more than three spatial dims.
+        CorruptFileError: a damaged gzip stream, truncated header/body,
+            a non-finite or header-overlapping ``vox_offset``, a
+            non-finite ``scl_inter`` under a valid slope, or non-finite
+            values.
+    """
+    dims, spacing, stored, scaling = _parse_nifti(path)
+    return _finite_volume(dims, spacing, _decode(path, stored, scaling))
+
+
+def _read_foreground(path):
+    """(dims, spacing, mask, values) of the file at ``path``: its positive voxels.
+
+    ``mask`` flags the voxels that ``foreground_mask(read_volume(path))``
+    flags, and ``values`` holds theirs in voxel order, a new float64
+    array, bit for bit. A file that is unscaled or scaled by exactly 1
+    and 0, as :func:`write_volume` writes, is masked on its stored body
+    and only the masked voxels are widened to float64: widening is exact
+    from every stored dtype and keeps the sign, and multiplying by 1 and
+    adding 0 change no positive value. A float body is still checked for
+    NaN and infinities over every voxel. A file under any other scaling
+    is decoded whole, as :func:`read_volume` decodes it, then masked.
+    Raises what :func:`read_volume` raises, and EmptyMaskError when no
+    voxel is positive.
+    """
+    dims, spacing, stored, scaling = _parse_nifti(path)
+    if scaling in (None, (1.0, 0.0)):
+        if stored.dtype.kind == "f":  # integer bodies hold no NaN or infinity
+            _check_finite(path, stored)
+        mask = stored > 0
+        values = stored[mask].astype(np.float64, copy=False)
+    else:
+        data = _decode(path, stored, scaling)
+        mask = data > 0
+        values = data[mask]
+    if not values.size:
+        raise EmptyMaskError("mask selects no voxels")
+    return dims, spacing, mask, values
+
+
+def _foreground(source):
+    """(dims, spacing, mask, values) of a Volume's positive voxels, or of a file's.
+
+    ``source`` is a :class:`Volume` or a path, read by :func:`_read_foreground`.
+    """
+    if isinstance(source, Volume):
+        mask = foreground_mask(source)
+        return source.dims, source.spacing, mask, source.data[mask]
+    return _read_foreground(source)
 
 
 def _pack_header(dims, spacing) -> bytes:

@@ -751,6 +751,17 @@ class TestHist:
         assert err.startswith(f"InputError: {below} of 100 masked voxels lie outside [0, 1]")
         assert not out.exists()
 
+    def test_no_positive_voxel_exit_2_with_the_outside_line(self, tmp_path, capsys):
+        path = tmp_path / "negative.nii"
+        data = np.zeros(216)
+        data[:100] = np.linspace(-0.9, -0.1, 100)
+        write_volume(Volume((6, 6, 6), (1, 1, 1), data), path)
+        out = tmp_path / "h.csv"
+        assert main(["hist", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("InputError: 100 of 100 masked voxels lie outside "
+                                           "[0, 1]; hist bins normalized intensities\n")
+        assert not out.exists()
+
     def test_scaling_overflow_exit_2_with_one_line(self, tmp_path, capsys):
         path, out = tmp_path / "slope.nii", tmp_path / "h.csv"
         body = np.array([1e300, 0.5, 0.25, 0.125]).astype("<f8").tobytes()
@@ -952,3 +963,16 @@ class TestPrintConfig:
         assert config["command"] == "phantom"
         assert config["seed"] == 2
         assert config["out"] == str(out)
+
+    def test_calls_in_one_process_print_only_their_own_arguments(self, tmp_path, capsys):
+        # one parser serves every call: no argument of a call leaks into the next
+        phantom, fit = tmp_path / "p.nii", tmp_path / "fit.json"
+        assert main(["phantom", "--seed", "2", "--out", str(phantom), "--print-config"]) == 0
+        first = json.loads(capsys.readouterr().out)
+        assert main(["fit", str(phantom), "--out", str(fit), "--k", "2", "--print-config"]) == 0
+        second = json.loads(capsys.readouterr().out)
+        assert first == {"command": "phantom", "seed": 2, "out": str(phantom), "spec": None,
+                         "out_labels": None}
+        assert second == {"command": "fit", "input": str(phantom), "out": str(fit), "k": 2,
+                          "mask": None, "clip_lo": 1.0, "clip_hi": 99.0, "tol": EmConfig.tol,
+                          "max_iter": EmConfig.max_iter}

@@ -86,7 +86,7 @@ class TestEstimatePopulation:
         with caplog.at_level(logging.WARNING, logger="gmmaug.population"):
             stats = estimate_population(volumes, cfg=cut)
         assert stats.n_images == 2
-        fits = [fit_volume(vol, foreground_mask(vol), 3, cut, 1.0, 99.0)[1] for vol in volumes]
+        fits = [fit_volume(vol.data[foreground_mask(vol)], 3, cut, 1.0, 99.0)[1] for vol in volumes]
         assert [record.getMessage() for record in caplog.records] == [
             f"unconverged volume {i}: EM stopped at max_iter after 2 E-steps, "
             f"final_rel_change {fit.final_rel_change:.3g}" for i, fit in enumerate(fits)

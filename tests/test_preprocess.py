@@ -121,7 +121,7 @@ class TestFitVolume:
             box[4:-4, 4:-4, 4:-4] = 1
             explicit = LabelVolume(labels.dims, labels.spacing, box.ravel(order="F"))
         mask = foreground_mask(vol, explicit)
-        window, params = fit_volume(vol, mask, 3, None, lo_pct, hi_pct)
+        window, params = fit_volume(vol.data[mask], 3, None, lo_pct, hi_pct)
         if explicit is not None:
             assert np.count_nonzero(vol.data[mask] == 0.0) > 0
         assert np.array(window).tobytes() == np.percentile(vol.data[mask], [lo_pct, hi_pct]).tobytes()
@@ -158,10 +158,10 @@ class TestFitVolume:
         mask = foreground_mask(vol)
         values_bytes = vol.data[mask].nbytes
         assert np.unique(vol.data[mask]).size > gmmaug.gmm._MAX_COLUMNS
-        fit_volume(vol, mask, 3, None, 1.0, 99.0)  # lazy imports happen here
+        fit_volume(vol.data[mask], 3, None, 1.0, 99.0)  # lazy imports happen here
         tracemalloc.start()
         try:
-            fit_volume(vol, mask, 3, None, 1.0, 99.0)
+            fit_volume(vol.data[mask], 3, None, 1.0, 99.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -1,0 +1,168 @@
+"""The foreground reader: a path gives the fits and draws of the Volume read from it.
+
+``stats``, ``augment`` and ``fit`` (without ``--mask``) read a file's
+positive voxels alone. Every storage kind must give the mask and the
+values of ``read_volume`` bit for bit, and so the same stats, draws and
+sidecars as the Volume route.
+"""
+
+import gzip
+import json
+import logging
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from gmmaug import (
+    CorruptFileError,
+    EmptyMaskError,
+    PhantomSpec,
+    PopulationStats,
+    augment_draws,
+    estimate_population,
+    foreground_mask,
+    generate_phantom,
+    provenance_dict,
+    read_volume,
+    save_stats,
+)
+from gmmaug.cli import main
+from gmmaug.volume import _read_foreground
+
+from conftest import build_nifti_bytes
+
+DIMS = (24, 24, 24)
+_CODES = {"u1": 2, "i2": 4, "f4": 16, "f8": 64}
+
+# name: (stored dtype, byte order, scale applied to the phantom before storing,
+#        scl_slope, scl_inter, gzip)
+KINDS = {
+    "uint8": ("u1", "<", 250.0, 0.0, 0.0, False),
+    "int16_le": ("i2", "<", 700.0, 1.0, 0.0, False),
+    "int16_be": ("i2", ">", 700.0, 1.0, 0.0, False),
+    "float32": ("f4", "<", 1.0, 1.0, 0.0, False),  # the layout write_volume writes
+    "float64": ("f8", "<", 1.0, 0.0, 0.0, False),
+    "nii_gz": ("i2", "<", 700.0, 1.0, 0.0, True),
+    "unscaled": ("f4", ">", 1.0, 0.0, 0.0, False),  # slope 0: the values as stored
+    "nan_slope": ("f4", "<", 1.0, float("nan"), 0.0, False),
+    "scaled": ("i2", "<", 350.0, 2.0, -5.0, False),
+    "negative_slope": ("i2", "<", -350.0, -2.0, 0.0, False),
+}
+
+STATS = PopulationStats(k=3, mu_mean=(0.2, 0.5, 0.8), mu_std=(0.03, 0.06, 0.08),
+                        var_mean=(2e-3, 1e-3, 1e-3), var_std=(1e-3, 1e-3, 3e-3), n_images=2)
+
+
+def phantom_data(seed):
+    """A phantom's voxels, with a few background voxels below 0 and at -0.0."""
+    data = generate_phantom(PhantomSpec(dims=DIMS, seed=seed))[0].data.copy()
+    background = np.flatnonzero(data == 0.0)
+    data[background[:40]] = -0.25
+    data[background[40:50]] = -0.0
+    return data
+
+
+def write_kind(path, kind, data):
+    dtype, order, scale, slope, inter, gz = KINDS[kind]
+    stored = np.rint(data * scale) if dtype in ("u1", "i2") else data * scale
+    if dtype == "u1":
+        stored = np.clip(stored, 0, 255)
+    raw = build_nifti_bytes(DIMS, stored.astype(order + dtype).tobytes(), _CODES[dtype],
+                            byteorder=order, scl_slope=slope, scl_inter=inter)
+    path.write_bytes(gzip.compress(raw, mtime=0) if gz else raw)
+    return path
+
+
+def file_name(kind, seed):
+    return f"{kind}_{seed}.nii" + (".gz" if KINDS[kind][5] else "")
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_mask_and_values_are_read_volumes(tmp_path, kind):
+    path = write_kind(tmp_path / file_name(kind, 1), kind, phantom_data(1))
+    vol = read_volume(path)
+    mask = foreground_mask(vol)
+    dims, spacing, got_mask, values = _read_foreground(path)
+    assert (dims, spacing) == (vol.dims, vol.spacing)
+    assert np.array_equal(got_mask, mask)
+    assert values.dtype == np.float64 and values.flags.writeable  # the fit sorts it in place
+    assert values.tobytes() == vol.data[mask].tobytes()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_stats_from_paths_are_stats_from_volumes(tmp_path, kind):
+    paths = [write_kind(tmp_path / file_name(kind, seed), kind, phantom_data(seed))
+             for seed in (1, 2, 3)]
+    save_stats(estimate_population(paths), tmp_path / "paths.json")
+    save_stats(estimate_population([read_volume(p) for p in paths]), tmp_path / "volumes.json")
+    assert (tmp_path / "paths.json").read_bytes() == (tmp_path / "volumes.json").read_bytes()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("options", [{}, {"hard_assign": True}, {"clip": False}],
+                         ids=["soft", "hard_assign", "no_clip"])
+def test_draws_from_a_path_are_draws_from_its_volume(tmp_path, kind, options):
+    path = write_kind(tmp_path / file_name(kind, 4), kind, phantom_data(4))
+    seeds = (7, 8)
+    from_path = list(augment_draws(path, STATS, seeds, **options))
+    from_volume = list(augment_draws(read_volume(path), STATS, seeds, **options))
+    for (out, pert, perturbed), (ref, ref_pert, ref_perturbed) in zip(from_path, from_volume):
+        assert (out.dims, out.spacing) == (ref.dims, ref.spacing)
+        assert out.data.tobytes() == ref.data.tobytes()
+        assert (json.dumps(provenance_dict(pert, perturbed))
+                == json.dumps(provenance_dict(ref_pert, ref_perturbed)))
+
+
+def test_no_positive_voxel_raises_empty_mask(tmp_path):
+    body = np.linspace(-1.0, 0.0, 27).astype("<f4").tobytes()
+    path = tmp_path / "under.nii"
+    path.write_bytes(build_nifti_bytes((3, 3, 3), body, 16, scl_slope=1.0))
+    with pytest.raises(EmptyMaskError, match="^mask selects no voxels$"):
+        _read_foreground(path)
+
+
+@pytest.mark.parametrize("slope", [0.0, 1.0])
+def test_nan_in_the_background_is_still_refused(tmp_path, slope, caplog, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for seed in (1, 2):
+        write_kind(corpus / file_name("float32", seed), "float32", phantom_data(seed))
+    data = phantom_data(3).astype("<f4")
+    data[np.flatnonzero(data == 0.0)[-1]] = np.nan  # outside the positive-voxel mask
+    bad = corpus / "nan.nii"
+    bad.write_bytes(build_nifti_bytes(DIMS, data.tobytes(), 16, scl_slope=slope))
+    line = f"CorruptFileError: {bad}: non-finite voxel values after scaling"
+    with pytest.raises(CorruptFileError, match="non-finite voxel values after scaling"):
+        _read_foreground(bad)
+
+    with caplog.at_level(logging.WARNING, logger="gmmaug.population"):
+        assert main(["stats", str(corpus), "--out", str(tmp_path / "stats.json")]) == 0
+    assert [r.getMessage() for r in caplog.records] == [
+        f"skipping {bad}: CorruptFileError: non-finite voxel values after scaling"]
+
+    save_stats(STATS, tmp_path / "spread.json")
+    capsys.readouterr()
+    assert main(["augment", str(bad), "--stats", str(tmp_path / "spread.json"), "--seed", "0",
+                 "--out-prefix", str(tmp_path / "aug")]) == 2
+    assert capsys.readouterr().err == line + "\n"
+    assert not (tmp_path / "aug_0.nii").exists()
+
+
+def test_unit_scaled_float_file_is_not_widened_whole(tmp_path):
+    # masked on the stored float32 body: the mask, the masked float32
+    # voxels and their float64 copy, never a float64 copy of the grid
+    n = 48**3
+    data = np.linspace(-1.0, 1.0, n).astype("<f4")
+    path = tmp_path / "v.nii"
+    path.write_bytes(build_nifti_bytes((48, 48, 48), data.tobytes(), 16, scl_slope=1.0))
+    file_bytes = path.stat().st_size
+    positive = int(np.count_nonzero(data > 0))
+    tracemalloc.start()
+    try:
+        values = _read_foreground(path)[3]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.size == positive
+    assert peak <= file_bytes + n + 12 * positive + 64 * 1024 < file_bytes + 8 * n
