@@ -229,13 +229,19 @@ def _stored_integers(values: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None
 
 def _voxel_code(values: np.ndarray, window: tuple[float, float], params: GmmParams,
                 hard_assign: bool) -> tuple[np.ndarray | None, np.ndarray, np.ndarray | None, float]:
-    """(knots, index, weight, reach) of raw foreground ``values``, which are overwritten.
+    """(knots, index, weight, reach) of raw foreground ``values``, which may be overwritten.
 
     No knots under hard assignment, no weight for integer-stored values;
     ``reach`` is the largest weight magnitude, 0 without weights. The
-    codes are laid out in :func:`augment_draws`.
+    codes are laid out in :func:`augment_draws`. Integer-typed values,
+    uint8 or int16 as a file stores them, are coded straight from the
+    integers: the knots run from their minimum to their maximum.
     """
-    stored = _stored_integers(values)
+    if values.dtype.kind in "iu":
+        lo = int(values.min())
+        stored = np.arange(lo, values.max() + 1.0), np.subtract(values, lo, dtype=np.int32)
+    else:
+        stored = _stored_integers(values)
     if stored is not None:
         knots, index = stored
         return _apply_window(knots, window), index, None, 0.0
@@ -299,6 +305,9 @@ def augment_draws(
     read for its positive voxels alone (see
     :func:`gmmaug.volume._read_foreground`), with the values of
     ``read_volume`` bit for bit, so either input yields the same draws.
+    Those of a uint8 or int16 file stay as stored: the fit counts them
+    (see :func:`gmmaug.preprocess.fit_volume`) and the codes are built
+    from the integers, with no float64 copy of the values and no sort.
     The volume must be skull-stripped (foreground derivable from
     positive intensities); normalization uses the percentiles recorded
     in ``stats``. Each draw is (remapped volume, perturbation, perturbed
@@ -334,8 +343,9 @@ def augment_draws(
     """
     dims, spacing, mask, values = _foreground(vol)
     del vol
-    window, params = fit_volume(values.copy(), stats.k, cfg, stats.clip_lo_pct,
-                                stats.clip_hi_pct)
+    # the fit sorts float values in place and leaves integer-typed ones as they are
+    window, params = fit_volume(values.copy() if values.dtype.kind == "f" else values, stats.k,
+                                cfg, stats.clip_lo_pct, stats.clip_hi_pct)
     code = _voxel_code(values, window, params, hard_assign)
     del values
 

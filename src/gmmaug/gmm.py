@@ -74,16 +74,24 @@ of the last E-step when ``max_iter`` cuts the fit), with the
 log-likelihood and posterior of that same evaluation.
 
 Fitting is fully deterministic and depends only on the multiset of
-values and the config, never on their order: every fit runs on one
-sorted array. :func:`fit_em` sorts a copy of its input; the volume fit
-path sorts the masked values in place and hands them to the same core,
-``_fit_sorted``. The core reads the starting means off the sorted values
-by index, finds their runs of equal values in one pass, and builds the
-columns from them: the distinct values and their run lengths, or the
-bins, whose edges it finds by binary search. Initial means sit at
-equally spaced sample quantiles (``np.percentile``'s default linear
-rule, bit for bit), initial variances at sample variance / k^2, initial
-weights uniform.
+values and the config, never on their order: every fit runs on the
+values in ascending order, held either as one sorted array or as the
+distinct values with their counts, and ends in one EM core,
+``_fit_columns``. :func:`fit_em` sorts a copy of its input; the volume
+fit path sorts float values in place and counts integer-stored ones
+(see :func:`gmmaug.preprocess.fit_volume`). ``_fit_sorted`` finds the
+runs of equal values of a sorted array in one pass. Up to 4096 runs go
+on as distinct values and run lengths to ``_fit_counted``; more are
+folded into bins, whose edges it finds by binary search, and the
+starting means are read off the sorted values by index.
+``_fit_counted`` merges equal values (a clip window sends many to 0 and
+1), reads the starting means off the running totals of the counts and
+takes the distinct values as the columns; above 4096 of them it
+rebuilds the sorted array with ``np.repeat`` (a counting sort) for the
+binned fit. Both forms hold the same values, so they give the same fit
+bit for bit. Initial means sit at equally spaced sample quantiles
+(``np.percentile``'s default linear rule, bit for bit), initial
+variances at sample variance / k^2, initial weights uniform.
 """
 
 from __future__ import annotations
@@ -282,7 +290,7 @@ def responsibilities(params: GmmParams, values) -> np.ndarray:
     return np.ascontiguousarray(_posterior(lp)[0].T)
 
 
-def _sorted_percentiles(x: np.ndarray, pct) -> np.ndarray:
+def _sorted_percentiles(x: np.ndarray, pct, cumulative: np.ndarray | None = None) -> np.ndarray:
     """``np.percentile(x, pct)`` of ascending ``x``, bit for bit, read off by index.
 
     numpy's default linear rule: the q-th percentile sits at the virtual
@@ -290,12 +298,21 @@ def _sorted_percentiles(x: np.ndarray, pct) -> np.ndarray:
     and the next one, and is interpolated as ``a + (b - a) * g`` with
     fraction ``g``, or ``b - (b - a) * (1 - g)`` when ``g >= 0.5``. A
     virtual index at or past ``n - 1`` reads the maximum, as numpy's does.
+
+    Given ``cumulative``, the running totals of the counts of ``x``'s
+    values, the percentiles are those of ``np.repeat(x, counts)``: the
+    order statistic of rank r is the first value whose running total
+    exceeds r.
     """
-    virtual = (x.size - 1) * np.true_divide(pct, 100)
-    top = virtual >= x.size - 1
+    n = x.size if cumulative is None else int(cumulative[-1])
+    virtual = (n - 1) * np.true_divide(pct, 100)
+    top = virtual >= n - 1
     below = np.where(top, -1.0, np.floor(virtual))
     gamma = virtual - below
-    a, b = x[below.astype(np.intp)], x[np.where(top, -1, below + 1).astype(np.intp)]
+    ranks = np.where(top, n - 1, (below, below + 1)).astype(np.intp)
+    if cumulative is not None:
+        ranks = np.searchsorted(cumulative, ranks, side="right")
+    a, b = x[ranks]
     diff = b - a
     return np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma)
 
@@ -505,23 +522,30 @@ def fit_em(values, k: int = _DEFAULT_K, cfg: EmConfig | None = None) -> GmmParam
     return _fit_sorted(np.sort(_as_values(values)), k, cfg)
 
 
+def _check_size(n: int, k: int) -> None:
+    """Refuse a fit of ``k`` components to ``n`` values: k below 1, or n below 10 k."""
+    if k < 1:
+        raise InputError(f"k must be >= 1, got {k}")
+    if n < 10 * k:
+        raise InsufficientDataError(f"need at least {10 * k} values, got {n}")
+
+
 def _fit_sorted(x: np.ndarray, k: int, cfg: EmConfig | None) -> GmmParams:
     """:func:`fit_em` on ``x``, finite float64 values sorted ascending.
 
-    Every per-value job reads ``x`` in place: the starting means by
-    index, the runs of equal values in one comparison pass, and then
-    either the distinct values with their counts or, above
-    ``_MAX_COLUMNS`` of them, the bins.
+    Every per-value job reads ``x`` in place: the runs of equal values
+    in one comparison pass, then either the distinct values with their
+    counts, fitted by :func:`_fit_counted`, or, above ``_MAX_COLUMNS``
+    of them, the starting means by index and the bins.
     """
-    cfg = cfg or EmConfig()
-    if k < 1:
-        raise InputError(f"k must be >= 1, got {k}")
-    n = x.size
-    if n < 10 * k:
-        raise InsufficientDataError(f"need at least {10 * k} values, got {n}")
-    ordered = x
     new = _run_starts(x)
     distinct = np.count_nonzero(new)
+    if distinct <= _MAX_COLUMNS:
+        starts = np.flatnonzero(new)
+        return _fit_counted(x[starts], np.diff(starts, append=x.size), k, cfg)
+    n = x.size
+    _check_size(n, k)
+    ordered = x
     # A common factor of the run lengths scales the log-likelihood and
     # nothing else; dividing it out keeps the fit of repeated values
     # bit-equal to that of the values, which extrapolation would not
@@ -529,16 +553,53 @@ def _fit_sorted(x: np.ndarray, k: int, cfg: EmConfig | None) -> GmmParams:
     scale_ll = 1
     if 2 * distinct <= n:
         scale_ll = int(np.gcd.reduce(np.diff(np.flatnonzero(new), append=n)))
-        x, new, n = x[::scale_ll], new[::scale_ll], n // scale_ll  # each value once per factor
+        x = x[::scale_ll]  # each value once per factor
+    with np.errstate(over="ignore", invalid="ignore"):  # the core refuses an overflow
+        columns = _bin_sorted(x)
+    return _fit_columns(*columns, scale_ll, lambda pct: _sorted_percentiles(ordered, pct), k, cfg)
+
+
+def _fit_counted(x: np.ndarray, counts: np.ndarray, k: int, cfg: EmConfig | None) -> GmmParams:
+    """:func:`fit_em` on ``np.repeat(x, counts)``, without building it when it can.
+
+    ``x`` holds finite float64 values in ascending order, repeats allowed
+    (a clip window sends many values to one), and ``counts`` their
+    positive integer counts. Runs of equal values are merged. Up to
+    ``_MAX_COLUMNS`` merged values are the columns themselves, and the
+    starting means are read off their running totals; above that,
+    ``np.repeat`` rebuilds the ascending values (a counting sort) for the
+    binned fit of :func:`_fit_sorted`. Either way the fit is that of
+    the repeated values, bit for bit.
+    """
+    n = int(counts.sum())
+    _check_size(n, k)
+    starts = np.flatnonzero(_run_starts(x))
+    if starts.size > _MAX_COLUMNS:
+        return _fit_sorted(np.repeat(x, counts), k, cfg)
+    x, counts = x[starts], np.add.reduceat(counts, starts)
+    cumulative = np.cumsum(counts)
+    scale_ll = 1  # the common factor of the counts, as in _fit_sorted
+    if 2 * x.size <= n:
+        scale_ll = int(np.gcd.reduce(counts))
+        counts = counts // scale_ll
+    return _fit_columns(x, counts.astype(np.float64), np.zeros(x.size), scale_ll,
+                        lambda pct: _sorted_percentiles(x, pct, cumulative), k, cfg)
+
+
+def _fit_columns(x, counts, within, scale_ll, percentiles, k: int,
+                 cfg: EmConfig | None) -> GmmParams:
+    """The EM core: fit ``k`` components to the columns ``x`` with ``counts``.
+
+    ``within`` holds each column's sum of squared deviations about it (0
+    for exact columns), ``scale_ll`` the common factor divided out of the
+    counts, and ``percentiles(pct)`` gives the data's percentiles, where
+    the starting means sit. See :func:`fit_em` for the fit.
+    """
+    cfg = cfg or EmConfig()
+    n = counts.sum()
     # Values near the float64 limit can overflow a sum or a square on the
     # way to the spread; a spread that is finite rules that out everywhere.
     with np.errstate(over="ignore", invalid="ignore"):
-        if distinct > _MAX_COLUMNS:
-            x, counts, within = _bin_sorted(x)
-        else:
-            starts = np.flatnonzero(new)
-            x, counts = x[starts], np.diff(starts, append=n).astype(np.float64)
-            within = np.zeros(x.size)
         centre = (counts * x).sum() / n
         centred = x - centre
         spread = (counts * centred * centred).sum() + within.sum()
@@ -547,7 +608,7 @@ def _fit_sorted(x: np.ndarray, k: int, cfg: EmConfig | None) -> GmmParams:
                                     square * centred, square * square))).T
     if not np.isfinite(spread):
         raise DegenerateIntensityError("the values' mean or spread overflows float64")
-    means = _sorted_percentiles(ordered, 100.0 * np.arange(1, k + 1) / (k + 1))
+    means = percentiles(100.0 * np.arange(1, k + 1) / (k + 1))
     variance = spread / n  # np.var(v), but order-free
     variances = np.full(k, max(float(variance) / (k * k), VARIANCE_FLOOR))
     sweep = _em_sweep(x, counts, centre, scale_ll)

@@ -5,7 +5,9 @@ interpolation between order statistics, and are always computed over
 the masked voxels only (background zeros would otherwise dominate the
 low percentile on skull-stripped images). The clip window is read off
 the sorted masked values by index, with the bits ``np.percentile``
-would give: :func:`fit_volume` sorts the values it fits in place, and
+would give: :func:`fit_volume` sorts the float values it fits in place,
+and reads the window of integer-stored values off their counts, the
+running totals of a histogram of the stored integers; and
 :func:`clip_normalize` sorts a copy.
 """
 
@@ -14,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateIntensityError, EmptyMaskError, InputError
-from .gmm import EmConfig, GmmParams, _fit_sorted, _sorted_percentiles
+from .gmm import EmConfig, GmmParams, _fit_counted, _fit_sorted, _sorted_percentiles
 from .volume import Volume
 
 # The default clip window, as (low, high) percentiles of the masked values.
@@ -28,8 +30,13 @@ def check_clip_window(lo_pct: float, hi_pct: float,
         raise error(f"need 0 <= lo_pct < hi_pct <= 100, got ({lo_pct}, {hi_pct})")
 
 
-def _clip_window(ordered: np.ndarray, lo_pct: float, hi_pct: float) -> tuple[float, float]:
+def _clip_window(ordered: np.ndarray, lo_pct: float, hi_pct: float,
+                 cumulative: np.ndarray | None = None) -> tuple[float, float]:
     """The raw window (p_low, p_high) of ascending masked values, as np.percentile gives it.
+
+    Given ``cumulative``, ``ordered`` holds the distinct values and
+    ``cumulative`` the running totals of their counts (see
+    :func:`gmmaug.gmm._sorted_percentiles`).
 
     A window whose width overflows float64 (values spanning more than
     about 1.8e308) cannot be mapped onto [0, 1] and raises
@@ -37,7 +44,7 @@ def _clip_window(ordered: np.ndarray, lo_pct: float, hi_pct: float) -> tuple[flo
     """
     check_clip_window(lo_pct, hi_pct)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        p_low, p_high = _sorted_percentiles(ordered, [lo_pct, hi_pct])
+        p_low, p_high = _sorted_percentiles(ordered, [lo_pct, hi_pct], cumulative)
         width = p_high - p_low
     if not np.isfinite(width):
         raise DegenerateIntensityError(
@@ -92,15 +99,29 @@ def fit_volume(
     lo_pct: float,
     hi_pct: float,
 ) -> tuple[tuple[float, float], GmmParams]:
-    """Clip-normalize and fit the masked float64 ``values``: (raw clip window, params).
+    """Clip-normalize and fit the masked ``values``: (raw clip window, params).
 
     ``fit``, ``stats`` and ``augment`` all fit through here, so the spreads
     a corpus yields and the fits they perturb come from one procedure.
-    The caller hands over ``values``, which are sorted and normalized in
-    place: the window is read off them by index, and normalizing keeps
-    them sorted, for the fit. ``_apply_window(vol.data[mask], window)``
-    gives the normalized values in voxel order.
+    ``values`` are float64, or the uint8 or int16 integers a file stores.
+    Float values are sorted and normalized in place: the window is read
+    off them by index, and normalizing keeps them sorted, for the fit.
+    Integer values are left as they are and counted with one
+    ``np.bincount``: the window is read off the running totals of the
+    counts, only the distinct values are normalized, and the fit runs on
+    them and their counts. Widening an integer to float64 is exact and
+    keeps the order, so both give the window and fit of the values
+    widened to float64, bit for bit, errors included.
+    ``_apply_window(vol.data[mask], window)`` gives the normalized
+    values in voxel order.
     """
+    if values.dtype.kind in "iu":
+        lo = int(values.min())
+        counts = np.bincount(np.subtract(values, lo, dtype=np.intp))
+        present = np.flatnonzero(counts)
+        distinct, counts = (present + lo).astype(np.float64), counts[present]
+        window = _clip_window(distinct, lo_pct, hi_pct, np.cumsum(counts))
+        return window, _fit_counted(_apply_window(distinct, window), counts, k, cfg)
     values.sort()
     window = _clip_window(values, lo_pct, hi_pct)
     return window, _fit_sorted(_apply_window(values, window), k, cfg)

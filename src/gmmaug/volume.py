@@ -9,12 +9,14 @@ matrices are ignored; only ``pixdim`` is kept as voxel spacing.
 One parser checks the header and the body's size and returns the body
 in its stored dtype; :func:`read_volume` decodes every voxel to float64
 from it. The fits of ``fit``, ``stats`` and ``augment`` need only the
-positive voxels, and their private reader masks the stored body and
-widens only the masked voxels when the file is unscaled or scaled by
-exactly 1 and 0, as this module writes: widening to float64 is exact
-and that scaling changes no positive value, so those values are
-``read_volume``'s bit for bit. Under any other scaling it decodes the
-whole body as ``read_volume`` does.
+positive voxels, and their private reader masks the stored body when
+the file is unscaled or scaled by exactly 1 and 0, as this module
+writes. It widens the masked voxels of a float body to float64 and
+hands those of a uint8 or int16 body over as stored, for the fit to
+count: widening to float64 is exact and that scaling changes no
+positive value, so those values are ``read_volume``'s bit for bit.
+Under any other scaling it decodes the whole body as ``read_volume``
+does.
 
 The writer always emits float32 little-endian with the data block at
 offset 352. Paths ending in ``.gz`` are compressed/decompressed
@@ -319,23 +321,26 @@ def _read_foreground(path):
     """(dims, spacing, mask, values) of the file at ``path``: its positive voxels.
 
     ``mask`` flags the voxels that ``foreground_mask(read_volume(path))``
-    flags, and ``values`` holds theirs in voxel order, a new float64
-    array, bit for bit. A file that is unscaled or scaled by exactly 1
-    and 0, as :func:`write_volume` writes, is masked on its stored body
-    and only the masked voxels are widened to float64: widening is exact
-    from every stored dtype and keeps the sign, and multiplying by 1 and
-    adding 0 change no positive value. A float body is still checked for
-    NaN and infinities over every voxel. A file under any other scaling
-    is decoded whole, as :func:`read_volume` decodes it, then masked.
-    Raises what :func:`read_volume` raises, and EmptyMaskError when no
-    voxel is positive.
+    flags, and ``values`` holds theirs in voxel order, a new array whose
+    values, widened to float64, are ``read_volume``'s bit for bit. A file
+    that is unscaled or scaled by exactly 1 and 0, as :func:`write_volume`
+    writes, is masked on its stored body: widening is exact from every
+    stored dtype and keeps the sign, and multiplying by 1 and adding 0
+    change no positive value. Its masked voxels keep their stored dtype
+    when it is uint8 or int16, and are widened to float64 when it is a
+    float; a float body is still checked for NaN and infinities over
+    every voxel. A file under any other scaling is decoded whole, as
+    :func:`read_volume` decodes it, then masked, as float64. Raises what
+    :func:`read_volume` raises, and EmptyMaskError when no voxel is
+    positive.
     """
     dims, spacing, stored, scaling = _parse_nifti(path)
     if scaling in (None, (1.0, 0.0)):
+        mask = stored > 0
+        values = stored[mask]
         if stored.dtype.kind == "f":  # integer bodies hold no NaN or infinity
             _check_finite(path, stored)
-        mask = stored > 0
-        values = stored[mask].astype(np.float64, copy=False)
+            values = values.astype(np.float64, copy=False)
     else:
         data = _decode(path, stored, scaling)
         mask = data > 0

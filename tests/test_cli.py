@@ -82,15 +82,17 @@ def unconverged_line(path, fit):
 
 @pytest.fixture()
 def fits(monkeypatch):
-    """One entry per call of the fit core made through the shared volume-fit path."""
+    """One entry per fit made through the shared volume-fit path, sorted or counted."""
     calls = []
-    real_fit = gmmaug.preprocess._fit_sorted
 
-    def counting_fit(*args, **kwargs):
-        calls.append(1)
-        return real_fit(*args, **kwargs)
+    def counting(real_fit):
+        def counting_fit(*args, **kwargs):
+            calls.append(1)
+            return real_fit(*args, **kwargs)
+        return counting_fit
 
-    monkeypatch.setattr(gmmaug.preprocess, "_fit_sorted", counting_fit)
+    for name in ("_fit_sorted", "_fit_counted"):
+        monkeypatch.setattr(gmmaug.preprocess, name, counting(getattr(gmmaug.preprocess, name)))
     return calls
 
 

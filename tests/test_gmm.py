@@ -310,6 +310,15 @@ class TestSortedInput:
         got = gmmaug.gmm._sorted_percentiles(np.sort(values), pct)
         assert got.tobytes() == np.percentile(values, pct).tobytes()
 
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(values=SAMPLES, pct=PERCENTILES)
+    def test_percentiles_from_cumulative_counts_are_numpys_bits(self, values, pct):
+        # the distinct values and the running totals of their counts, as
+        # integer-stored scans are counted
+        distinct, counts = np.unique(values, return_counts=True)
+        got = gmmaug.gmm._sorted_percentiles(distinct, pct, np.cumsum(counts))
+        assert got.tobytes() == np.percentile(values, pct).tobytes()
+
     def test_percentiles_of_one_value(self):
         got = gmmaug.gmm._sorted_percentiles(np.array([-0.0]), [0.0, 37.5, 100.0])
         assert got.tobytes() == np.percentile(np.array([-0.0]), [0.0, 37.5, 100.0]).tobytes()

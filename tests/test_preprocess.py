@@ -2,11 +2,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gmmaug.augment
 import gmmaug.gmm
 from gmmaug import (
     DegenerateIntensityError,
+    EmConfig,
     EmptyMaskError,
     InputError,
     LabelVolume,
@@ -17,6 +20,7 @@ from gmmaug import (
     fit_em,
     foreground_mask,
 )
+from gmmaug.errors import GmmAugError
 from gmmaug.preprocess import _apply_window, fit_volume
 
 
@@ -166,3 +170,68 @@ class TestFitVolume:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * values_bytes
+
+
+def fit_outcome(values, k, cfg, lo_pct, hi_pct):
+    """The window, fit and trajectory of ``fit_volume``, or its error's type and text."""
+    try:
+        window, params = fit_volume(values, k, cfg, lo_pct, hi_pct)
+    except GmmAugError as exc:
+        return type(exc), str(exc)
+    return np.array(window).tobytes(), params.dumps(), np.array(params.ll_trajectory).tobytes()
+
+
+def assert_routes_agree(values, k=3, cfg=None, lo_pct=1.0, hi_pct=99.0):
+    """Integer-typed ``values`` fit as their float64 widening does, and stay as they were."""
+    kept = values.copy()
+    counted = fit_outcome(values, k, cfg, lo_pct, hi_pct)
+    assert values.tobytes() == kept.tobytes()
+    assert counted == fit_outcome(values.astype(np.float64), k, cfg, lo_pct, hi_pct)
+    return counted
+
+
+@st.composite
+def integer_samples(draw):
+    """uint8 or int16 samples: narrow or wide ranges, tiny to large, counts with a factor."""
+    dtype = np.dtype(draw(st.sampled_from(("u1", "i2"))))
+    info = np.iinfo(dtype)
+    lo = draw(st.integers(int(info.min), int(info.max)))
+    hi = min(lo + draw(st.sampled_from((0, 1, 7, 300, 40_000, 40_000))), int(info.max))
+    size = draw(st.sampled_from((3, 29, 30, 31, 500, 6000, 6000)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.integers(lo, hi, size, endpoint=True).astype(dtype)
+    return np.repeat(values, draw(st.sampled_from((1, 1, 2, 3))))
+
+
+class TestIntegerRoute:
+    """Integer-stored values are counted, not widened and sorted, with the same fit."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(values=integer_samples(), k=st.sampled_from((1, 2, 3)),
+           max_iter=st.sampled_from((4, 100)),
+           window=st.sampled_from(((1.0, 99.0), (0.0, 100.0), (0.0, 37.5), (12.5, 100.0))))
+    def test_counted_fit_is_the_sorted_fit(self, values, k, max_iter, window):
+        assert_routes_agree(values, k, EmConfig(max_iter=max_iter), *window)
+
+    @pytest.mark.parametrize("case", ["wide", "constant", "too_few", "common_factor",
+                                      "whole_range", "phantom"])
+    def test_counted_fit_is_the_sorted_fit_on(self, case, default_phantom):
+        rng = np.random.Generator(np.random.Philox(25))
+        window = (1.0, 99.0)
+        if case == "wide":  # more than 4096 distinct normalized values: the binned fit
+            values = rng.integers(1, 30_000, 20_000).astype(np.int16)
+            assert np.unique(values).size > 2 * gmmaug.gmm._MAX_COLUMNS
+        elif case == "constant":  # a window of width 0 is refused before the size
+            values = np.full(12, 300, dtype=np.int16)
+        elif case == "too_few":
+            values = rng.integers(1, 255, 29).astype(np.uint8)
+        elif case == "common_factor":  # every count a multiple of 6
+            values = np.repeat(rng.integers(1, 90, 400).astype(np.uint8), 6)
+        elif case == "whole_range":
+            values, window = rng.integers(-5, 200, 3000).astype(np.int16), (0.0, 100.0)
+        else:  # integer intensities, as an int16 scan stores them
+            vol = default_phantom[0]
+            values = np.rint(vol.data[vol.data > 0] * 700.0).astype(np.int16)
+        counted = assert_routes_agree(values, 3, None, *window)
+        raised = {"constant": DegenerateIntensityError, "too_few": gmmaug.InsufficientDataError}
+        assert counted[0] is raised[case] if case in raised else isinstance(counted[0], bytes)

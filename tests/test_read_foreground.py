@@ -27,7 +27,12 @@ from gmmaug import (
     read_volume,
     save_stats,
 )
+import gmmaug.augment
+import gmmaug.gmm
+import gmmaug.preprocess
 from gmmaug.cli import main
+from gmmaug.gmm import EmConfig
+from gmmaug.preprocess import fit_volume
 from gmmaug.volume import _read_foreground
 
 from conftest import build_nifti_bytes
@@ -40,6 +45,7 @@ _CODES = {"u1": 2, "i2": 4, "f4": 16, "f8": 64}
 KINDS = {
     "uint8": ("u1", "<", 250.0, 0.0, 0.0, False),
     "int16_le": ("i2", "<", 700.0, 1.0, 0.0, False),
+    "int16_unscaled": ("i2", "<", 700.0, 0.0, 0.0, False),
     "int16_be": ("i2", ">", 700.0, 1.0, 0.0, False),
     "float32": ("f4", "<", 1.0, 1.0, 0.0, False),  # the layout write_volume writes
     "float64": ("f8", "<", 1.0, 0.0, 0.0, False),
@@ -86,8 +92,13 @@ def test_mask_and_values_are_read_volumes(tmp_path, kind):
     dims, spacing, got_mask, values = _read_foreground(path)
     assert (dims, spacing) == (vol.dims, vol.spacing)
     assert np.array_equal(got_mask, mask)
-    assert values.dtype == np.float64 and values.flags.writeable  # the fit sorts it in place
-    assert values.tobytes() == vol.data[mask].tobytes()
+    # an integer body under no scaling but 1 and 0 keeps its stored
+    # dtype, for the fit to count; other values are float64, which the
+    # fit sorts in place
+    dtype, _, _, slope, inter, _ = KINDS[kind]
+    stored = dtype in ("u1", "i2") and (slope, inter) in ((0.0, 0.0), (1.0, 0.0))
+    assert values.dtype.str[1:] == (dtype if stored else "f8") and values.flags.writeable
+    assert values.astype(np.float64).tobytes() == vol.data[mask].tobytes()
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -112,6 +123,37 @@ def test_draws_from_a_path_are_draws_from_its_volume(tmp_path, kind, options):
         assert out.data.tobytes() == ref.data.tobytes()
         assert (json.dumps(provenance_dict(pert, perturbed))
                 == json.dumps(provenance_dict(ref_pert, ref_perturbed)))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_fit_of_a_path_is_the_fit_of_its_volume(tmp_path, kind):
+    path = write_kind(tmp_path / file_name(kind, 5), kind, phantom_data(5))
+    assert main(["fit", str(path), "--out", str(tmp_path / "fit.json")]) == 0
+    vol = read_volume(path)
+    params = fit_volume(vol.data[foreground_mask(vol)], 3, EmConfig(), 1.0, 99.0)[1]
+    assert (tmp_path / "fit.json").read_text() == params.dumps() + "\n"
+
+
+def test_integer_file_is_counted_not_sorted(tmp_path, monkeypatch):
+    # an int16 phantom with at most 4096 distinct values: neither the fit
+    # nor the codes widen its values to float64 or sort them
+    path = write_kind(tmp_path / file_name("int16_le", 6), "int16_le", phantom_data(6))
+    assert np.unique(_read_foreground(path)[3]).size <= gmmaug.gmm._MAX_COLUMNS
+
+    def outputs(source):
+        draws = [(out.data.tobytes(), json.dumps(provenance_dict(pert, perturbed)))
+                 for out, pert, perturbed in augment_draws(source, STATS, (3, 4))]
+        return draws, estimate_population([source, source]).to_json_dict()
+
+    expected = outputs(read_volume(path))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the integer route sorted or widened its values")
+
+    monkeypatch.setattr(gmmaug.preprocess, "_fit_sorted", refuse)
+    monkeypatch.setattr(gmmaug.augment, "_stored_integers", refuse)
+    monkeypatch.setattr(gmmaug.gmm, "_fit_sorted", refuse)
+    assert outputs(path) == expected
 
 
 def test_no_positive_voxel_raises_empty_mask(tmp_path):
