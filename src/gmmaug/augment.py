@@ -60,10 +60,6 @@ _MAX_REDRAWS = 10_000
 _KNOT_INTERVALS = 4096
 _UNIT_KNOTS = np.linspace(0.0, 1.0, _KNOT_INTERVALS + 1)
 
-# Widest span (max - min) of integer-stored values whose integers are
-# the knots themselves.
-_MAX_INTEGER_SPAN = 2**16
-
 
 @dataclass(frozen=True)
 class Perturbation:
@@ -212,39 +208,22 @@ def remap(
     return Volume(vol.dims, vol.spacing, _fill(vol.data.copy(), mask, remapped, clip))
 
 
-def _stored_integers(values: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """(knots, index) for raw ``values`` stored as integers that span at most 2**16, else None.
-
-    ``knots`` are the integers from the smallest value to the largest,
-    and ``index`` the int32 position of each value among them, so
-    ``knots[index]`` is ``values`` bit for bit. Beyond 2**53 float64
-    steps over integers, so such values are never knots.
-    """
-    lo, hi = values.min(), values.max()
-    if (hi - lo > _MAX_INTEGER_SPAN or max(-lo, hi) >= 2.0**53
-            or not np.array_equal(values, np.rint(values))):
-        return None
-    return np.arange(lo, hi + 1.0), (values - lo).astype(np.int32)
-
-
 def _voxel_code(values: np.ndarray, window: tuple[float, float], params: GmmParams,
                 hard_assign: bool) -> tuple[np.ndarray | None, np.ndarray, np.ndarray | None, float]:
     """(knots, index, weight, reach) of raw foreground ``values``, which may be overwritten.
 
-    No knots under hard assignment, no weight for integer-stored values;
+    No knots under hard assignment, no weight for integer-typed values;
     ``reach`` is the largest weight magnitude, 0 without weights. The
     codes are laid out in :func:`augment_draws`. Integer-typed values,
-    uint8 or int16 as a file stores them, are coded straight from the
-    integers: the knots run from their minimum to their maximum.
+    as the reader hands over every foreground of integers (see
+    :func:`gmmaug.volume._as_integers`), are coded from the integers:
+    the knots run from their minimum to their maximum.
     """
     if values.dtype.kind in "iu":
-        lo = int(values.min())
-        stored = np.arange(lo, values.max() + 1.0), np.subtract(values, lo, dtype=np.int32)
-    else:
-        stored = _stored_integers(values)
-    if stored is not None:
-        knots, index = stored
-        return _apply_window(knots, window), index, None, 0.0
+        lo = int(values.min())  # the offsets from it are formed in a dtype that holds the values
+        index = np.subtract(values, lo, dtype=np.promote_types(values.dtype, np.int32))
+        knots = _apply_window(np.arange(lo, values.max() + 1.0), window)
+        return knots, index.astype(np.int32, copy=False), None, 0.0
     values = _apply_window(values, window)
     if hard_assign:
         index = _winners(gmm._component_log_prob(params.weights, params.means, params.variances,
@@ -305,9 +284,9 @@ def augment_draws(
     read for its positive voxels alone (see
     :func:`gmmaug.volume._read_foreground`), with the values of
     ``read_volume`` bit for bit, so either input yields the same draws.
-    Those of a uint8 or int16 file stay as stored: the fit counts them
-    (see :func:`gmmaug.preprocess.fit_volume`) and the codes are built
-    from the integers, with no float64 copy of the values and no sort.
+    A foreground of integers comes as integers: the fit counts them (see
+    :func:`gmmaug.preprocess.fit_volume`) and the codes are built from
+    the integers, with no float64 copy of the values and no sort.
     The volume must be skull-stripped (foreground derivable from
     positive intensities); normalization uses the percentiles recorded
     in ``stats``. Each draw is (remapped volume, perturbation, perturbed
@@ -319,13 +298,13 @@ def augment_draws(
     and an optional weight (:func:`_voxel_code`), and every draw reads
     it off two small tables (a, b) of the perturbation:
     ``a[index] + b[index] * weight``, or ``a[index]`` without a weight.
-    When every foreground value is stored as an integer and they span
-    at most 2**16, as in int16 scans, the index is the value's int32
-    position among those integers, there is no weight, and ``a`` is
-    the exact remap, soft or hard, on the integers (4 bytes). Otherwise
-    a soft draw's ``a`` is the exact remap at 4097 uniform knots on
-    [0, 1] and ``b`` its steps, and a voxel keeps its int32 interval
-    and float32 fraction (8 bytes; within 1e-7 of :func:`remap`).
+    When the foreground comes as integers, as from int16 scans, the
+    index is the value's int32 position among those integers, there is
+    no weight, and ``a`` is the exact remap, soft or hard, on the
+    integers (4 bytes). Otherwise a soft draw's ``a`` is the exact
+    remap at 4097 uniform knots on [0, 1] and ``b`` its steps, and a
+    voxel keeps its int32 interval and float32 fraction (8 bytes;
+    within 1e-7 of :func:`remap`).
     Under ``hard_assign`` (a, b) is (mu', sigma'), and a voxel keeps
     its uint8 component j and float64 offset D (9 bytes). The integer
     and hard codes equal :func:`remap` in float64.

@@ -78,7 +78,7 @@ values and the config, never on their order: every fit runs on the
 values in ascending order, held either as one sorted array or as the
 distinct values with their counts, and ends in one EM core,
 ``_fit_columns``. :func:`fit_em` sorts a copy of its input; the volume
-fit path sorts float values in place and counts integer-stored ones
+fit path sorts float values in place and counts integer-typed ones
 (see :func:`gmmaug.preprocess.fit_volume`). ``_fit_sorted`` finds the
 runs of equal values of a sorted array in one pass. Up to 4096 runs go
 on as distinct values and run lengths to ``_fit_counted``; more are

@@ -6,9 +6,9 @@ the masked voxels only (background zeros would otherwise dominate the
 low percentile on skull-stripped images). The clip window is read off
 the sorted masked values by index, with the bits ``np.percentile``
 would give: :func:`fit_volume` sorts the float values it fits in place,
-and reads the window of integer-stored values off their counts, the
-running totals of a histogram of the stored integers; and
-:func:`clip_normalize` sorts a copy.
+and reads the window of integer values off their counts, the running
+totals of a histogram of the integers; and :func:`clip_normalize`
+sorts a copy.
 """
 
 from __future__ import annotations
@@ -103,7 +103,8 @@ def fit_volume(
 
     ``fit``, ``stats`` and ``augment`` all fit through here, so the spreads
     a corpus yields and the fits they perturb come from one procedure.
-    ``values`` are float64, or the uint8 or int16 integers a file stores.
+    ``values`` are float64, or integers, as the reader hands over every
+    foreground of integers (see :func:`gmmaug.volume._as_integers`).
     Float values are sorted and normalized in place: the window is read
     off them by index, and normalizing keeps them sorted, for the fit.
     Integer values are left as they are and counted with one

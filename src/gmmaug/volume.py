@@ -1,22 +1,20 @@
 """In-memory 3-D volumes and single-file NIfTI-1 I/O.
 
 The reader handles the plain ``.nii`` single-file layout: 348-byte
-header, magic ``n+1\\0``, datatypes uint8/int16/float32/float64, up to
-three spatial dims, either endianness (detected via ``sizeof_hdr``).
-Extension blocks are skipped by honouring ``vox_offset``. Orientation
-matrices are ignored; only ``pixdim`` is kept as voxel spacing.
+header, magic ``n+1\\0``, datatypes uint8/int8/int16/uint16/float32/
+float64, up to three spatial dims, either endianness (detected via
+``sizeof_hdr``). Extension blocks are skipped by honouring
+``vox_offset``. Orientation matrices are ignored; only ``pixdim`` is
+kept as voxel spacing.
 
 One parser checks the header and the body's size and returns the body
 in its stored dtype; :func:`read_volume` decodes every voxel to float64
 from it. The fits of ``fit``, ``stats`` and ``augment`` need only the
-positive voxels, and their private reader masks the stored body when
-the file is unscaled or scaled by exactly 1 and 0, as this module
-writes. It widens the masked voxels of a float body to float64 and
-hands those of a uint8 or int16 body over as stored, for the fit to
-count: widening to float64 is exact and that scaling changes no
-positive value, so those values are ``read_volume``'s bit for bit.
-Under any other scaling it decodes the whole body as ``read_volume``
-does.
+foreground; their private reader masks the stored body when the file
+is unscaled or scaled by exactly 1 and 0, as this module writes, and
+else decodes it whole. :func:`_as_integers` then decides once per
+volume whether the foreground is integers, for the fit to count and
+the draws to code on, or float64 values.
 
 The writer always emits float32 little-endian with the data block at
 offset 352. Paths ending in ``.gz`` are compressed/decompressed
@@ -54,7 +52,11 @@ MAX_SPACING = float(np.finfo(np.float32).max)  # and each pixdim as a float32
 _INT32_MAX = int(np.iinfo(np.int32).max)  # labels are stored as int32
 
 # NIfTI-1 datatype code -> numpy dtype character (without byte order)
-_DTYPE_CODES = {2: "u1", 4: "i2", 16: "f4", 64: "f8"}
+_DTYPE_CODES = {2: "u1", 4: "i2", 16: "f4", 64: "f8", 256: "i1", 512: "u2"}
+
+# Foreground integers within this span (max - min) are handed over as
+# integers; float values are checked this many at a time.
+_MAX_INTEGER_SPAN, _CHECK_BLOCK = 2**16, 8192
 
 
 def _is_number(value, kind=numbers.Real) -> bool:
@@ -306,8 +308,8 @@ def read_volume(path) -> Volume:
 
     Raises:
         NotNiftiError: bad sizeof_hdr or magic.
-        UnsupportedDatatypeError: datatype outside {2, 4, 16, 64} or
-            more than three spatial dims.
+        UnsupportedDatatypeError: datatype outside {2, 4, 16, 64, 256,
+            512} or more than three spatial dims.
         CorruptFileError: a damaged gzip stream, truncated header/body,
             a non-finite or header-overlapping ``vox_offset``, a
             non-finite ``scl_inter`` under a valid slope, or non-finite
@@ -317,22 +319,40 @@ def read_volume(path) -> Volume:
     return _finite_volume(dims, spacing, _decode(path, stored, scaling))
 
 
+def _as_integers(values: np.ndarray) -> np.ndarray:
+    """Foreground ``values`` as integers if they are integers within 2**16, else as float64.
+
+    Integer-typed values (a uint8, int8, int16 or uint16 body) span at
+    most 2**16 and come back as they are. Float values come back as
+    int32, or int64 beyond its range, if all are integers, span at most
+    2**16 and stay below 2**53 in magnitude, where float64 holds every
+    integer. The check stops at the first block holding a non-integer,
+    so a continuous foreground pays for one block.
+    """
+    if values.dtype.kind in "iu":
+        return values
+    blocks = (values[i:i + _CHECK_BLOCK] for i in range(0, values.size, _CHECK_BLOCK))
+    if all(np.array_equal(block, np.rint(block)) for block in blocks):
+        lo, hi = float(values.min()), float(values.max())
+        if hi - lo <= _MAX_INTEGER_SPAN and max(-lo, hi) < 2.0**53:
+            return values.astype(np.int32 if max(-lo, hi) < 2**31 else np.int64)
+    return values.astype(np.float64, copy=False)
+
+
 def _read_foreground(path):
     """(dims, spacing, mask, values) of the file at ``path``: its positive voxels.
 
     ``mask`` flags the voxels that ``foreground_mask(read_volume(path))``
-    flags, and ``values`` holds theirs in voxel order, a new array whose
-    values, widened to float64, are ``read_volume``'s bit for bit. A file
-    that is unscaled or scaled by exactly 1 and 0, as :func:`write_volume`
-    writes, is masked on its stored body: widening is exact from every
-    stored dtype and keeps the sign, and multiplying by 1 and adding 0
-    change no positive value. Its masked voxels keep their stored dtype
-    when it is uint8 or int16, and are widened to float64 when it is a
-    float; a float body is still checked for NaN and infinities over
-    every voxel. A file under any other scaling is decoded whole, as
-    :func:`read_volume` decodes it, then masked, as float64. Raises what
-    :func:`read_volume` raises, and EmptyMaskError when no voxel is
-    positive.
+    flags, and ``values`` holds theirs in voxel order through
+    :func:`_as_integers`, a new array whose values, widened to float64,
+    are ``read_volume``'s bit for bit. A file unscaled or scaled by
+    exactly 1 and 0, as :func:`write_volume` writes, is masked on its
+    stored body: widening is exact from every stored dtype and keeps the
+    sign, and multiplying by 1 and adding 0 change no positive value; a
+    float body is still checked for NaN and infinities over every voxel.
+    Under any other scaling the file is decoded whole, then masked.
+    Raises what :func:`read_volume` raises, and EmptyMaskError when no
+    voxel is positive.
     """
     dims, spacing, stored, scaling = _parse_nifti(path)
     if scaling in (None, (1.0, 0.0)):
@@ -340,14 +360,13 @@ def _read_foreground(path):
         values = stored[mask]
         if stored.dtype.kind == "f":  # integer bodies hold no NaN or infinity
             _check_finite(path, stored)
-            values = values.astype(np.float64, copy=False)
     else:
         data = _decode(path, stored, scaling)
         mask = data > 0
         values = data[mask]
     if not values.size:
         raise EmptyMaskError("mask selects no voxels")
-    return dims, spacing, mask, values
+    return dims, spacing, mask, _as_integers(values)
 
 
 def _foreground(source):
@@ -357,7 +376,7 @@ def _foreground(source):
     """
     if isinstance(source, Volume):
         mask = foreground_mask(source)
-        return source.dims, source.spacing, mask, source.data[mask]
+        return source.dims, source.spacing, mask, _as_integers(source.data[mask])
     return _read_foreground(source)
 
 

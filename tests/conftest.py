@@ -27,7 +27,7 @@ def build_nifti_bytes(
     package's writer, so reader tests have a second opinion on the
     format.
     """
-    bitpix = {2: 8, 4: 16, 16: 32, 64: 64, 8: 32}.get(datatype, 0)
+    bitpix = {2: 8, 4: 16, 16: 32, 64: 64, 8: 32, 256: 8, 512: 16}.get(datatype, 0)
     hdr = bytearray(348)
     struct.pack_into(byteorder + "i", hdr, 0, sizeof_hdr)
     dim8 = [ndim] + list(dims) + [1] * (7 - len(dims))

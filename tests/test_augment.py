@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import gmmaug.augment
+import gmmaug.volume
 from gmmaug import (
     VARIANCE_FLOOR,
     GmmParams,
@@ -31,7 +32,9 @@ from gmmaug import (
     sample_perturbation,
     write_volume,
 )
-from gmmaug.augment import _MAX_INTEGER_SPAN, _remapped, _stored_integers, _winners
+from gmmaug.augment import _remapped, _voxel_code, _winners
+from gmmaug.preprocess import _apply_window
+from gmmaug.volume import _MAX_INTEGER_SPAN, _as_integers
 from gmmaug.phantom import generate_phantom
 
 
@@ -556,11 +559,44 @@ class TestAugmentDraws:
                                        clip=clip):
             assert np.isfinite(out.data).all()
 
-    def test_stored_integers_become_knots_within_their_span(self):
+    @pytest.mark.parametrize("hard_assign", [False, True], ids=["soft", "hard"])
+    def test_integers_within_their_span_become_knots(self, hard_assign):
+        # the reader's one decision: values that are all integers, span
+        # at most 2**16 and stay below 2**53 come as integers, whose knots
+        # read at each voxel's index give the normalized values back
         values = np.array([3.0, 3.0 + _MAX_INTEGER_SPAN, 7.0])
-        knots, index = _stored_integers(values)
-        assert index.dtype == np.int32 and knots.size == _MAX_INTEGER_SPAN + 1
-        assert np.array_equal(knots[index], values)
-        assert _stored_integers(values + np.array([0.0, 1.0, 0.0])) is None  # too wide
-        assert _stored_integers(values + np.array([0.0, 0.0, 0.5])) is None  # not integers
-        assert _stored_integers(values + 2.0**60) is None  # float64 skips integers there
+        for integral in (values, values + 2.0**40, values - 2.0**40, values - 20.0,
+                         values.astype(np.float32)):
+            integers = _as_integers(integral)
+            wide = np.abs(integral).max() >= 2**31  # beyond int32
+            assert integers.dtype == (np.int64 if wide else np.int32)
+            assert np.array_equal(integers, integral)
+            window = (float(integral.min()), float(integral.max()))
+            knots, index, weight, reach = _voxel_code(integers, window, FAR_PARAMS, hard_assign)
+            assert index.dtype == np.int32 and knots.size == _MAX_INTEGER_SPAN + 1
+            assert weight is None and reach == 0.0
+            normalized = _apply_window(integral.astype(np.float64), window)
+            assert knots[index].tobytes() == normalized.tobytes()
+        for stored in ("u1", "i1", "i2", "u2"):  # as a file stores them: their span fits
+            integers = np.array([0, 1, 100], dtype=stored)
+            assert _as_integers(integers) is integers
+        for floats in (values + np.array([0.0, 1.0, 0.0]),  # too wide
+                       values + np.array([0.0, 0.0, 0.5]),  # not integers
+                       np.array([0.5, 1.5, 2.0], dtype=np.float32),
+                       values + 2.0**53, values - 2.0**60):  # float64 skips integers there
+            decided = _as_integers(floats)
+            assert decided.dtype == np.float64
+            assert decided.tobytes() == floats.astype(np.float64).tobytes()
+
+    def test_a_continuous_foreground_is_checked_on_one_block(self, monkeypatch):
+        values = np.linspace(0.1, 2.0, 10 * gmmaug.volume._CHECK_BLOCK)
+        checked = []
+        rint = np.rint
+
+        def spy(x, *args, **kwargs):
+            checked.append(np.size(x))
+            return rint(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "rint", spy)
+        assert _as_integers(values) is values
+        assert checked == [gmmaug.volume._CHECK_BLOCK]

@@ -217,6 +217,11 @@ def _assert_contract(argv, max_volume_lines=0):
 @example(command=("fit", {"--mask": True}), mutation=("float64", -1.7e308, 1.7e308, 0.0))
 # scl_slope overflows float64 on read
 @example(command=("hist", {}), mutation=("float64", 0.0, 1e300, 1e10))
+# the float32 body read as int8 or uint16 integers (datatype 256, 512)
+@example(command=("stats", {}), mutation=(70, "<h", 256))
+@example(command=("augment", {"--seed": 0, "--hard-assign": True}), mutation=(70, "<h", 256))
+@example(command=("fit", {"--mask": True}), mutation=(70, "<h", 512))
+@example(command=("augment", {"--seed": 0, "--n": 2}), mutation=(70, "<h", 512))
 def test_cli_exit_codes_and_streams(inputs, command, mutation):
     name, options = command
     with tempfile.TemporaryDirectory(dir=inputs) as work:

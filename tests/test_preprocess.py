@@ -136,7 +136,7 @@ class TestFitVolume:
             voxel_code = gmmaug.augment._voxel_code
 
             def spy(values, window, params, hard_assign):
-                normalized = _apply_window(values.copy(), window)
+                normalized = _apply_window(values.astype(np.float64), window)
                 code = voxel_code(values, window, params, hard_assign)
                 knots, index = code[:2]
                 uniform = knots is gmmaug.augment._UNIT_KNOTS

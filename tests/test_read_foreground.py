@@ -19,17 +19,23 @@ from gmmaug import (
     EmptyMaskError,
     PhantomSpec,
     PopulationStats,
+    Volume,
     augment_draws,
+    clip_normalize,
     estimate_population,
     foreground_mask,
     generate_phantom,
     provenance_dict,
     read_volume,
+    remap,
     save_stats,
+    write_label_volume,
 )
 import gmmaug.augment
+import gmmaug.cli
 import gmmaug.gmm
 import gmmaug.preprocess
+import gmmaug.volume
 from gmmaug.cli import main
 from gmmaug.gmm import EmConfig
 from gmmaug.preprocess import fit_volume
@@ -38,7 +44,7 @@ from gmmaug.volume import _read_foreground
 from conftest import build_nifti_bytes
 
 DIMS = (24, 24, 24)
-_CODES = {"u1": 2, "i2": 4, "f4": 16, "f8": 64}
+_CODES = {"u1": 2, "i2": 4, "f4": 16, "f8": 64, "i1": 256, "u2": 512}
 
 # name: (stored dtype, byte order, scale applied to the phantom before storing,
 #        scl_slope, scl_inter, gzip)
@@ -54,6 +60,9 @@ KINDS = {
     "nan_slope": ("f4", "<", 1.0, float("nan"), 0.0, False),
     "scaled": ("i2", "<", 350.0, 2.0, -5.0, False),
     "negative_slope": ("i2", "<", -350.0, -2.0, 0.0, False),
+    "uint16": ("u2", "<", 700.0, 0.0, 0.0, False),
+    "uint16_be": ("u2", ">", 700.0, 1.0, 0.0, False),
+    "int8": ("i1", "<", 120.0, 1.0, 0.0, False),
 }
 
 STATS = PopulationStats(k=3, mu_mean=(0.2, 0.5, 0.8), mu_std=(0.03, 0.06, 0.08),
@@ -71,9 +80,10 @@ def phantom_data(seed):
 
 def write_kind(path, kind, data):
     dtype, order, scale, slope, inter, gz = KINDS[kind]
-    stored = np.rint(data * scale) if dtype in ("u1", "i2") else data * scale
-    if dtype == "u1":
-        stored = np.clip(stored, 0, 255)
+    stored = data * scale
+    if dtype[0] in "iu":  # integers within the dtype's range
+        info = np.iinfo(dtype)
+        stored = np.clip(np.rint(stored), info.min, info.max)
     raw = build_nifti_bytes(DIMS, stored.astype(order + dtype).tobytes(), _CODES[dtype],
                             byteorder=order, scl_slope=slope, scl_inter=inter)
     path.write_bytes(gzip.compress(raw, mtime=0) if gz else raw)
@@ -92,12 +102,14 @@ def test_mask_and_values_are_read_volumes(tmp_path, kind):
     dims, spacing, got_mask, values = _read_foreground(path)
     assert (dims, spacing) == (vol.dims, vol.spacing)
     assert np.array_equal(got_mask, mask)
-    # an integer body under no scaling but 1 and 0 keeps its stored
-    # dtype, for the fit to count; other values are float64, which the
-    # fit sorts in place
+    # integral values come as integers, for the fit to count: an integer
+    # body under no scaling but 1 and 0 in its stored dtype, others as
+    # int32; other values are float64, which the fit sorts in place
     dtype, _, _, slope, inter, _ = KINDS[kind]
-    stored = dtype in ("u1", "i2") and (slope, inter) in ((0.0, 0.0), (1.0, 0.0))
-    assert values.dtype.str[1:] == (dtype if stored else "f8") and values.flags.writeable
+    stored = dtype[0] in "iu" and (slope, inter) in ((0.0, 0.0), (1.0, 0.0))
+    integral = np.array_equal(vol.data[mask], np.rint(vol.data[mask]))
+    assert values.dtype.str[1:] == (dtype if stored else "i4" if integral else "f8")
+    assert values.flags.writeable
     assert values.astype(np.float64).tobytes() == vol.data[mask].tobytes()
 
 
@@ -135,25 +147,68 @@ def test_fit_of_a_path_is_the_fit_of_its_volume(tmp_path, kind):
 
 
 def test_integer_file_is_counted_not_sorted(tmp_path, monkeypatch):
-    # an int16 phantom with at most 4096 distinct values: neither the fit
-    # nor the codes widen its values to float64 or sort them
-    path = write_kind(tmp_path / file_name("int16_le", 6), "int16_le", phantom_data(6))
-    assert np.unique(_read_foreground(path)[3]).size <= gmmaug.gmm._MAX_COLUMNS
+    # integer foregrounds on every route to the fit: files stored as
+    # int16, under scl_slope 2 or -2, or as float32, a Volume, and an
+    # int16 file under --mask. With at most 4096 distinct values neither
+    # the fit nor the codes sort them, and the reader decides once per
+    # volume that they are integers. Fits, stats and sidecars are those
+    # of the float64 route, and draws its exact remap
+    data = phantom_data(6)
+    sources = {kind: write_kind(tmp_path / file_name(kind, 6), kind, data)
+               for kind in ("int16_le", "scaled", "negative_slope")}
+    sources["float32"] = tmp_path / "float32_integers.nii"
+    sources["float32"].write_bytes(build_nifti_bytes(
+        DIMS, np.rint(data * 700.0).astype("<f4").tobytes(), 16, scl_slope=1.0))
+    sources["volume"] = read_volume(sources["float32"])
+    assert np.unique(_read_foreground(sources["int16_le"])[3]).size <= gmmaug.gmm._MAX_COLUMNS
+    labels = tmp_path / "labels.nii"
+    write_label_volume(generate_phantom(PhantomSpec(dims=DIMS, seed=6))[1], labels)
 
-    def outputs(source):
-        draws = [(out.data.tobytes(), json.dumps(provenance_dict(pert, perturbed)))
-                 for out, pert, perturbed in augment_draws(source, STATS, (3, 4))]
+    def outputs(source, exact=False):
+        vol = source if isinstance(source, Volume) else read_volume(source)
+        mask = foreground_mask(vol)
+        normalized = clip_normalize(vol, mask, STATS.clip_lo_pct, STATS.clip_hi_pct)
+        draws = []
+        for out, pert, perturbed in augment_draws(source, STATS, (3, 4)):
+            data = remap(normalized, mask, perturbed).data if exact else out.data
+            draws.append((data.tobytes(), json.dumps(provenance_dict(pert, perturbed))))
         return draws, estimate_population([source, source]).to_json_dict()
 
-    expected = outputs(read_volume(path))
+    def fit_masked():
+        out = tmp_path / "fit.json"
+        assert main(["fit", str(sources["int16_le"]), "--mask", str(labels),
+                     "--out", str(out)]) == 0
+        return out.read_text()
+
+    as_integers = gmmaug.volume._as_integers
+    with monkeypatch.context() as widened:  # every foreground as float64: sorted
+        for module in (gmmaug.volume, gmmaug.cli):
+            widened.setattr(module, "_as_integers", lambda values: values.astype(np.float64))
+        expected = {name: outputs(source, exact=True) for name, source in sources.items()}
+        expected_masked = fit_masked()
+
+    decided = []
+
+    def spy(values):
+        integers = as_integers(values)
+        decided.append(integers.dtype.kind)
+        return integers
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the integer route sorted or widened its values")
+        raise AssertionError("the integer route sorted its values")
 
+    for module in (gmmaug.volume, gmmaug.cli):
+        monkeypatch.setattr(module, "_as_integers", spy)
     monkeypatch.setattr(gmmaug.preprocess, "_fit_sorted", refuse)
-    monkeypatch.setattr(gmmaug.augment, "_stored_integers", refuse)
     monkeypatch.setattr(gmmaug.gmm, "_fit_sorted", refuse)
-    assert outputs(path) == expected
+    for name, source in sources.items():
+        decided.clear()
+        assert outputs(source) == expected[name], name
+        # one decision per volume: the draws' and the two of the corpus
+        assert len(decided) == 3 and set(decided) <= set("iu"), (name, decided)
+    decided.clear()
+    assert fit_masked() == expected_masked
+    assert len(decided) == 1 and set(decided) <= set("iu")
 
 
 def test_no_positive_voxel_raises_empty_mask(tmp_path):

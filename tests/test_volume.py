@@ -72,6 +72,17 @@ class TestReadVolume:
         raw64 = build_nifti_bytes((2, 1, 1), struct.pack("<2d", 0.25, -1.5), datatype=64)
         assert np.array_equal(read_volume(write_file(tmp_path, raw64, "f8.nii")).data, [0.25, -1.5])
 
+    @pytest.mark.parametrize("byteorder", ["<", ">"])
+    @pytest.mark.parametrize("datatype, fmt, values", [
+        (256, "b", [-128, -1, 0, 1, 127]),  # int8
+        (512, "H", [0, 1, 255, 256, 65535]),  # uint16
+    ], ids=["int8", "uint16"])
+    def test_int8_and_uint16_datatypes(self, tmp_path, byteorder, datatype, fmt, values):
+        body = struct.pack(f"{byteorder}5{fmt}", *values)
+        raw = build_nifti_bytes((5, 1, 1), body, datatype=datatype, byteorder=byteorder)
+        vol = read_volume(write_file(tmp_path, raw))
+        assert np.array_equal(vol.data, values) and vol.data.dtype == np.float64
+
     def test_vox_offset_skips_extension(self, tmp_path):
         body = struct.pack("<2f", 3.5, 4.5)
         raw = build_nifti_bytes((2, 1, 1), body, datatype=16, vox_offset=368)
