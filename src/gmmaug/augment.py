@@ -208,22 +208,19 @@ def remap(
     return Volume(vol.dims, vol.spacing, _fill(vol.data.copy(), mask, remapped, clip))
 
 
-def _voxel_code(values: np.ndarray, window: tuple[float, float], params: GmmParams,
+def _voxel_code(values, window: tuple[float, float], params: GmmParams,
                 hard_assign: bool) -> tuple[np.ndarray | None, np.ndarray, np.ndarray | None, float]:
     """(knots, index, weight, reach) of raw foreground ``values``, which may be overwritten.
 
-    No knots under hard assignment, no weight for integer-typed values;
-    ``reach`` is the largest weight magnitude, 0 without weights. The
-    codes are laid out in :func:`augment_draws`. Integer-typed values,
-    as the reader hands over every foreground of integers (see
-    :func:`gmmaug.volume._as_integers`), are coded from the integers:
-    the knots run from their minimum to their maximum.
+    No knots under hard assignment, no weight for integers; ``reach`` is
+    the largest weight magnitude, 0 without weights. The codes are laid
+    out in :func:`augment_draws`. A foreground of integers comes from
+    the reader as (knots, index) (see :func:`gmmaug.volume._as_integers`),
+    and its code is those knots, normalized, and that index.
     """
-    if values.dtype.kind in "iu":
-        lo = int(values.min())  # the offsets from it are formed in a dtype that holds the values
-        index = np.subtract(values, lo, dtype=np.promote_types(values.dtype, np.int32))
-        knots = _apply_window(np.arange(lo, values.max() + 1.0), window)
-        return knots, index.astype(np.int32, copy=False), None, 0.0
+    if isinstance(values, tuple):
+        knots, index = values
+        return _apply_window(knots, window), index, None, 0.0
     values = _apply_window(values, window)
     if hard_assign:
         index = _winners(gmm._component_log_prob(params.weights, params.means, params.variances,
@@ -282,11 +279,13 @@ def augment_draws(
 
     ``vol`` is a :class:`Volume` or the path of a volume file. A path is
     read for its positive voxels alone (see
-    :func:`gmmaug.volume._read_foreground`), with the values of
+    :func:`gmmaug.volume._foreground`), with the values of
     ``read_volume`` bit for bit, so either input yields the same draws.
-    A foreground of integers comes as integers: the fit counts them (see
-    :func:`gmmaug.preprocess.fit_volume`) and the codes are built from
-    the integers, with no float64 copy of the values and no sort.
+    A foreground of integers comes as float64 knots, the integers from
+    its minimum to its maximum, and each voxel's int32 index among them:
+    the fit counts the index (see :func:`gmmaug.preprocess.fit_volume`)
+    and the code is that index, with no float64 copy of the values and
+    no sort.
     The volume must be skull-stripped (foreground derivable from
     positive intensities); normalization uses the percentiles recorded
     in ``stats``. Each draw is (remapped volume, perturbation, perturbed
@@ -299,12 +298,11 @@ def augment_draws(
     it off two small tables (a, b) of the perturbation:
     ``a[index] + b[index] * weight``, or ``a[index]`` without a weight.
     When the foreground comes as integers, as from int16 scans, the
-    index is the value's int32 position among those integers, there is
-    no weight, and ``a`` is the exact remap, soft or hard, on the
-    integers (4 bytes). Otherwise a soft draw's ``a`` is the exact
-    remap at 4097 uniform knots on [0, 1] and ``b`` its steps, and a
-    voxel keeps its int32 interval and float32 fraction (8 bytes;
-    within 1e-7 of :func:`remap`).
+    index is the reader's, there is no weight, and ``a`` is the exact
+    remap, soft or hard, on the integer knots (4 bytes). Otherwise a
+    soft draw's ``a`` is the exact remap at 4097 uniform knots on
+    [0, 1] and ``b`` its steps, and a voxel keeps its int32 interval
+    and float32 fraction (8 bytes; within 1e-7 of :func:`remap`).
     Under ``hard_assign`` (a, b) is (mu', sigma'), and a voxel keeps
     its uint8 component j and float64 offset D (9 bytes). The integer
     and hard codes equal :func:`remap` in float64.
@@ -322,8 +320,8 @@ def augment_draws(
     """
     dims, spacing, mask, values = _foreground(vol)
     del vol
-    # the fit sorts float values in place and leaves integer-typed ones as they are
-    window, params = fit_volume(values.copy() if values.dtype.kind == "f" else values, stats.k,
+    # the fit sorts float values in place and leaves knots and index as they are
+    window, params = fit_volume(values if isinstance(values, tuple) else values.copy(), stats.k,
                                 cfg, stats.clip_lo_pct, stats.clip_hi_pct)
     code = _voxel_code(values, window, params, hard_assign)
     del values

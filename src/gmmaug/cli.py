@@ -27,8 +27,7 @@ from .phantom import PhantomSpec, generate_phantom
 from .population import estimate_population, load_stats, report_fit, save_stats
 from .preprocess import _CLIP_PCT, fit_volume
 from .volume import (
-    _as_integers,
-    _read_foreground,
+    _foreground,
     foreground_mask,
     read_label_volume,
     read_volume,
@@ -64,11 +63,8 @@ def _print_config(args) -> None:
 
 
 def cmd_fit(args) -> int:
-    if args.mask:
-        vol = read_volume(args.input)
-        values = _as_integers(vol.data[foreground_mask(vol, read_label_volume(args.mask))])
-    else:
-        values = _read_foreground(args.input)[3]
+    labels = read_label_volume(args.mask) if args.mask else None
+    values = _foreground(args.input, labels)[3]
     params = fit_volume(values, args.k, _em_config(args), args.clip_lo, args.clip_hi)[1]
     Path(args.out).write_text(params.dumps() + "\n")
     report_fit(args.input, params)

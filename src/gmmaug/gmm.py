@@ -149,8 +149,9 @@ class EmConfig:
     max_iter: int = 500
 
     def __post_init__(self):
-        if not 0 < self.tol < math.inf or self.max_iter < 1:
-            raise InputError(f"tol must be finite and > 0 and max_iter >= 1, "
+        if not (_is_number(self.tol) and self.tol > 0
+                and _is_number(self.max_iter, numbers.Integral) and self.max_iter >= 1):
+            raise InputError(f"tol must be a finite real > 0 and max_iter an integer >= 1, "
                              f"got tol {self.tol} max_iter {self.max_iter}")
 
 

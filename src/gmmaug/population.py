@@ -45,6 +45,8 @@ class PopulationStats:
     clip_hi_pct: float = _CLIP_PCT[1]
 
     def __post_init__(self):
+        if self.k < 1:
+            raise InvalidStatsError(f"k must be >= 1, got {self.k}")
         names = ("mu_mean", "mu_std", "var_mean", "var_std")
         arrays = dict(zip(names, _flat_float64(self, *names)))
         for name, arr in arrays.items():
@@ -152,8 +154,9 @@ def estimate_population(
 
     Each item of ``volumes`` is a ``Volume`` or a path, read in its turn.
     A path is read for its positive voxels alone, the only ones fitted
-    (see :func:`gmmaug.volume._read_foreground`); the values are those
-    of ``read_volume`` bit for bit, so either item gives the same fit.
+    (see :func:`gmmaug.volume._foreground`); the values are those of
+    ``read_volume`` bit for bit, and a foreground of integers comes as
+    knots and an index into them, so either item gives the same fit.
     An item whose read, preprocessing or fit fails is skipped with a
     warning on this module's logger, ``skipping <name>: <Error>:
     <message>``, naming its path or else its position (``volume 1``).

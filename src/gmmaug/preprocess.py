@@ -7,8 +7,8 @@ low percentile on skull-stripped images). The clip window is read off
 the sorted masked values by index, with the bits ``np.percentile``
 would give: :func:`fit_volume` sorts the float values it fits in place,
 and reads the window of integer values off their counts, the running
-totals of a histogram of the integers; and :func:`clip_normalize`
-sorts a copy.
+totals of a histogram of their index among the integer knots; and
+:func:`clip_normalize` sorts a copy.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ def clip_normalize(
 
 
 def fit_volume(
-    values: np.ndarray,
+    values: np.ndarray | tuple[np.ndarray, np.ndarray],
     k: int,
     cfg: EmConfig | None,
     lo_pct: float,
@@ -103,24 +103,23 @@ def fit_volume(
 
     ``fit``, ``stats`` and ``augment`` all fit through here, so the spreads
     a corpus yields and the fits they perturb come from one procedure.
-    ``values`` are float64, or integers, as the reader hands over every
-    foreground of integers (see :func:`gmmaug.volume._as_integers`).
+    ``values`` are float64, or (knots, index), as the reader hands over
+    every foreground of integers (see :func:`gmmaug.volume._as_integers`).
     Float values are sorted and normalized in place: the window is read
     off them by index, and normalizing keeps them sorted, for the fit.
-    Integer values are left as they are and counted with one
-    ``np.bincount``: the window is read off the running totals of the
-    counts, only the distinct values are normalized, and the fit runs on
-    them and their counts. Widening an integer to float64 is exact and
-    keeps the order, so both give the window and fit of the values
+    Knots and index are left as they are, and the index is counted with
+    one ``np.bincount``: the window is read off the running totals of
+    the counts, only the knots present are normalized, and the fit runs
+    on them and their counts. Both give the window and fit of the values
     widened to float64, bit for bit, errors included.
     ``_apply_window(vol.data[mask], window)`` gives the normalized
     values in voxel order.
     """
-    if values.dtype.kind in "iu":
-        lo = int(values.min())
-        counts = np.bincount(np.subtract(values, lo, dtype=np.intp))
+    if isinstance(values, tuple):
+        knots, index = values
+        counts = np.bincount(index)
         present = np.flatnonzero(counts)
-        distinct, counts = (present + lo).astype(np.float64), counts[present]
+        distinct, counts = knots[present], counts[present]
         window = _clip_window(distinct, lo_pct, hi_pct, np.cumsum(counts))
         return window, _fit_counted(_apply_window(distinct, window), counts, k, cfg)
     values.sort()

@@ -10,11 +10,13 @@ kept as voxel spacing.
 One parser checks the header and the body's size and returns the body
 in its stored dtype; :func:`read_volume` decodes every voxel to float64
 from it. The fits of ``fit``, ``stats`` and ``augment`` need only the
-foreground; their private reader masks the stored body when the file
-is unscaled or scaled by exactly 1 and 0, as this module writes, and
-else decodes it whole. :func:`_as_integers` then decides once per
-volume whether the foreground is integers, for the fit to count and
-the draws to code on, or float64 values.
+foreground; one private reader, :func:`_foreground`, takes a Volume or
+a path, with or without a label mask. It masks a file's stored body
+when that gives ``read_volume``'s values, and else decodes it whole.
+:func:`_as_integers` then decides once per volume whether the
+foreground is integers, handed over as float64 knots and an int32
+index into them, for the fit to count and the draws to code on, or
+float64 values.
 
 The writer always emits float32 little-endian with the data block at
 offset 352. Paths ending in ``.gz`` are compressed/decompressed
@@ -319,65 +321,54 @@ def read_volume(path) -> Volume:
     return _finite_volume(dims, spacing, _decode(path, stored, scaling))
 
 
-def _as_integers(values: np.ndarray) -> np.ndarray:
-    """Foreground ``values`` as integers if they are integers within 2**16, else as float64.
+def _as_integers(values: np.ndarray) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """Foreground ``values`` as (knots, index) if they are integers within 2**16, else as float64.
 
-    Integer-typed values (a uint8, int8, int16 or uint16 body) span at
-    most 2**16 and come back as they are. Float values come back as
-    int32, or int64 beyond its range, if all are integers, span at most
-    2**16 and stay below 2**53 in magnitude, where float64 holds every
-    integer. The check stops at the first block holding a non-integer,
-    so a continuous foreground pays for one block.
+    ``knots`` holds the float64 integers from the minimum to the maximum,
+    and ``index`` each value's int32 position among them, so
+    ``knots[index]`` is the values widened to float64. Integer-typed
+    values (a uint8, int8, int16 or uint16 body) span at most 2**16.
+    Float values qualify if all are integers, span at most 2**16 and stay
+    below 2**53 in magnitude, where float64 holds every integer. The
+    check stops at the first block holding a non-integer, so a
+    continuous foreground pays for one block.
     """
-    if values.dtype.kind in "iu":
-        return values
     blocks = (values[i:i + _CHECK_BLOCK] for i in range(0, values.size, _CHECK_BLOCK))
-    if all(np.array_equal(block, np.rint(block)) for block in blocks):
-        lo, hi = float(values.min()), float(values.max())
-        if hi - lo <= _MAX_INTEGER_SPAN and max(-lo, hi) < 2.0**53:
-            return values.astype(np.int32 if max(-lo, hi) < 2**31 else np.int64)
-    return values.astype(np.float64, copy=False)
+    if values.dtype.kind == "f" and not all(np.array_equal(b, np.rint(b)) for b in blocks):
+        return values.astype(np.float64, copy=False)
+    lo, hi = float(values.min()) + 0.0, float(values.max())  # + 0.0: no knot is -0.0
+    if hi - lo > _MAX_INTEGER_SPAN or max(-lo, hi) >= 2.0**53:
+        return values.astype(np.float64, copy=False)
+    # each offset from the minimum is an integer within 2**16: exact as a
+    # difference of floats, and formed in int32 from integer dtypes
+    index = np.subtract(values, int(lo), dtype=np.int32 if values.dtype.kind in "iu" else None)
+    return np.arange(lo, hi + 1.0), index.astype(np.int32, copy=False)
 
 
-def _read_foreground(path):
-    """(dims, spacing, mask, values) of the file at ``path``: its positive voxels.
+def _foreground(source, labels: LabelVolume | None = None):
+    """(dims, spacing, mask, values) of the foreground of a Volume or of the file at a path.
 
-    ``mask`` flags the voxels that ``foreground_mask(read_volume(path))``
-    flags, and ``values`` holds theirs in voxel order through
-    :func:`_as_integers`, a new array whose values, widened to float64,
-    are ``read_volume``'s bit for bit. A file unscaled or scaled by
-    exactly 1 and 0, as :func:`write_volume` writes, is masked on its
-    stored body: widening is exact from every stored dtype and keeps the
-    sign, and multiplying by 1 and adding 0 change no positive value; a
-    float body is still checked for NaN and infinities over every voxel.
-    Under any other scaling the file is decoded whole, then masked.
-    Raises what :func:`read_volume` raises, and EmptyMaskError when no
-    voxel is positive.
-    """
-    dims, spacing, stored, scaling = _parse_nifti(path)
-    if scaling in (None, (1.0, 0.0)):
-        mask = stored > 0
-        values = stored[mask]
-        if stored.dtype.kind == "f":  # integer bodies hold no NaN or infinity
-            _check_finite(path, stored)
-    else:
-        data = _decode(path, stored, scaling)
-        mask = data > 0
-        values = data[mask]
-    if not values.size:
-        raise EmptyMaskError("mask selects no voxels")
-    return dims, spacing, mask, _as_integers(values)
-
-
-def _foreground(source):
-    """(dims, spacing, mask, values) of a Volume's positive voxels, or of a file's.
-
-    ``source`` is a :class:`Volume` or a path, read by :func:`_read_foreground`.
+    The mask is :func:`foreground_mask`'s, and ``values`` the masked
+    values through :func:`_as_integers`: new arrays, ``read_volume``'s
+    values bit for bit once widened to float64. A file unscaled, or
+    scaled by exactly 1 and 0 as :func:`write_volume` writes, is masked
+    on its stored body, whose widening is exact: of all its values only
+    a float body's -0.0 decodes to another, 0.0, and only labels select
+    it, so under labels such a body is decoded whole, as is a file under
+    any other scaling. A float body is still checked for NaN and
+    infinities over every voxel.
     """
     if isinstance(source, Volume):
-        mask = foreground_mask(source)
-        return source.dims, source.spacing, mask, _as_integers(source.data[mask])
-    return _read_foreground(source)
+        dims, spacing, data = source.dims, source.spacing, source.data
+    else:
+        dims, spacing, data, scaling = _parse_nifti(source)
+        if scaling is None or scaling == (1.0, 0.0) and (labels is None or data.dtype.kind != "f"):
+            if data.dtype.kind == "f":  # integer bodies hold no NaN or infinity
+                _check_finite(source, data)
+        else:
+            data = _decode(source, data, scaling)
+    mask = _mask(dims, data, labels)
+    return dims, spacing, mask, _as_integers(data[mask])
 
 
 def _pack_header(dims, spacing) -> bytes:
@@ -447,20 +438,20 @@ def read_label_volume(path) -> LabelVolume:
     return LabelVolume(vol.dims, vol.spacing, rounded.astype(np.int32))
 
 
+def _mask(dims, data: np.ndarray, labels: LabelVolume | None) -> np.ndarray:
+    """The voxels of ``data`` on ``dims`` where ``labels`` are positive, or else ``data`` is."""
+    if labels is not None and labels.dims != dims:
+        raise ShapeMismatchError(f"mask dims {labels.dims} != volume dims {dims}")
+    mask = data > 0 if labels is None else labels.labels > 0
+    if not mask.any():
+        raise EmptyMaskError("mask selects no voxels")
+    return mask
+
+
 def foreground_mask(vol: Volume, explicit_mask: LabelVolume | None = None) -> np.ndarray:
     """Boolean flat array marking brain voxels.
 
     With an explicit mask, voxels where the label is positive; otherwise
     voxels with positive intensity (skull-stripped convention).
     """
-    if explicit_mask is not None:
-        if explicit_mask.dims != vol.dims:
-            raise ShapeMismatchError(
-                f"mask dims {explicit_mask.dims} != volume dims {vol.dims}"
-            )
-        mask = explicit_mask.labels > 0
-    else:
-        mask = vol.data > 0
-    if not mask.any():
-        raise EmptyMaskError("mask selects no voxels")
-    return mask
+    return _mask(vol.dims, vol.data, explicit_mask)

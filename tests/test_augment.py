@@ -562,24 +562,27 @@ class TestAugmentDraws:
     @pytest.mark.parametrize("hard_assign", [False, True], ids=["soft", "hard"])
     def test_integers_within_their_span_become_knots(self, hard_assign):
         # the reader's one decision: values that are all integers, span
-        # at most 2**16 and stay below 2**53 come as integers, whose knots
-        # read at each voxel's index give the normalized values back
+        # at most 2**16 and stay below 2**53 come as (knots, index), the
+        # float64 integers from their minimum to their maximum and each
+        # value's int32 position among them; the code is those knots,
+        # normalized, and that index
         values = np.array([3.0, 3.0 + _MAX_INTEGER_SPAN, 7.0])
+        stored = [np.array([0, 1, 100], dtype=dtype) for dtype in ("u1", "i1", "i2", "u2")]
+        stored += [np.array([np.iinfo(dtype).max, np.iinfo(dtype).min], dtype=dtype)
+                   for dtype in ("i1", "i2", "u2")]  # as a file stores them: their span fits
         for integral in (values, values + 2.0**40, values - 2.0**40, values - 20.0,
-                         values.astype(np.float32)):
-            integers = _as_integers(integral)
-            wide = np.abs(integral).max() >= 2**31  # beyond int32
-            assert integers.dtype == (np.int64 if wide else np.int32)
-            assert np.array_equal(integers, integral)
-            window = (float(integral.min()), float(integral.max()))
-            knots, index, weight, reach = _voxel_code(integers, window, FAR_PARAMS, hard_assign)
-            assert index.dtype == np.int32 and knots.size == _MAX_INTEGER_SPAN + 1
-            assert weight is None and reach == 0.0
-            normalized = _apply_window(integral.astype(np.float64), window)
-            assert knots[index].tobytes() == normalized.tobytes()
-        for stored in ("u1", "i1", "i2", "u2"):  # as a file stores them: their span fits
-            integers = np.array([0, 1, 100], dtype=stored)
-            assert _as_integers(integers) is integers
+                         values.astype(np.float32), *stored):
+            knots, index = _as_integers(integral)
+            lo, hi = float(integral.min()), float(integral.max())
+            assert knots.dtype == np.float64 and index.dtype == np.int32
+            assert knots.tobytes() == np.arange(lo, hi + 1.0).tobytes()
+            assert knots[index].tobytes() == integral.astype(np.float64).tobytes()
+            normalized = _apply_window(integral.astype(np.float64), (lo, hi))
+            code = _voxel_code((knots, index), (lo, hi), FAR_PARAMS, hard_assign)
+            assert code[1] is index and code[2:] == (None, 0.0)
+            assert code[0][index].tobytes() == normalized.tobytes()
+        knots, _ = _as_integers(np.array([-0.0, 2.0]))
+        assert not np.signbit(knots).any()  # -0.0 widens to the knot 0.0, as an integer does
         for floats in (values + np.array([0.0, 1.0, 0.0]),  # too wide
                        values + np.array([0.0, 0.0, 0.5]),  # not integers
                        np.array([0.5, 1.5, 2.0], dtype=np.float32),

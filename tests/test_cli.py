@@ -474,6 +474,18 @@ class TestAugment:
         assert err.count("\n") == 1 and err.startswith("InvalidStatsError")
         assert not Path(f"{prefix}_0.nii").exists()
 
+    def test_stats_without_components_exit_2(self, tmp_path, phantom_file, zero_stats_file,
+                                             capsys):
+        doc = json.loads(zero_stats_file.read_text())
+        doc.update(k=0, components=[])
+        zero_stats_file.write_text(json.dumps(doc))
+        prefix = tmp_path / "aug"
+        assert main(["augment", str(phantom_file), "--stats", str(zero_stats_file),
+                     "--seed", "0", "--out-prefix", str(prefix)]) == 2
+        assert capsys.readouterr().err == (f"InvalidStatsError: {zero_stats_file}: "
+                                           "k must be >= 1, got 0\n")
+        assert not Path(f"{prefix}_0.nii").exists()
+
     def test_stats_with_an_empty_clip_window_exit_2(self, tmp_path, phantom_file,
                                                      zero_stats_file, capsys):
         doc = json.loads(zero_stats_file.read_text())

@@ -725,3 +725,10 @@ class TestGmmParams:
     def test_config_rejects_non_finite_tol(self, tol):
         with pytest.raises(InputError, match="tol"):
             EmConfig(tol=tol)
+
+    @pytest.mark.parametrize("options", [{"max_iter": 1.5}, {"max_iter": True}, {"tol": True}],
+                             ids=["max_iter-float", "max_iter-bool", "tol-bool"])
+    def test_config_rejects_values_that_only_look_right(self, options):
+        # tol is a real number and max_iter an integer, neither a bool
+        with pytest.raises(InputError, match="tol must be a finite real > 0 and max_iter an "):
+            EmConfig(**options)

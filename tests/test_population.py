@@ -1,5 +1,6 @@
 import json
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -229,6 +230,13 @@ class TestStatsIO:
         with pytest.raises(InvalidStatsError, match="lo_pct < hi_pct"):
             PopulationStats(k=1, mu_mean=(0.5,), mu_std=(0.0,), var_mean=(1e-3,), var_std=(0.0,),
                             n_images=2, clip_lo_pct=lo, clip_hi_pct=hi)
+
+    def test_no_component_rejected(self, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(dict(REFERENCE_STATS, k=0, components=[])))
+        with pytest.raises(InvalidStatsError, match=f"^{re.escape(str(path))}: k must be >= 1, "
+                                                    "got 0$"):
+            load_stats(path)
 
     def test_validation(self):
         with pytest.raises(InvalidStatsError):

@@ -22,6 +22,7 @@ from gmmaug import (
 )
 from gmmaug.errors import GmmAugError
 from gmmaug.preprocess import _apply_window, fit_volume
+from gmmaug.volume import _as_integers
 
 
 def volume_with_mask(values, pad_zeros=0):
@@ -136,7 +137,8 @@ class TestFitVolume:
             voxel_code = gmmaug.augment._voxel_code
 
             def spy(values, window, params, hard_assign):
-                normalized = _apply_window(values.astype(np.float64), window)
+                widened = values[0][values[1]] if isinstance(values, tuple) else values.copy()
+                normalized = _apply_window(widened, window)
                 code = voxel_code(values, window, params, hard_assign)
                 knots, index = code[:2]
                 uniform = knots is gmmaug.augment._UNIT_KNOTS
@@ -182,10 +184,14 @@ def fit_outcome(values, k, cfg, lo_pct, hi_pct):
 
 
 def assert_routes_agree(values, k=3, cfg=None, lo_pct=1.0, hi_pct=99.0):
-    """Integer-typed ``values`` fit as their float64 widening does, and stay as they were."""
-    kept = values.copy()
-    counted = fit_outcome(values, k, cfg, lo_pct, hi_pct)
-    assert values.tobytes() == kept.tobytes()
+    """Integer-typed ``values`` fit as (knots, index) as their float64 widening does.
+
+    The fit leaves the knots and the index as they were.
+    """
+    knots, index = _as_integers(values)
+    kept = knots.tobytes(), index.tobytes()
+    counted = fit_outcome((knots, index), k, cfg, lo_pct, hi_pct)
+    assert (knots.tobytes(), index.tobytes()) == kept
     assert counted == fit_outcome(values.astype(np.float64), k, cfg, lo_pct, hi_pct)
     return counted
 
@@ -204,7 +210,7 @@ def integer_samples(draw):
 
 
 class TestIntegerRoute:
-    """Integer-stored values are counted, not widened and sorted, with the same fit."""
+    """Integer-stored values are counted as (knots, index), not sorted, with the same fit."""
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(values=integer_samples(), k=st.sampled_from((1, 2, 3)),

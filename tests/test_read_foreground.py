@@ -1,9 +1,10 @@
 """The foreground reader: a path gives the fits and draws of the Volume read from it.
 
-``stats``, ``augment`` and ``fit`` (without ``--mask``) read a file's
-positive voxels alone. Every storage kind must give the mask and the
-values of ``read_volume`` bit for bit, and so the same stats, draws and
-sidecars as the Volume route.
+``stats``, ``augment`` and ``fit`` read a file's foreground alone: its
+positive voxels, or under ``fit --mask`` its labelled ones. Every
+storage kind must give the mask and the values of ``read_volume`` bit
+for bit, and so the same stats, fits, draws and sidecars as the Volume
+route.
 """
 
 import gzip
@@ -17,6 +18,7 @@ import pytest
 from gmmaug import (
     CorruptFileError,
     EmptyMaskError,
+    LabelVolume,
     PhantomSpec,
     PopulationStats,
     Volume,
@@ -32,14 +34,13 @@ from gmmaug import (
     write_label_volume,
 )
 import gmmaug.augment
-import gmmaug.cli
 import gmmaug.gmm
 import gmmaug.preprocess
 import gmmaug.volume
 from gmmaug.cli import main
 from gmmaug.gmm import EmConfig
 from gmmaug.preprocess import fit_volume
-from gmmaug.volume import _read_foreground
+from gmmaug.volume import _foreground
 
 from conftest import build_nifti_bytes
 
@@ -65,6 +66,11 @@ KINDS = {
     "int8": ("i1", "<", 120.0, 1.0, 0.0, False),
 }
 
+# every kind masked by its positive voxels, then by phantom_labels
+EVERY_MASK = pytest.mark.parametrize(
+    "kind, labelled", [(kind, labelled) for labelled in (False, True) for kind in KINDS],
+    ids=[*KINDS, *(f"{kind}-labels" for kind in KINDS)])
+
 STATS = PopulationStats(k=3, mu_mean=(0.2, 0.5, 0.8), mu_std=(0.03, 0.06, 0.08),
                         var_mean=(2e-3, 1e-3, 1e-3), var_std=(1e-3, 1e-3, 3e-3), n_images=2)
 
@@ -76,6 +82,16 @@ def phantom_data(seed):
     data[background[:40]] = -0.25
     data[background[40:50]] = -0.0
     return data
+
+
+def phantom_labels(seed):
+    """A phantom's tissue labels, also covering background voxels at -0.25, -0.0 and 0.0."""
+    labels = generate_phantom(PhantomSpec(dims=DIMS, seed=seed))[1].labels.copy()
+    data = phantom_data(seed)
+    labels[np.flatnonzero(data <= 0.0)[30:60]] = 1  # ten each of -0.25, -0.0 and 0.0
+    covered = data[labels > 0]
+    assert (covered < 0.0).any() and np.signbit(covered[covered == 0.0]).any()
+    return LabelVolume(DIMS, (1.0, 1.0, 1.0), labels)
 
 
 def write_kind(path, kind, data):
@@ -94,23 +110,29 @@ def file_name(kind, seed):
     return f"{kind}_{seed}.nii" + (".gz" if KINDS[kind][5] else "")
 
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_mask_and_values_are_read_volumes(tmp_path, kind):
+@EVERY_MASK
+def test_mask_and_values_are_read_volumes(tmp_path, kind, labelled):
     path = write_kind(tmp_path / file_name(kind, 1), kind, phantom_data(1))
+    labels = phantom_labels(1) if labelled else None
     vol = read_volume(path)
-    mask = foreground_mask(vol)
-    dims, spacing, got_mask, values = _read_foreground(path)
+    mask = foreground_mask(vol, labels)
+    dims, spacing, got_mask, values = _foreground(path, labels)
     assert (dims, spacing) == (vol.dims, vol.spacing)
     assert np.array_equal(got_mask, mask)
-    # integral values come as integers, for the fit to count: an integer
-    # body under no scaling but 1 and 0 in its stored dtype, others as
-    # int32; other values are float64, which the fit sorts in place
-    dtype, _, _, slope, inter, _ = KINDS[kind]
-    stored = dtype[0] in "iu" and (slope, inter) in ((0.0, 0.0), (1.0, 0.0))
-    integral = np.array_equal(vol.data[mask], np.rint(vol.data[mask]))
-    assert values.dtype.str[1:] == (dtype if stored else "i4" if integral else "f8")
-    assert values.flags.writeable
-    assert values.astype(np.float64).tobytes() == vol.data[mask].tobytes()
+    # integral values come as float64 knots, the integers from their
+    # minimum to their maximum, and each voxel's int32 index among them,
+    # for the fit to count; other values are float64, which the fit
+    # sorts in place
+    expected = vol.data[mask]
+    if np.array_equal(expected, np.rint(expected)):
+        knots, index = values
+        assert knots.dtype == np.float64 and index.dtype == np.int32
+        assert knots.tobytes() == np.arange(expected.min(), expected.max() + 1.0).tobytes()
+        widened = knots[index]
+    else:
+        assert values.dtype == np.float64 and values.flags.writeable
+        widened = values
+    assert widened.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -137,12 +159,18 @@ def test_draws_from_a_path_are_draws_from_its_volume(tmp_path, kind, options):
                 == json.dumps(provenance_dict(ref_pert, ref_perturbed)))
 
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_fit_of_a_path_is_the_fit_of_its_volume(tmp_path, kind):
+@EVERY_MASK
+def test_fit_of_a_path_is_the_fit_of_its_volume(tmp_path, kind, labelled):
     path = write_kind(tmp_path / file_name(kind, 5), kind, phantom_data(5))
-    assert main(["fit", str(path), "--out", str(tmp_path / "fit.json")]) == 0
+    argv = ["fit", str(path), "--out", str(tmp_path / "fit.json")]
+    labels = None
+    if labelled:
+        labels = phantom_labels(5)
+        write_label_volume(labels, tmp_path / "labels.nii")
+        argv += ["--mask", str(tmp_path / "labels.nii")]
+    assert main(argv) == 0
     vol = read_volume(path)
-    params = fit_volume(vol.data[foreground_mask(vol)], 3, EmConfig(), 1.0, 99.0)[1]
+    params = fit_volume(vol.data[foreground_mask(vol, labels)], 3, EmConfig(), 1.0, 99.0)[1]
     assert (tmp_path / "fit.json").read_text() == params.dumps() + "\n"
 
 
@@ -160,7 +188,8 @@ def test_integer_file_is_counted_not_sorted(tmp_path, monkeypatch):
     sources["float32"].write_bytes(build_nifti_bytes(
         DIMS, np.rint(data * 700.0).astype("<f4").tobytes(), 16, scl_slope=1.0))
     sources["volume"] = read_volume(sources["float32"])
-    assert np.unique(_read_foreground(sources["int16_le"])[3]).size <= gmmaug.gmm._MAX_COLUMNS
+    knots, index = _foreground(sources["int16_le"])[3]
+    assert np.unique(index).size <= gmmaug.gmm._MAX_COLUMNS
     labels = tmp_path / "labels.nii"
     write_label_volume(generate_phantom(PhantomSpec(dims=DIMS, seed=6))[1], labels)
 
@@ -182,8 +211,7 @@ def test_integer_file_is_counted_not_sorted(tmp_path, monkeypatch):
 
     as_integers = gmmaug.volume._as_integers
     with monkeypatch.context() as widened:  # every foreground as float64: sorted
-        for module in (gmmaug.volume, gmmaug.cli):
-            widened.setattr(module, "_as_integers", lambda values: values.astype(np.float64))
+        widened.setattr(gmmaug.volume, "_as_integers", lambda values: values.astype(np.float64))
         expected = {name: outputs(source, exact=True) for name, source in sources.items()}
         expected_masked = fit_masked()
 
@@ -191,24 +219,23 @@ def test_integer_file_is_counted_not_sorted(tmp_path, monkeypatch):
 
     def spy(values):
         integers = as_integers(values)
-        decided.append(integers.dtype.kind)
+        decided.append(isinstance(integers, tuple))
         return integers
 
     def refuse(*args, **kwargs):
         raise AssertionError("the integer route sorted its values")
 
-    for module in (gmmaug.volume, gmmaug.cli):
-        monkeypatch.setattr(module, "_as_integers", spy)
+    monkeypatch.setattr(gmmaug.volume, "_as_integers", spy)
     monkeypatch.setattr(gmmaug.preprocess, "_fit_sorted", refuse)
     monkeypatch.setattr(gmmaug.gmm, "_fit_sorted", refuse)
     for name, source in sources.items():
         decided.clear()
         assert outputs(source) == expected[name], name
         # one decision per volume: the draws' and the two of the corpus
-        assert len(decided) == 3 and set(decided) <= set("iu"), (name, decided)
+        assert decided == [True] * 3, (name, decided)
     decided.clear()
     assert fit_masked() == expected_masked
-    assert len(decided) == 1 and set(decided) <= set("iu")
+    assert decided == [True]
 
 
 def test_no_positive_voxel_raises_empty_mask(tmp_path):
@@ -216,7 +243,7 @@ def test_no_positive_voxel_raises_empty_mask(tmp_path):
     path = tmp_path / "under.nii"
     path.write_bytes(build_nifti_bytes((3, 3, 3), body, 16, scl_slope=1.0))
     with pytest.raises(EmptyMaskError, match="^mask selects no voxels$"):
-        _read_foreground(path)
+        _foreground(path)
 
 
 @pytest.mark.parametrize("slope", [0.0, 1.0])
@@ -231,7 +258,7 @@ def test_nan_in_the_background_is_still_refused(tmp_path, slope, caplog, capsys)
     bad.write_bytes(build_nifti_bytes(DIMS, data.tobytes(), 16, scl_slope=slope))
     line = f"CorruptFileError: {bad}: non-finite voxel values after scaling"
     with pytest.raises(CorruptFileError, match="non-finite voxel values after scaling"):
-        _read_foreground(bad)
+        _foreground(bad)
 
     with caplog.at_level(logging.WARNING, logger="gmmaug.population"):
         assert main(["stats", str(corpus), "--out", str(tmp_path / "stats.json")]) == 0
@@ -257,7 +284,7 @@ def test_unit_scaled_float_file_is_not_widened_whole(tmp_path):
     positive = int(np.count_nonzero(data > 0))
     tracemalloc.start()
     try:
-        values = _read_foreground(path)[3]
+        values = _foreground(path)[3]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
