@@ -19,13 +19,15 @@ on the masked voxels, component by component, with no basis and no
 matrix product. :func:`augment_draws` instead codes each foreground
 voxel once as an index and an optional weight, at most 9 bytes, and
 every draw is the one expression a[index] + b[index] * weight over two
-small tables (a, b) built from the perturbation. :func:`_draw` is the
-one place that builds those tables, reads the voxels off them and
-bounds the draw. Either way the result is
-scattered into a zero background (clip-normalization zeroes every
-voxel outside the mask). While it draws, the generator holds only the
-foreground mask, one byte per voxel, and the codes; ``gmmaug augment``
-adds one output volume at a time.
+small tables (a, b) built from the perturbation. One kernel,
+:meth:`_Coded.draw_into`, builds and bounds those tables and reads the
+voxels off them a block of the grid at a time, into buffers it reuses.
+Either way the result lands in a zero background (clip-normalization
+zeroes every voxel outside the mask). While it draws, the generator
+holds only the foreground mask, one byte per voxel, the codes and the
+kernel's block buffers, and each draw is a fresh float64 volume;
+``gmmaug augment`` instead runs the kernel into one float32 body,
+allocated once and written after each draw.
 
 Randomness comes from a Philox (counter-based) generator keyed with the
 caller's seed; the draw order is fixed as q_mu then q_var for component
@@ -50,7 +52,7 @@ from .errors import InputError, NumericalError
 from .gmm import VARIANCE_FLOOR, EmConfig, GmmParams
 from .population import PopulationStats
 from .preprocess import _apply_window, fit_volume
-from .volume import Volume, _finite_volume, _flat_float64, _foreground, _freeze, _is_seed
+from .volume import _BLOCK, Volume, _finite_volume, _flat_float64, _foreground, _freeze, _is_seed
 
 # Bound on order-inversion rejection retries before giving up.
 _MAX_REDRAWS = 10_000
@@ -173,17 +175,6 @@ def _remapped(values: np.ndarray, pert: PerturbedGmm, hard_assign: bool = False)
     return mapped.sum(axis=0)
 
 
-def _fill(background: np.ndarray, mask: np.ndarray, remapped: np.ndarray, clip: bool) -> np.ndarray:
-    """Write ``remapped`` into the masked voxels of ``background``, a flat array, and return it.
-
-    ``remapped`` is clipped to [0, 1] in place first, unless ``clip`` is off.
-    """
-    if clip:
-        np.clip(remapped, 0.0, 1.0, out=remapped)
-    background[mask] = remapped
-    return background
-
-
 def remap(
     vol: Volume,
     mask: np.ndarray,
@@ -205,7 +196,11 @@ def remap(
     if mask.size != vol.n_voxels:
         raise InputError(f"mask length {mask.size} != voxel count {vol.n_voxels}")
     remapped = _remapped(vol.data[mask], pert, hard_assign)
-    return Volume(vol.dims, vol.spacing, _fill(vol.data.copy(), mask, remapped, clip))
+    if clip:
+        np.clip(remapped, 0.0, 1.0, out=remapped)
+    data = vol.data.copy()
+    data[mask] = remapped
+    return Volume(vol.dims, vol.spacing, data)
 
 
 def _voxel_code(values, window: tuple[float, float], params: GmmParams,
@@ -237,32 +232,98 @@ def _voxel_code(values, window: tuple[float, float], params: GmmParams,
     return knots, index, weight, float(max(weight.max(), -weight.min()))
 
 
-def _draw(code: tuple, pert: PerturbedGmm, hard_assign: bool) -> tuple[np.ndarray, bool]:
-    """The voxels of ``code`` drawn under ``pert``, unclipped, and whether they are proved finite.
+class _Coded:
+    """A volume fitted once and coded, and the one kernel that draws from its code.
 
-    A draw reads two tables (a, b): the remap on the knots and its
-    steps, or (mu', sigma') without knots. Each voxel is
-    a[index] + b[index] * weight, or a[index] without a weight. Its
-    magnitude is then at most |a[i]| + |b[i]| * reach, or |a[i]|, and
-    rounding, being monotone, keeps the computed voxel within the
-    computed bound: so a finite bound table proves the draw finite
-    without a pass over its voxels.
+    Built as :func:`augment_draws` describes: the foreground of ``vol``
+    is read, fitted and reduced to its code, and only the mask, the fit
+    and the code are kept, with three block buffers that every draw
+    reuses.
     """
-    knots, index, weight, reach = code
-    if knots is None:
-        a, b = pert.means, np.sqrt(pert.variances)
-    else:
-        a = _remapped(knots, pert, hard_assign)
-        b = None if weight is None else np.diff(a)
-    remapped = np.take(a, index)
-    bound = np.abs(a)
-    if weight is not None:
-        step = np.take(b, index)
-        step *= weight
-        remapped += step
-        with np.errstate(over="ignore", invalid="ignore"):
-            bound[:b.size] += np.abs(b) * reach
-    return remapped, bool(np.isfinite(bound).all())
+
+    def __init__(self, vol, stats: PopulationStats, cfg: EmConfig | None, hard_assign: bool,
+                 clip: bool):
+        self.dims, self.spacing, self.mask, values = _foreground(vol)
+        # the fit sorts float values in place and leaves knots and index as they are
+        window, self.params = fit_volume(values if isinstance(values, tuple) else values.copy(),
+                                         stats.k, cfg, stats.clip_lo_pct, stats.clip_hi_pct)
+        self.code = _voxel_code(values, window, self.params, hard_assign)
+        self.hard_assign, self.clip = hard_assign, clip
+        size = min(_BLOCK, self.code[1].size)
+        self._at, self._a, self._b = np.empty(size, dtype=np.intp), np.empty(size), np.empty(size)
+
+    def _tables(self, pert: PerturbedGmm) -> tuple[np.ndarray, np.ndarray | None, bool]:
+        """The tables (a, b) of a draw under ``pert``, and whether they prove it finite.
+
+        (a, b) is the remap on the knots and its steps, or (mu', sigma')
+        without knots; there is no ``b`` without a weight. Each voxel is
+        a[index] + b[index] * weight, or a[index], so its magnitude is at
+        most |a[i]| + |b[i]| * reach, or |a[i]|, and rounding, being
+        monotone, keeps the computed voxel within the computed bound: so
+        a finite bound table proves the draw finite without a pass over
+        its voxels.
+        """
+        knots, _, weight, reach = self.code
+        if knots is None:
+            a, b = pert.means, np.sqrt(pert.variances)
+        else:
+            a = _remapped(knots, pert, self.hard_assign)
+            b = None if weight is None else np.diff(a)
+        bound = np.abs(a)
+        if weight is not None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                bound[:b.size] += np.abs(b) * reach
+        return a, b, bool(np.isfinite(bound).all())
+
+    def draw_into(self, out: np.ndarray, pert: PerturbedGmm) -> bool:
+        """Store the draw under ``pert`` in the masked voxels of the flat ``out``: whether it fits.
+
+        The grid is walked :data:`~gmmaug.volume._BLOCK` voxels at a time;
+        the masked voxels of a block advance the offset into the code, and
+        their index, a[index] and b[index] are gathered into the reused
+        buffers. Each block is a[index] + b[index] * weight (a[index]
+        without a weight) in float64, clipped to [0, 1] unless clipping is
+        off, and stored into ``out``, cast to its dtype. A draw its tables
+        do not prove finite is scanned block by block, and the first
+        block holding NaN or an infinity raises InputError. The result is
+        False when a value overflowed ``out``'s dtype (float32 can); the
+        draw goes on, so that a later NaN or infinity is still the error
+        raised. Voxels outside the mask are not touched.
+        """
+        _, index, weight, _ = self.code
+        a, b, proved = self._tables(pert)
+        fits, start = True, 0
+        for lo in range(0, out.size, _BLOCK):
+            held = self.mask[lo:lo + _BLOCK]
+            stop = start + np.count_nonzero(held)
+            if stop == start:
+                continue
+            at = self._at[:stop - start]
+            np.copyto(at, index[start:stop])
+            # every index is in range; under mode="raise" np.take would buffer its out
+            drawn = np.take(a, at, out=self._a[:at.size], mode="clip")
+            if weight is not None:
+                step = np.take(b, at, out=self._b[:at.size], mode="clip")
+                step *= weight[start:stop]
+                drawn += step
+            if self.clip:
+                np.clip(drawn, 0.0, 1.0, out=drawn)
+            if not (proved or np.isfinite(drawn).all()):
+                raise InputError("volume data contains NaN or Inf")
+            try:
+                with np.errstate(over="raise"):
+                    out[lo:lo + _BLOCK][held] = drawn
+            except FloatingPointError:
+                fits = False
+            start = stop
+        return fits
+
+
+def _perturbed(stats: PopulationStats, params: GmmParams, seed: int,
+               reject_order_inversion: bool) -> tuple[Perturbation, PerturbedGmm]:
+    """The perturbation of ``seed`` and the fit ``params`` perturbed by it."""
+    pert = sample_perturbation(stats, seed, params.means if reject_order_inversion else None)
+    return pert, apply_perturbation(params, pert)
 
 
 def augment_draws(
@@ -307,34 +368,33 @@ def augment_draws(
     its uint8 component j and float64 offset D (9 bytes). The integer
     and hard codes equal :func:`remap` in float64.
 
-    :func:`_draw` is the one place a draw's tables (a, b) are built,
-    read and bounded. A draw whose tables bound every voxel's magnitude
-    by a finite number is built without the Volume's scan of its voxels
-    for NaN and infinities; any other draw is scanned.
+    :meth:`_Coded.draw_into` is the one draw kernel: it builds and
+    bounds a draw's tables (a, b) and walks the grid in blocks of
+    65536 voxels, reading each block's voxels off the tables into
+    buffers it reuses, so beyond its output a draw allocates only its
+    tables and a few block-sized arrays. A draw whose tables bound
+    every voxel's magnitude by a finite number is not scanned for NaN
+    and infinities; any other draw is scanned block by block.
+    ``gmmaug augment`` runs the same kernel into one float32 body that
+    it reuses for every draw.
 
     The generator keeps only the mask and these codes: it drops ``vol``
-    before the fit, and each draw starts from a zero background; from a
-    path it never holds the whole volume as float64.
+    before the fit, and each draw is a fresh float64 volume on a zero
+    background; from a path it never holds the whole volume as float64.
     A caller that keeps no other reference to ``vol`` and releases each
     draw before asking for the next holds one output volume at a time.
     """
-    dims, spacing, mask, values = _foreground(vol)
+    coded = _Coded(vol, stats, cfg, hard_assign, clip)
     del vol
-    # the fit sorts float values in place and leaves knots and index as they are
-    window, params = fit_volume(values if isinstance(values, tuple) else values.copy(), stats.k,
-                                cfg, stats.clip_lo_pct, stats.clip_hi_pct)
-    code = _voxel_code(values, window, params, hard_assign)
-    del values
 
     def draw(perturbed: PerturbedGmm) -> Volume:
-        remapped, proved = _draw(code, perturbed, hard_assign)
-        data = _fill(np.zeros(mask.size), mask, remapped, clip)
-        # a draw proved finite is spared the Volume's scan
-        return (_finite_volume if proved else Volume)(dims, spacing, data)
+        data = np.zeros(coded.mask.size)
+        coded.draw_into(data, perturbed)
+        # the kernel has scanned every draw its tables do not prove finite
+        return _finite_volume(coded.dims, coded.spacing, data)
 
     for seed in seeds:
-        pert = sample_perturbation(stats, seed, params.means if reject_order_inversion else None)
-        perturbed = apply_perturbation(params, pert)
+        pert, perturbed = _perturbed(stats, coded.params, seed, reject_order_inversion)
         # no local keeps the draw, so the caller's release frees it
         yield draw(perturbed), pert, perturbed
 

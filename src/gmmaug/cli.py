@@ -27,7 +27,10 @@ from .phantom import PhantomSpec, generate_phantom
 from .population import estimate_population, load_stats, report_fit, save_stats
 from .preprocess import _CLIP_PCT, fit_volume
 from .volume import (
+    _beyond_float32,
     _foreground,
+    _pack_header,
+    _write_float32,
     foreground_mask,
     read_label_volume,
     read_volume,
@@ -84,20 +87,21 @@ def cmd_stats(args) -> int:
 def cmd_augment(args) -> int:
     if args.n < 1 or args.seed < 0:
         raise InputError(f"need --n >= 1 and --seed >= 0, got --n {args.n} --seed {args.seed}")
-    # The generator reads the input's foreground itself, and each draw is
-    # deleted once written, so it frees both (``enumerate`` would keep
-    # draw i alive while draw i + 1 is built).
-    draws = aug.augment_draws(args.input, load_stats(args.stats),
-                              range(args.seed, args.seed + args.n), _em_config(args),
-                              hard_assign=args.hard_assign, clip=not args.no_clip,
-                              reject_order_inversion=args.reject_order_inversion)
+    stats = load_stats(args.stats)
+    coded = aug._Coded(args.input, stats, _em_config(args), args.hard_assign, not args.no_clip)
+    # each draw is written before the next overwrites it, so one float32
+    # body on a zero background serves them all
+    header, body = _pack_header(coded.dims, coded.spacing), np.zeros(coded.mask.size, dtype="<f4")
     for i in range(args.n):
-        out_vol, pert, perturbed = next(draws)
-        write_volume(out_vol, f"{args.out_prefix}_{i}.nii")
-        del out_vol
+        pert, perturbed = aug._perturbed(stats, coded.params, args.seed + i,
+                                         args.reject_order_inversion)
+        path = f"{args.out_prefix}_{i}.nii"
+        if not coded.draw_into(body, perturbed):
+            raise _beyond_float32(path)
+        _write_float32(path, header, body)
         sidecar = aug.provenance_dict(pert, perturbed)
         Path(f"{args.out_prefix}_{i}.json").write_text(json.dumps(sidecar, indent=2) + "\n")
-    report_fit(args.input, perturbed.base)  # every draw shares the one fit
+    report_fit(args.input, coded.params)  # every draw shares the one fit
     return 0
 
 

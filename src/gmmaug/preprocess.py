@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DegenerateIntensityError, EmptyMaskError, InputError
 from .gmm import EmConfig, GmmParams, _fit_counted, _fit_sorted, _sorted_percentiles
-from .volume import Volume
+from .volume import _BLOCK, Volume
 
 # The default clip window, as (low, high) percentiles of the masked values.
 _CLIP_PCT = (1.0, 99.0)
@@ -107,17 +107,21 @@ def fit_volume(
     every foreground of integers (see :func:`gmmaug.volume._as_integers`).
     Float values are sorted and normalized in place: the window is read
     off them by index, and normalizing keeps them sorted, for the fit.
-    Knots and index are left as they are, and the index is counted with
-    one ``np.bincount``: the window is read off the running totals of
-    the counts, only the knots present are normalized, and the fit runs
-    on them and their counts. Both give the window and fit of the values
+    Knots and index are left as they are, and the index is counted
+    :data:`~gmmaug.volume._BLOCK` values at a time (``np.bincount``
+    widens what it counts to intp, 8 bytes a value) and the counts
+    summed: the window is read off the running totals of the counts,
+    only the knots present are normalized, and the fit runs on them and
+    their counts. Both give the window and fit of the values
     widened to float64, bit for bit, errors included.
     ``_apply_window(vol.data[mask], window)`` gives the normalized
     values in voxel order.
     """
     if isinstance(values, tuple):
         knots, index = values
-        counts = np.bincount(index)
+        counts = np.zeros(knots.size, dtype=np.intp)
+        for lo in range(0, index.size, _BLOCK):
+            counts += np.bincount(index[lo:lo + _BLOCK], minlength=knots.size)
         present = np.flatnonzero(counts)
         distinct, counts = knots[present], counts[present]
         window = _clip_window(distinct, lo_pct, hi_pct, np.cumsum(counts))

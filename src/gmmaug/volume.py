@@ -60,6 +60,11 @@ _DTYPE_CODES = {2: "u1", 4: "i2", 16: "f4", 64: "f8", 256: "i1", 512: "u2"}
 # integers; float values are checked this many at a time.
 _MAX_INTEGER_SPAN, _CHECK_BLOCK = 2**16, 8192
 
+# Passes that would otherwise make temporaries the size of a volume (the
+# draw kernel, the count of an integer index, the label check) walk it
+# this many values at a time.
+_BLOCK = 2**16
+
 
 def _is_number(value, kind=numbers.Real) -> bool:
     """Whether ``value`` is a ``kind`` within the finite float64 range.
@@ -391,28 +396,43 @@ def _pack_header(dims, spacing) -> bytes:
     return bytes(hdr)
 
 
+def _beyond_float32(path) -> InputError:
+    """The error for a volume holding values beyond the float32 range, to be written at ``path``."""
+    return InputError(f"{Path(path)}: values beyond the float32 range (about 3.4e38) "
+                      "cannot be written")
+
+
+def _write_float32(path, header: bytes, body: np.ndarray) -> None:
+    """Write ``header`` (see :func:`_pack_header`) and the little-endian float32 ``body`` at ``path``.
+
+    The body is written straight from its array. ``.gz`` paths are
+    gzip-compressed, with the mtime pinned so identical volumes produce
+    identical bytes.
+    """
+    path = Path(path)
+    with (gzip.GzipFile(path, "wb", mtime=0) if path.suffix == ".gz" else open(path, "wb")) as fh:
+        fh.write(header + b"\x00\x00\x00\x00")
+        fh.write(body)
+
+
 def write_volume(vol: Volume, path) -> None:
     """Write ``vol`` as float32 little-endian single-file NIfTI-1.
 
     The data block starts at offset 352 (header + empty extension
     flag), so ``read_volume(write_volume(v))`` round-trips data within
     float32 precision. ``.gz`` paths are gzip-compressed. The float32
-    body is cast before the file opens and written straight from its
-    array, the one copy of the data made here. A dim above 32767, or a
-    value beyond the float32 range (about 3.4e38), raises InputError
-    before the file opens.
+    body is cast before the file opens and written by
+    :func:`_write_float32`, the one copy of the data made here. A dim
+    above 32767, or a value beyond the float32 range (about 3.4e38),
+    raises InputError before the file opens.
     """
-    path, header = Path(path), _pack_header(vol.dims, vol.spacing)
+    header = _pack_header(vol.dims, vol.spacing)
     try:
         with np.errstate(over="raise"):
             body = vol.data.astype("<f4")
     except FloatingPointError as exc:
-        raise InputError(f"{path}: values beyond the float32 range (about 3.4e38) "
-                         "cannot be written") from exc
-    # mtime pinned so identical volumes produce identical bytes
-    with (gzip.GzipFile(path, "wb", mtime=0) if path.suffix == ".gz" else open(path, "wb")) as fh:
-        fh.write(header + b"\x00\x00\x00\x00")
-        fh.write(body)
+        raise _beyond_float32(path) from exc
+    _write_float32(path, header, body)
 
 
 def write_label_volume(labels: LabelVolume, path) -> None:
@@ -428,14 +448,29 @@ def write_label_volume(labels: LabelVolume, path) -> None:
 
 
 def read_label_volume(path) -> LabelVolume:
-    """Read a volume and interpret its values as integer labels."""
+    """Read a volume and interpret its values as integer labels.
+
+    Values more than 1e-6 from an integer, then integers beyond the
+    int32 range, raise InputError. Both are checked :data:`_BLOCK`
+    values at a time, so beyond the decoded volume and its int32 labels
+    the check holds only a few block-sized temporaries.
+    """
     vol = read_volume(path)
-    rounded = np.rint(vol.data)
-    if np.max(np.abs(vol.data - rounded), initial=0.0) > 1e-6:
-        raise InputError(f"{path}: voxel values are not integer labels")
-    if np.max(np.abs(rounded), initial=0.0) > _INT32_MAX:
+    labels, in_range = np.empty(vol.n_voxels, dtype=np.int32), True
+    for lo in range(0, vol.n_voxels, _BLOCK):
+        block = vol.data[lo:lo + _BLOCK]
+        rounded = np.rint(block)
+        if np.max(np.abs(block - rounded), initial=0.0) > 1e-6:
+            raise InputError(f"{path}: voxel values are not integer labels")
+        # a later block that is not integers still names that fault first
+        in_range = in_range and np.max(np.abs(rounded), initial=0.0) <= _INT32_MAX
+        if in_range:
+            labels[lo:lo + _BLOCK] = rounded
+    if not in_range:
         raise InputError(f"{path}: label values exceed the int32 range")
-    return LabelVolume(vol.dims, vol.spacing, rounded.astype(np.int32))
+    dims, spacing = vol.dims, vol.spacing
+    del vol, block  # the labels are copied once more as LabelVolume freezes them
+    return LabelVolume(dims, spacing, labels)
 
 
 def _mask(dims, data: np.ndarray, labels: LabelVolume | None) -> np.ndarray:

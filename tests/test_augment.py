@@ -34,8 +34,10 @@ from gmmaug import (
 )
 from gmmaug.augment import _remapped, _voxel_code, _winners
 from gmmaug.preprocess import _apply_window
-from gmmaug.volume import _MAX_INTEGER_SPAN, _as_integers
+from gmmaug.volume import _BLOCK, _MAX_INTEGER_SPAN, _as_integers
 from gmmaug.phantom import generate_phantom
+
+from conftest import mixture_sample
 
 
 def make_stats(mu_std, var_std, mu_mean=(0.1, 0.2, 0.3), var_mean=(2e-3, 1e-3, 1e-3)):
@@ -450,8 +452,10 @@ class TestAugmentDraws:
         # each foreground voxel's code (soft: int32 knot interval and
         # float32 fraction; hard: uint8 component and float64 offset;
         # integer intensities, soft or hard: an int32 index among their
-        # few hundred integer knots), the bool mask, and small objects
-        assert held <= code_bytes * foreground + n_voxels + 64 * 1024
+        # few hundred integer knots), the bool mask, the draw kernel's
+        # three 8-byte buffers of one block, and small objects
+        buffers = 24 * min(_BLOCK, foreground)
+        assert held <= code_bytes * foreground + n_voxels + buffers + 64 * 1024
 
     def test_soft_draws_within_1e7_of_exact_basis(self, default_phantom):
         vol, _ = default_phantom
@@ -489,7 +493,7 @@ class TestAugmentDraws:
         draws = list(augment_draws(vol, SPREAD_STATS, range(3), hard_assign=hard_assign,
                                    clip=False))
         # the tables are scanned, never the voxels
-        assert scanned and max(scanned) < int(foreground_mask(vol).sum())
+        assert scanned and max(scanned) <= gmmaug.augment._KNOT_INTERVALS + 1
         for out, _, _ in draws:
             assert isfinite(out.data).all() and not out.data.flags.writeable
 
@@ -516,10 +520,14 @@ class TestAugmentDraws:
         def infinite(values, pert, hard_assign=False):
             return np.full_like(remapped(values, pert, hard_assign), np.inf)
 
-        monkeypatch.setattr(np, "isfinite", spy)
         monkeypatch.setattr(gmmaug.augment, "_remapped", unread)
-        out, _, _ = next(augment_draws(vol, SPREAD_STATS, [0], clip=False))
-        assert scanned.count(n_voxels) == 1 and isfinite(out.data).all()
+        draws = augment_draws(vol, SPREAD_STATS, [0, 1], clip=False)
+        next(draws)  # the read and the fit happen here
+        monkeypatch.setattr(np, "isfinite", spy)
+        out, _, _ = next(draws)
+        # the bound table, then every foreground voxel once, a block at a time
+        assert scanned[0] == knots.size and max(scanned[1:]) <= _BLOCK < n_voxels
+        assert sum(scanned[1:]) == held.size and isfinite(out.data).all()
         monkeypatch.setattr(gmmaug.augment, "_remapped", infinite)
         with pytest.raises(InputError, match="volume data contains NaN or Inf"):
             next(augment_draws(vol, SPREAD_STATS, [0], clip=False))
@@ -603,3 +611,77 @@ class TestAugmentDraws:
         monkeypatch.setattr(np, "rint", spy)
         assert _as_integers(values) is values
         assert checked == [gmmaug.volume._CHECK_BLOCK]
+
+
+def whole_draw(coded, perturbed):
+    """A draw the way the kernel's blocks replaced: every foreground voxel gathered at once,
+    clipped, and scattered into a float64 zero background."""
+    _, index, weight, _ = coded.code
+    a, b, _ = coded._tables(perturbed)
+    drawn = np.take(a, index)
+    if weight is not None:
+        step = np.take(b, index)
+        step *= weight
+        drawn += step
+    if coded.clip:
+        np.clip(drawn, 0.0, 1.0, out=drawn)
+    data = np.zeros(coded.mask.size)
+    data[coded.mask] = drawn
+    return data
+
+
+def block_volume(foreground, background, integers):
+    """A (n, 1, 1) three-tissue volume of ``foreground`` positive voxels; with ``background``,
+    a zero after every third voxel shifts the blocks of the grid against those of the code."""
+    rng = np.random.default_rng(foreground)
+    values = mixture_sample(rng, foreground, (0.3, 0.3, 0.4), (0.2, 0.5, 0.8), (4e-4,) * 3)
+    values = np.clip(values, 0.01, None)
+    if integers:
+        values = np.rint(values * 700.0)
+    if background:
+        data = np.zeros(foreground + foreground // 3)
+        data[np.arange(data.size) % 4 != 3] = values
+        values = data
+    return Volume((values.size, 1, 1), (1, 1, 1), values)
+
+
+class TestDrawKernel:
+    @pytest.mark.parametrize("background", [False, True], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("foreground", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+    def test_blocks_write_the_bytes_of_the_whole_draw(self, foreground, background):
+        stats = make_stats((0.2, 0.2, 0.2), (1e-3, 1e-3, 3e-3))
+        for integers in (False, True):
+            vol = block_volume(foreground, background, integers)
+            for hard_assign in (False, True):
+                for clip in (True, False):
+                    coded = gmmaug.augment._Coded(vol, stats, None, hard_assign, clip)
+                    assert coded.code[1].size == foreground
+                    assert (coded.code[0] is None) == (hard_assign and not integers)
+                    body, outside = np.zeros(vol.n_voxels, dtype="<f4"), 0
+                    draws = augment_draws(vol, stats, range(3), hard_assign=hard_assign,
+                                          clip=clip)
+                    for out, _, perturbed in draws:
+                        expected = whole_draw(coded, perturbed)
+                        assert out.data.tobytes() == expected.tobytes()
+                        assert coded.draw_into(body, perturbed)
+                        # write_volume writes the float64 draw cast to float32
+                        assert body.tobytes() == expected.astype("<f4").tobytes()
+                        outside += np.count_nonzero((expected < 0.0) | (expected > 1.0))
+                    assert clip or outside  # the clip has something to do
+
+    @pytest.mark.parametrize("hard_assign", [False, True], ids=["soft", "hard"])
+    def test_next_draw_allocates_only_its_volume(self, default_phantom, hard_assign):
+        vol, _ = default_phantom
+        for dims in ((48, 48, 48), (96, 96, 96)):
+            grid = Volume(dims, (1, 1, 1), np.resize(vol.data, np.prod(dims)))
+            for source in (grid, Volume(dims, (1, 1, 1), np.rint(grid.data * 700.0))):
+                draws = augment_draws(source, SPREAD_STATS, range(3), hard_assign=hard_assign)
+                next(draws)
+                tracemalloc.start()
+                try:
+                    out, _, _ = next(draws)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                # the tables and a few small arrays, whatever the grid size
+                assert peak - out.data.nbytes <= 1024 * 1024

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gmmaug.augment
 import gmmaug.cli
 import gmmaug.gmm
 import gmmaug.preprocess
@@ -30,6 +31,7 @@ from gmmaug import (
     write_volume,
 )
 from gmmaug.cli import main
+from gmmaug.volume import _BLOCK
 
 from conftest import build_nifti_bytes
 
@@ -575,28 +577,79 @@ class TestAugment:
                                            "float32 range (about 3.4e38) cannot be written\n")
         assert not list(tmp_path.glob("a_*"))
 
-    def test_holds_one_draw_at_a_time(self, tmp_path, spread_stats_file):
+    @pytest.mark.parametrize("last, first, error", [
+        (np.nan, None, "volume data contains NaN or Inf"),
+        (np.inf, None, "volume data contains NaN or Inf"),
+        (1e300, None, "{path}: values beyond the float32 range (about 3.4e38) cannot be written"),
+        # a draw that holds both: the NaN line wins, as when draws were scanned before a write
+        (np.nan, 1e300, "volume data contains NaN or Inf"),
+    ])
+    def test_fault_in_the_last_block_exit_2_without_a_file(
+        self, tmp_path, spread_stats_file, capsys, monkeypatch, last, first, error
+    ):
+        # integer intensities: the one voxel holding the minimum opens the
+        # first block of the grid, and the one holding the maximum closes
+        # the third
+        dims = (64, 64, 33)
+        n = dims[0] * dims[1] * dims[2]
+        assert 2 * _BLOCK < n <= 3 * _BLOCK
+        values = np.random.default_rng(0).integers(100, 800, n).astype(np.float64)
+        values[0], values[-1] = 50.0, 900.0
+        phantom, prefix = tmp_path / "p.nii", tmp_path / "a"
+        write_volume(Volume(dims, (1, 1, 1), values), phantom)
+        remapped = gmmaug.augment._remapped
+
+        def poisoned(knots, pert, hard_assign=False):
+            a = remapped(knots, pert, hard_assign)
+            a[-1] = last
+            if first is not None:
+                a[0] = first
+            return a
+
+        monkeypatch.setattr(gmmaug.augment, "_remapped", poisoned)
+        assert main(["augment", str(phantom), "--stats", str(spread_stats_file), "--seed", "0",
+                     "--n", "2", "--no-clip", "--out-prefix", str(prefix)]) == 2
+        line = error.format(path=f"{prefix}_0.nii")
+        assert capsys.readouterr().err == f"InputError: {line}\n"
+        assert not list(tmp_path.glob("a_*"))
+
+    def test_holds_one_draw_at_a_time(self, tmp_path, spread_stats_file, monkeypatch):
         spec = tmp_path / "spec48.json"
         spec.write_text(json.dumps({"dims": [48, 48, 48]}))
         phantom = tmp_path / "p48.nii"
         assert main(["phantom", "--spec", str(spec), "--seed", "20", "--out", str(phantom)]) == 0
         vol = read_volume(phantom)
-        volume_bytes, code_bytes = vol.data.nbytes, 9 * int(foreground_mask(vol).sum())
+        n_voxels, foreground = vol.n_voxels, int(foreground_mask(vol).sum())
+        volume_bytes, code_bytes = vol.data.nbytes, 9 * foreground
         del vol
         common = ["augment", str(phantom), "--stats", str(spread_stats_file), "--seed", "40",
                   "--out-prefix", str(tmp_path / "a")]
         assert main([*common, "--n", "1"]) == 0  # lazy imports happen here
+        peaks, draw_into = [], gmmaug.augment._Coded.draw_into
+
+        def traced(coded, out, pert):
+            peaks.append(tracemalloc.get_traced_memory()[1])  # of all before this draw
+            tracemalloc.reset_peak()
+            return draw_into(coded, out, pert)
+
+        monkeypatch.setattr(gmmaug.augment._Coded, "draw_into", traced)
         tracemalloc.start()
         try:
             assert main([*common, "--n", "3"]) == 0
-            peak = tracemalloc.get_traced_memory()[1]
+            peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        # the per-voxel codes (at most 9 bytes a foreground voxel) plus one
-        # output volume, its float32 body, the mask and foreground-sized
-        # temporaries; keeping the source, the normalized volume or the
-        # previous draw alive exceeds it
-        assert peak <= code_bytes + 3 * volume_bytes
+        coding, draws = peaks[0], peaks[1:]
+        assert len(draws) == 3
+        # reading, fitting and coding: the per-voxel codes (at most 9 bytes
+        # a foreground voxel) and foreground-sized temporaries
+        assert coding <= code_bytes + 3 * volume_bytes
+        # each draw and its files: the codes, the mask, the kernel's three
+        # block buffers and the one float32 body; a float64 output volume,
+        # or keeping the source, the normalized volume or the previous draw
+        # alive, exceeds it
+        buffers = 24 * min(_BLOCK, foreground)
+        assert max(draws) <= code_bytes + n_voxels + buffers + volume_bytes // 2 + 512 * 1024
 
     def test_outputs_do_not_depend_on_blas_threads(self, tmp_path, phantom_file, spread_stats_file):
         for threads in ("1", "2"):

@@ -26,7 +26,7 @@ from gmmaug import (
     write_volume,
 )
 
-from gmmaug.volume import _pack_header
+from gmmaug.volume import _BLOCK, _pack_header
 
 from conftest import build_nifti_bytes
 
@@ -330,6 +330,36 @@ class TestLabelVolumeIO:
         with pytest.raises(InputError, match="float32"):
             write_label_volume(LabelVolume((2, 1, 1), (1, 1, 1), np.array([top, 1])), path)
         assert not path.exists()
+
+    @pytest.mark.parametrize("first, later, error", [
+        (3e9, 0.5, "not integer labels"),  # a fault in a later block still comes first
+        (0.5, 3e9, "not integer labels"),
+        (1.0, 3e9, "exceed the int32 range"),
+        (3e9, 1.0, "exceed the int32 range"),
+    ])
+    def test_labels_checked_a_block_at_a_time_fail_as_a_whole(self, tmp_path, first, later, error):
+        dims = (4, _BLOCK // 4 + 1, 1)  # a few voxels into the second block
+        values = np.zeros(dims[0] * dims[1], dtype="<f4")
+        values[0], values[-1] = first, later
+        raw = build_nifti_bytes(dims, values.tobytes(), datatype=16)
+        with pytest.raises(InputError, match=error):
+            read_label_volume(write_file(tmp_path, raw))
+
+    def test_label_read_peak_memory_is_the_volume_and_its_labels(self, tmp_path):
+        n = 96**3
+        path = tmp_path / "lab.nii"
+        labels = LabelVolume((96, 96, 96), (1, 1, 1), np.arange(n) % 4)
+        write_label_volume(labels, path)
+        tracemalloc.start()
+        try:
+            back = read_label_volume(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.labels.tobytes() == labels.labels.tobytes()
+        # the decoded float64 volume, its int32 labels and four float64
+        # temporaries of one block; whole-volume temporaries exceed it
+        assert peak <= 12 * n + 4 * 8 * _BLOCK + 64 * 1024
 
     def test_largest_float32_exact_label_round_trips(self, tmp_path):
         labels = LabelVolume((3, 1, 1), (1, 1, 1), np.array([2**24, 2**24 - 1, 0]))
