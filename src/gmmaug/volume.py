@@ -7,12 +7,16 @@ float64, up to three spatial dims, either endianness (detected via
 ``vox_offset``. Orientation matrices are ignored; only ``pixdim`` is
 kept as voxel spacing.
 
-One parser checks the header and the body's size and returns the body
-in its stored dtype; :func:`read_volume` decodes every voxel to float64
-from it. The fits of ``fit``, ``stats`` and ``augment`` need only the
-foreground; one private reader, :func:`_foreground`, takes a Volume or
-a path, with or without a label mask. It masks a file's stored body
-when that gives ``read_volume``'s values, and else decodes it whole.
+One parser checks the header and the body and decides once whether the
+body is decoded: a file whose ``scl_slope`` and ``scl_inter`` change no
+value (no valid slope, or slope 1 with intercept 0, which nibabel
+applies as no scaling either) keeps its stored body and dtype, so a
+stored -0.0 stays -0.0; any other is decoded to float64. Either way
+every voxel is checked finite. :func:`read_volume` widens that body to
+float64, :func:`read_label_volume` widens it a block at a time, and
+the fits of ``fit``, ``stats`` and ``augment``, which need only the
+foreground, mask it through one private reader, :func:`_foreground`,
+which takes a Volume or a path, with or without a label mask.
 :func:`_as_integers` then decides once per volume whether the
 foreground is integers, handed over as float64 knots and an int32
 index into them, for the fit to count and the draws to code on, or
@@ -228,12 +232,12 @@ def _read_file_bytes(path) -> bytes:
 
 
 def _parse_nifti(path):
-    """(dims, spacing, stored, scaling) of the single-file NIfTI-1 volume at ``path``.
+    """(dims, spacing, body) of the single-file NIfTI-1 volume at ``path``.
 
-    ``stored`` is the body in its file dtype and byte order, a read-only
-    view of the file bytes. ``scaling`` is (``scl_slope``, ``scl_inter``)
-    when the slope is finite and nonzero, else None (unscaled). Every
-    check of the header and body size is made here; see
+    ``body`` is every voxel checked finite: when ``scl_slope`` and
+    ``scl_inter`` change no value, the stored body in its file dtype and
+    byte order, a read-only view of the file bytes; else the body decoded
+    to float64. Every check of the header and body is made here; see
     :func:`read_volume` for what each raises.
     """
     raw = _read_file_bytes(path)
@@ -280,29 +284,19 @@ def _parse_nifti(path):
     if len(raw) < offset + n * dtype.itemsize:
         raise CorruptFileError(f"{path}: body holds fewer than {n} voxels")
 
-    stored = np.frombuffer(raw, dtype, count=n, offset=offset)
-    scaling = None
-    if scl_slope != 0.0 and math.isfinite(scl_slope):
+    body = np.frombuffer(raw, dtype, count=n, offset=offset)
+    # a zero or non-finite slope means no scaling, and slope 1 with
+    # intercept +-0 changes no value: either way the body is the stored one
+    if scl_slope != 0.0 and math.isfinite(scl_slope) and (scl_slope, scl_inter) != (1.0, 0.0):
         if not math.isfinite(scl_inter):
             raise CorruptFileError(f"{path}: scl_inter {scl_inter} is not finite")
-        scaling = (float(scl_slope), float(scl_inter))
-    return dims, spacing, stored, scaling
-
-
-def _check_finite(path, values: np.ndarray) -> None:
-    if not np.all(np.isfinite(values)):
-        raise CorruptFileError(f"{path}: non-finite voxel values after scaling")
-
-
-def _decode(path, stored: np.ndarray, scaling) -> np.ndarray:
-    """Every voxel of ``stored`` as float64, scaled in place and checked finite."""
-    data = stored.astype(np.float64)
-    if scaling is not None:
+        body = body.astype(np.float64)
         with np.errstate(over="ignore"):  # an overflow to inf is reported below
-            data *= scaling[0]
-            data += scaling[1]
-    _check_finite(path, data)
-    return data
+            body *= scl_slope
+            body += scl_inter
+    if body.dtype.kind == "f" and not np.all(np.isfinite(body)):  # integers are finite
+        raise CorruptFileError(f"{path}: non-finite voxel values after scaling")
+    return dims, spacing, body
 
 
 def read_volume(path) -> Volume:
@@ -310,20 +304,21 @@ def read_volume(path) -> Volume:
 
     Values are scaled by ``scl_slope``/``scl_inter`` when the slope is
     finite and nonzero; a zero or non-finite slope (NaN is a common
-    writer default) means unscaled. Non-positive or non-finite ``pixdim``
-    entries fall back to 1.0 mm.
+    writer default) means unscaled. Slope 1 with intercept 0 counts as
+    no scaling, as in nibabel, so a stored -0.0 stays -0.0. Non-positive
+    or non-finite ``pixdim`` entries fall back to 1.0 mm.
 
     Raises:
         NotNiftiError: bad sizeof_hdr or magic.
         UnsupportedDatatypeError: datatype outside {2, 4, 16, 64, 256,
             512} or more than three spatial dims.
         CorruptFileError: a damaged gzip stream, truncated header/body,
-            a non-finite or header-overlapping ``vox_offset``, a
-            non-finite ``scl_inter`` under a valid slope, or non-finite
-            values.
+            non-positive dims, a non-finite or header-overlapping
+            ``vox_offset``, a non-finite ``scl_inter`` under a valid
+            slope, or non-finite values.
     """
-    dims, spacing, stored, scaling = _parse_nifti(path)
-    return _finite_volume(dims, spacing, _decode(path, stored, scaling))
+    dims, spacing, body = _parse_nifti(path)
+    return _finite_volume(dims, spacing, body.astype(np.float64, copy=False))
 
 
 def _as_integers(values: np.ndarray) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
@@ -355,23 +350,14 @@ def _foreground(source, labels: LabelVolume | None = None):
 
     The mask is :func:`foreground_mask`'s, and ``values`` the masked
     values through :func:`_as_integers`: new arrays, ``read_volume``'s
-    values bit for bit once widened to float64. A file unscaled, or
-    scaled by exactly 1 and 0 as :func:`write_volume` writes, is masked
-    on its stored body, whose widening is exact: of all its values only
-    a float body's -0.0 decodes to another, 0.0, and only labels select
-    it, so under labels such a body is decoded whole, as is a file under
-    any other scaling. A float body is still checked for NaN and
-    infinities over every voxel.
+    values bit for bit once widened to float64. A file is masked on the
+    body :func:`_parse_nifti` returns, so one it does not decode is
+    never widened whole.
     """
     if isinstance(source, Volume):
         dims, spacing, data = source.dims, source.spacing, source.data
     else:
-        dims, spacing, data, scaling = _parse_nifti(source)
-        if scaling is None or scaling == (1.0, 0.0) and (labels is None or data.dtype.kind != "f"):
-            if data.dtype.kind == "f":  # integer bodies hold no NaN or infinity
-                _check_finite(source, data)
-        else:
-            data = _decode(source, data, scaling)
+        dims, spacing, data = _parse_nifti(source)
     mask = _mask(dims, data, labels)
     return dims, spacing, mask, _as_integers(data[mask])
 
@@ -451,14 +437,15 @@ def read_label_volume(path) -> LabelVolume:
     """Read a volume and interpret its values as integer labels.
 
     Values more than 1e-6 from an integer, then integers beyond the
-    int32 range, raise InputError. Both are checked :data:`_BLOCK`
-    values at a time, so beyond the decoded volume and its int32 labels
-    the check holds only a few block-sized temporaries.
+    int32 range, raise InputError. Both are checked on the body of
+    :func:`_parse_nifti`, widened to float64 :data:`_BLOCK` values at a
+    time, so beyond that body and its int32 labels the check holds only
+    a few block-sized temporaries.
     """
-    vol = read_volume(path)
-    labels, in_range = np.empty(vol.n_voxels, dtype=np.int32), True
-    for lo in range(0, vol.n_voxels, _BLOCK):
-        block = vol.data[lo:lo + _BLOCK]
+    dims, spacing, body = _parse_nifti(path)
+    labels, in_range = np.empty(body.size, dtype=np.int32), True
+    for lo in range(0, body.size, _BLOCK):
+        block = body[lo:lo + _BLOCK].astype(np.float64)
         rounded = np.rint(block)
         if np.max(np.abs(block - rounded), initial=0.0) > 1e-6:
             raise InputError(f"{path}: voxel values are not integer labels")
@@ -468,8 +455,7 @@ def read_label_volume(path) -> LabelVolume:
             labels[lo:lo + _BLOCK] = rounded
     if not in_range:
         raise InputError(f"{path}: label values exceed the int32 range")
-    dims, spacing = vol.dims, vol.spacing
-    del vol, block  # the labels are copied once more as LabelVolume freezes them
+    del body, block, rounded  # the labels are copied once more as LabelVolume freezes them
     return LabelVolume(dims, spacing, labels)
 
 

@@ -18,6 +18,7 @@ from gmmaug import (
     InputError,
     NumericalError,
     Perturbation,
+    PerturbedGmm,
     PopulationStats,
     Volume,
     apply_perturbation,
@@ -161,6 +162,25 @@ class TestApplyPerturbation:
         pert = Perturbation(q_mu=np.zeros(3), q_var=np.zeros(3), seed=0)
         with pytest.raises(InputError, match="perturbation has 3 components, fit has 2"):
             apply_perturbation(params, pert)
+
+
+_BASE = make_params((0.5, 0.5), (0.1, 0.9), (1e-3, 1e-3))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Perturbation(q_mu=np.zeros(2), q_var=np.zeros(3), seed=0),
+     "q_mu and q_var must have the same length"),
+    (lambda: PerturbedGmm(_BASE, means=np.zeros(3), variances=np.full(2, 1e-3)),
+     "perturbed parameter sizes disagree with base k"),
+    (lambda: PerturbedGmm(_BASE, means=np.zeros(2), variances=np.full(3, 1e-3)),
+     "perturbed parameter sizes disagree with base k"),
+    (lambda: PerturbedGmm(_BASE, means=np.zeros(2), variances=[1e-3, VARIANCE_FLOOR / 2]),
+     f"perturbed variances must be >= {VARIANCE_FLOOR}"),
+], ids=["perturbation-lengths", "perturbed-means", "perturbed-variances", "perturbed-floor"])
+def test_records_refuse_inconsistent_fields(build, message):
+    with pytest.raises(InputError) as info:
+        build()
+    assert str(info.value) == message
 
 
 class TestRemap:
@@ -645,6 +665,26 @@ def block_volume(foreground, background, integers):
     return Volume((values.size, 1, 1), (1, 1, 1), values)
 
 
+def assert_blocks_write_the_whole_draw(vol, stats, integers):
+    """Every code of ``vol``, clipped or not: the kernel's float64 and float32 draws are the
+    whole-foreground draw, byte for byte."""
+    for hard_assign in (False, True):
+        for clip in (True, False):
+            coded = gmmaug.augment._Coded(vol, stats, None, hard_assign, clip)
+            assert coded.code[1].size == np.count_nonzero(foreground_mask(vol))
+            assert (coded.code[0] is None) == (hard_assign and not integers)
+            body, outside = np.zeros(vol.n_voxels, dtype="<f4"), 0
+            draws = augment_draws(vol, stats, range(3), hard_assign=hard_assign, clip=clip)
+            for out, _, perturbed in draws:
+                expected = whole_draw(coded, perturbed)
+                assert out.data.tobytes() == expected.tobytes()
+                assert coded.draw_into(body, perturbed)
+                # write_volume writes the float64 draw cast to float32
+                assert body.tobytes() == expected.astype("<f4").tobytes()
+                outside += np.count_nonzero((expected < 0.0) | (expected > 1.0))
+            assert clip or outside  # the clip has something to do
+
+
 class TestDrawKernel:
     @pytest.mark.parametrize("background", [False, True], ids=["dense", "sparse"])
     @pytest.mark.parametrize("foreground", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
@@ -652,22 +692,20 @@ class TestDrawKernel:
         stats = make_stats((0.2, 0.2, 0.2), (1e-3, 1e-3, 3e-3))
         for integers in (False, True):
             vol = block_volume(foreground, background, integers)
-            for hard_assign in (False, True):
-                for clip in (True, False):
-                    coded = gmmaug.augment._Coded(vol, stats, None, hard_assign, clip)
-                    assert coded.code[1].size == foreground
-                    assert (coded.code[0] is None) == (hard_assign and not integers)
-                    body, outside = np.zeros(vol.n_voxels, dtype="<f4"), 0
-                    draws = augment_draws(vol, stats, range(3), hard_assign=hard_assign,
-                                          clip=clip)
-                    for out, _, perturbed in draws:
-                        expected = whole_draw(coded, perturbed)
-                        assert out.data.tobytes() == expected.tobytes()
-                        assert coded.draw_into(body, perturbed)
-                        # write_volume writes the float64 draw cast to float32
-                        assert body.tobytes() == expected.astype("<f4").tobytes()
-                        outside += np.count_nonzero((expected < 0.0) | (expected > 1.0))
-                    assert clip or outside  # the clip has something to do
+            assert np.count_nonzero(foreground_mask(vol)) == foreground
+            assert_blocks_write_the_whole_draw(vol, stats, integers)
+
+    @pytest.mark.parametrize("integers", [False, True], ids=["float", "integer"])
+    def test_empty_blocks_write_the_bytes_of_the_whole_draw(self, integers):
+        # empty first, middle and last blocks, as a brain's edge slices leave them
+        stats = make_stats((0.2, 0.2, 0.2), (1e-3, 1e-3, 3e-3))
+        tissue = block_volume(2 * _BLOCK - 5, False, integers).data
+        data = np.zeros(5 * _BLOCK - 7)
+        data[_BLOCK + 5:2 * _BLOCK], data[3 * _BLOCK:4 * _BLOCK] = np.split(tissue, [_BLOCK - 5])
+        vol = Volume((data.size, 1, 1), (1, 1, 1), data)
+        held = [foreground_mask(vol)[lo:lo + _BLOCK].any() for lo in range(0, data.size, _BLOCK)]
+        assert held == [False, True, False, True, False]
+        assert_blocks_write_the_whole_draw(vol, stats, integers)
 
     @pytest.mark.parametrize("hard_assign", [False, True], ids=["soft", "hard"])
     def test_next_draw_allocates_only_its_volume(self, default_phantom, hard_assign):

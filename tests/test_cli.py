@@ -157,6 +157,14 @@ class TestFit:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "CorruptFile" in err
 
+    def test_non_positive_dim_exit_2_with_one_line(self, tmp_path, capsys):
+        path = tmp_path / "flat.nii"
+        path.write_bytes(build_nifti_bytes((2, 0, 2), b"", 16))
+        assert main(["fit", str(path), "--out", str(tmp_path / "o.json")]) == 2
+        assert capsys.readouterr().err == (
+            f"CorruptFileError: {path}: non-positive dim entries (2, 0, 2)\n")
+        assert not (tmp_path / "o.json").exists()
+
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_non_finite_tol_exit_2(self, tmp_path, phantom_file, capsys, tol):
         out = tmp_path / "params.json"

@@ -222,6 +222,11 @@ def _assert_contract(argv, max_volume_lines=0):
 @example(command=("augment", {"--seed": 0, "--hard-assign": True}), mutation=(70, "<h", 256))
 @example(command=("fit", {"--mask": True}), mutation=(70, "<h", 512))
 @example(command=("augment", {"--seed": 0, "--n": 2}), mutation=(70, "<h", 512))
+# a non-positive dim[2], and a vox_offset inside the header
+@example(command=("fit", {"--mask": True}), mutation=(44, "<h", 0))
+@example(command=("stats", {}), mutation=(44, "<h", -3))
+@example(command=("hist", {}), mutation=(108, "<f", 0.0))
+@example(command=("metrics", {}), mutation=(108, "<f", 347.0))
 def test_cli_exit_codes_and_streams(inputs, command, mutation):
     name, options = command
     with tempfile.TemporaryDirectory(dir=inputs) as work:

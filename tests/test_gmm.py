@@ -477,6 +477,17 @@ class TestSquarem:
         capped = sum(not fit.converged for fit in shipped)
         assert capped <= sum(not ref.converged for ref in reference)
 
+    @pytest.mark.parametrize("column", [0, 4], ids=["gradient", "hessian"])
+    def test_no_newton_point_from_a_non_finite_gradient_or_hessian(self, column):
+        # the counts times u^0 enter the gradient; u^4 only the Hessian
+        x = np.linspace(0.1, 0.9, 9)
+        centre = float(x.mean())
+        table = (x - centre) ** np.arange(5)[:, None]
+        table[column, 4] = np.inf
+        theta = np.array(((0.3, 0.4, 0.3), (0.2, 0.5, 0.8), (0.01, 0.01, 0.01)))
+        resp = gmmaug.gmm._posterior(gmmaug.gmm._component_log_prob(*theta, x))[0]
+        assert gmmaug.gmm._newton_point(theta, resp, table.T, centre) is None
+
     def test_newton_point_is_newtons_step_on_the_log_likelihood(self):
         # central differences of the log-likelihood in the means, log
         # variances and logits log(w_j / w_0), near the maximum
@@ -674,6 +685,18 @@ class TestGmmParams:
     def test_validation_rejects_unsorted_means(self):
         with pytest.raises(InputError):
             make_params((0.5, 0.5), (1.0, 0.0), (0.01, 0.01))
+
+    @pytest.mark.parametrize("k, weights, means, variances", [
+        (3, (0.5, 0.5), (0.2, 0.8), (1e-3, 1e-3)),
+        (2, (0.5, 0.5), (0.2, 0.5, 0.8), (1e-3, 1e-3)),
+        (2, (0.5, 0.5), (0.2, 0.8), (1e-3,)),
+        (2, (1.0,), (0.2, 0.8), (1e-3, 1e-3)),
+    ], ids=["k", "means", "variances", "weights"])
+    def test_validation_rejects_sizes_that_disagree(self, k, weights, means, variances):
+        with pytest.raises(InputError) as info:
+            GmmParams(k=k, weights=weights, means=means, variances=variances,
+                      log_likelihood=0.0, iterations=0)
+        assert str(info.value) == "k, weights, means, variances sizes disagree"
 
     def test_validation_rejects_sub_floor_variance(self):
         with pytest.raises(InputError):

@@ -102,6 +102,15 @@ class TestOverlap:
         assert lines[2].startswith("2,0,1,0,0.0,,")  # empty cell for undefined
 
 
+@pytest.mark.parametrize("label", [0, 2, 7])
+def test_report_refuses_a_label_it_does_not_hold(label):
+    report = overlap(lab([0, 1, 1, 3]), lab([1, 1, 0, 3]))
+    assert [entry.label for entry in report.entries] == [1, 3]
+    with pytest.raises(KeyError) as info:
+        report[label]
+    assert info.value.args == (label,)
+
+
 class TestOutlierFraction:
     def test_constant_values_have_no_outliers(self):
         fraction, indices = outlier_fraction(np.full(10, 3.0))

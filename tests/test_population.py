@@ -151,6 +151,21 @@ class TestEstimatePopulation:
         assert np.all(stats.mu_std < 1.5 * injected)
 
 
+@pytest.mark.parametrize("name, value, message", [
+    ("mu_mean", [0.1, 0.2], "mu_mean must hold 3 values"),
+    ("var_std", [1e-3] * 4, "var_std must hold 3 values"),
+    ("mu_std", [0.03, np.nan, 0.08], "mu_std contains non-finite values"),
+    ("var_mean", [2e-3, 1e-3, np.inf], "var_mean contains non-finite values"),
+])
+def test_stats_refuse_arrays_of_the_wrong_length_or_not_finite(name, value, message):
+    fields = dict(k=3, mu_mean=[0.1, 0.2, 0.3], mu_std=[0.03, 0.06, 0.08],
+                  var_mean=[2e-3, 1e-3, 1e-3], var_std=[1e-3, 1e-3, 3e-3], n_images=2)
+    fields[name] = value
+    with pytest.raises(InvalidStatsError) as info:
+        PopulationStats(**fields)
+    assert str(info.value) == message
+
+
 class TestStatsIO:
     def make_stats(self):
         return PopulationStats(

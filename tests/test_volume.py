@@ -26,7 +26,7 @@ from gmmaug import (
     write_volume,
 )
 
-from gmmaug.volume import _BLOCK, _pack_header
+from gmmaug.volume import _BLOCK, _pack_header, _parse_nifti
 
 from conftest import build_nifti_bytes
 
@@ -183,6 +183,36 @@ class TestReadVolume:
                                 scl_slope=2.0, scl_inter=inter)
         with pytest.raises(CorruptFileError, match="scl_inter"):
             read_volume(write_file(tmp_path, raw))
+
+    @pytest.mark.parametrize("dim2", [0, -3])
+    def test_non_positive_dim_rejected(self, tmp_path, dim2):
+        path = write_file(tmp_path, build_nifti_bytes((2, dim2, 2), b"", datatype=16))
+        with pytest.raises(CorruptFileError) as info:
+            read_volume(path)
+        assert str(info.value) == f"{path}: non-positive dim entries (2, {dim2}, 2)"
+
+    @pytest.mark.parametrize("offset", [0, 347])
+    def test_vox_offset_inside_the_header_rejected(self, tmp_path, offset):
+        raw = build_nifti_bytes((2, 1, 1), struct.pack("<2f", 1.0, 2.0), datatype=16,
+                                vox_offset=offset)
+        path = write_file(tmp_path, raw)
+        with pytest.raises(CorruptFileError) as info:
+            read_volume(path)
+        assert str(info.value) == f"{path}: vox_offset {float(offset)} overlaps the header"
+
+    @pytest.mark.parametrize("slope, inter, body, values", [
+        (1.0, 0.0, "<f4", [-0.0, 0.5, 1.0]),  # changes no value: the stored -0.0 stays
+        (1.0, -0.0, "<f4", [-0.0, 0.5, 1.0]),
+        (0.0, 3.0, "<f4", [-0.0, 0.5, 1.0]),  # no valid slope
+        (2.0, 0.0, "float64", [0.0, 1.0, 2.0]),  # -0.0 * 2 + 0 decodes to 0.0
+        (1.0, 3.0, "float64", [3.0, 3.5, 4.0]),
+    ])
+    def test_identity_scaling_is_no_scaling(self, tmp_path, slope, inter, body, values):
+        raw = build_nifti_bytes((3, 1, 1), struct.pack("<3f", -0.0, 0.5, 1.0), datatype=16,
+                                scl_slope=slope, scl_inter=inter)
+        path = write_file(tmp_path, raw)
+        assert _parse_nifti(path)[2].dtype == np.dtype(body)
+        assert read_volume(path).data.tobytes() == np.array(values).tobytes()
 
     def test_peak_memory_is_file_bytes_plus_output(self, tmp_path):
         # the body is a view of the file bytes, cast to float64 once and
@@ -357,9 +387,10 @@ class TestLabelVolumeIO:
         finally:
             tracemalloc.stop()
         assert back.labels.tobytes() == labels.labels.tobytes()
-        # the decoded float64 volume, its int32 labels and four float64
-        # temporaries of one block; whole-volume temporaries exceed it
-        assert peak <= 12 * n + 4 * 8 * _BLOCK + 64 * 1024
+        # the file's float32 body, its int32 labels and four float64
+        # temporaries of one block; a float64 grid or whole-volume
+        # temporaries exceed it
+        assert peak <= 8 * n + 4 * 8 * _BLOCK + 64 * 1024
 
     def test_largest_float32_exact_label_round_trips(self, tmp_path):
         labels = LabelVolume((3, 1, 1), (1, 1, 1), np.array([2**24, 2**24 - 1, 0]))
