@@ -37,41 +37,38 @@ j's mean, where they cancel, the quadratic's terms are each about
 about 1e-16 of that: at most about 1e-8 on [0, 1] data at the variance
 floor.
 
-The EM sweeps come in cycles that jump, by Newton's method where it
-applies and by SQUAREM (Varadhan & Roland, Scand. J. Stat. 2008, scheme
-S3) elsewhere: the hybrid EM-Newton scheme of Redner & Walker (SIAM
-Review 1984). A cycle takes two EM maps theta1 = F(theta0) and theta2 =
-F(theta1) and then proposes a jump from theta1. It first tries Newton's
-point on the 3k - 1 unknowns: the means, the log variances and the
-k - 1 weight logits log(w_j / w_0). Its gradient and Hessian are sums
-over the columns of polynomials of degree <= 4 in u, read off theta1's
-posterior with one (columns, 5) table of counts * u^p, built once per
-fit. Newton's point is proposed only where the negated Hessian has a
-Cholesky factor and the point is a valid mixture; near the maximum it
-converges quadratically, where EM crawls along the overlap of the
-components. Otherwise SQUAREM's jump, on the flat vector theta of
-weights, means and variances, is proposed: with r = theta1 - theta0 and
-v = theta2 - theta1 - r it is theta0 + 2 alpha r + alpha^2 v, where
-alpha = ||r|| / ||v||, at least 1 and at most a step bound that starts
-at 1 and grows fourfold each time alpha reaches it; alpha = 1 gives back
-theta2 and proposes nothing. Either jump costs one E-step. It is
-refused, and the cycle moves to theta2 instead, if it proposes a weight
-<= 0 or a variance below the floor, if a component's mass collapses
-there, or if its log-likelihood is below that of theta1; so the
-log-likelihood never decreases. After the first refused jump of a fit,
-Newton's or SQUAREM's, only SQUAREM jumps: a refusal marks a fit off
-the regular path, such as k components on fewer clusters, where the
-likelihood has flat ridges along which Newton steps run far (on such
-samples, Newton's steps after a refusal stopped more fits at the cap).
-One plain EM step from where the cycle moved closes it and starts the
-next. A fit converges when a cycle whose
-jump was not refused raised the log-likelihood by less than the
-tolerance (relative): one EM map gains little along a slowly converging
-direction even far from the maximum, which is where plain EM's per-step
-test used to stop, and a cycle with a refused jump made only plain EM
-progress. The fit returned is always that of a closing plain step (or
-of the last E-step when ``max_iter`` cuts the fit), with the
-log-likelihood and posterior of that same evaluation.
+The EM sweeps come in cycles that jump: the hybrid EM-Newton scheme of
+Redner & Walker (SIAM Review 1984) within a trust region (Nocedal &
+Wright, *Numerical Optimization*, ch. 4). A cycle takes two EM maps
+theta1 = F(theta0) and theta2 = F(theta1) and then jumps from theta1 on
+the 3k - 1 unknowns: the means, the log variances and the k - 1 weight
+logits log(w_j / w_0). The log-likelihood's gradient g and negated
+Hessian C there are sums over the columns of polynomials of degree <= 4
+in u, read off theta1's posterior with one (columns, 5) table of counts
+* u^p, built once per fit. The jump maximises the model g.s - s.C.s / 2
+within a radius: it is Newton's step C^-1 g where C has a Cholesky
+factor and that step fits, and near the maximum it converges
+quadratically, where EM crawls along the overlap of the components;
+otherwise it is the model's maximum on the sphere of that radius. The
+radius is infinite until a jump is refused; a model that is not concave
+takes radius 1 then. A jump costs one E-step. It is refused, and the
+cycle moves to theta2 instead, if its log-likelihood is below that of
+theta1 or a component's mass collapses there, so the log-likelihood
+never decreases; a step to no valid mixture (a weight <= 0, a variance
+below the floor or a non-finite parameter) is not evaluated. A refused
+or invalid jump sets the radius to a quarter of its step's length, and
+a kept jump that reached the radius doubles it: off the regular path,
+such as k components on fewer clusters, where the likelihood has flat
+ridges along which Newton steps run far, the steps shrink until one is
+kept. One plain EM step from where the cycle moved closes it and starts
+the next. A fit converges when a cycle whose jump was not refused raised
+the log-likelihood by less than the tolerance (relative): one EM map
+gains little along a slowly converging direction even far from the
+maximum, which is where plain EM's per-step test used to stop, and a
+cycle with a refused jump made only plain EM progress. The fit returned
+is always that of a closing plain step (or of the last E-step when
+``max_iter`` cuts the fit), with the log-likelihood and posterior of
+that same evaluation.
 
 Fitting is fully deterministic and depends only on the multiset of
 values and the config, never on their order: every fit runs on the
@@ -124,12 +121,6 @@ _MASS_FLOOR = 1e-12
 # Inputs with more distinct values than this are fitted on equal-width
 # bins that keep exact within-bin moments; fewer are fitted exactly.
 _MAX_COLUMNS = 4096
-
-# SQUAREM's bound on the extrapolation step length, as in Varadhan &
-# Roland's package: it starts at 1 and grows fourfold each time a step
-# reaches it.
-_STEP_MAX0 = 1.0
-_STEP_GROWTH = 4.0
 
 # Index of u^(p + q) in a row of power sums, for p, q < 3: the Hessian
 # pairs two scores that are each quadratic in u.
@@ -353,41 +344,55 @@ def _bin_sorted(x: np.ndarray):
     return means, counts.astype(np.float64), np.add.reduceat(dev, starts)
 
 
-def _squarem_point(theta0, theta1, theta2, step_max):
-    """SQUAREM jump from two EM maps: (candidate or None, step length alpha).
+def _model_step(curvature, grad, radius):
+    """The step s that maximises ``grad . s - s . curvature . s / 2`` within ``radius``.
 
-    ``theta1 = F(theta0)`` and ``theta2 = F(theta1)`` are (3, k) stacks of
-    weights, means and variances; see the module docstring for the step.
-    There is no candidate when alpha is 1 (the jump would be
-    ``theta2``) or when the jump is no valid mixture. A candidate's
-    weights are rescaled to sum to exactly 1.
+    Returns (s, mu, length). Where ``curvature`` C has a Cholesky factor
+    and Newton's step C^-1 g fits within the radius, s is that step and
+    mu is 0. Otherwise s solves (C + mu I) s = g for the shift mu >= 0
+    that puts it on the sphere of that radius, with C + mu I positive
+    semidefinite (Nocedal & Wright, *Numerical Optimization*, ch. 4):
+    in C's eigenbasis, by bisection on mu above max(0, -lambda_min). An
+    infinite radius counts as 1 there, where C is no concave model. The
+    length is ``||s||``, or the radius for a step on the sphere.
     """
-    r = theta1 - theta0
-    v = theta2 - theta1 - r
-    norm_v = np.linalg.norm(v)
-    alpha = step_max if norm_v == 0 else min(step_max, max(1.0, np.linalg.norm(r) / norm_v))
-    if alpha == 1.0:
-        return None, alpha
-    candidate = theta0 + 2.0 * alpha * r + alpha * alpha * v
-    weights, _, variances = candidate
-    if not (np.all(weights > 0) and np.all(variances >= VARIANCE_FLOOR)):
-        return None, alpha
-    weights /= weights.sum()
-    return candidate, alpha
+    try:
+        factor = np.linalg.cholesky(curvature)
+        step = np.linalg.solve(factor.T, np.linalg.solve(factor, grad))
+        if (length := math.hypot(*step)) <= radius:
+            return step, 0.0, length
+    except np.linalg.LinAlgError:
+        pass
+    radius = 1.0 if radius == np.inf else radius
+    lam, vecs = np.linalg.eigh(curvature)
+    coef = grad @ vecs
+    floor = max(0.0, -lam[0])
+    gaps = lam + floor  # the eigenvalues of C + floor I, all >= 0
+    # ||s|| falls as the shift above the floor rises: it exceeds the radius
+    # at ``below`` (once moved) and does not at ``above``
+    below, above = 0.0, math.hypot(*coef) / radius
+    while below < (mid := 0.5 * (below + above)) < above:
+        if math.hypot(*(coef / (gaps + mid))) > radius:
+            below = mid
+        else:
+            above = mid
+    shift = below or above
+    return vecs @ (coef / (gaps + shift)), floor + shift, radius
 
 
-def _newton_point(theta, resp, table, centre):
-    """Newton's point from ``theta``, whose posterior is ``resp``, or None.
+def _newton_point(theta, resp, table, centre, radius):
+    """Newton's point from ``theta`` within ``radius``: (point or None, step length).
 
-    The unknowns are the means, the log variances and the k - 1 weight
-    logits log(w_j / w_0). The log-likelihood's gradient and Hessian
-    are sums over the columns of polynomials of degree <= 4 in u = x -
-    centre, so they come from ``table``, the (columns, 5) array of
-    counts * u^p: one product with the posterior rows gives the sums of
-    counts * gamma_j * u^p, and one with each product gamma_j * gamma_l
-    (j < l) the posterior's covariance. There is no point unless the
-    negated Hessian has a Cholesky factor, that is unless theta lies
-    where the log-likelihood is concave, and the point is a valid
+    ``resp`` is theta's posterior. The unknowns are the means, the log
+    variances and the k - 1 weight logits log(w_j / w_0). The
+    log-likelihood's gradient and Hessian are sums over the columns of
+    polynomials of degree <= 4 in u = x - centre, so they come from
+    ``table``, the (columns, 5) array of counts * u^p: one product with
+    the posterior rows gives the sums of counts * gamma_j * u^p, and one
+    with each product gamma_j * gamma_l (j < l) the posterior's
+    covariance. The step is :func:`_model_step`'s. There is no point,
+    and the length is 0, when the gradient or Hessian is not finite; nor
+    is there one, at the step's length, when the step leads to no valid
     mixture with finite parameters.
     """
     weights, means, variances = theta
@@ -429,19 +434,15 @@ def _newton_point(theta, resp, table, centre):
         tail = weights[1:]
         hess[2 * k:, 2 * k:] -= sums[:, 0].sum() * (np.diag(tail) - np.outer(tail, tail))
         if not (np.isfinite(grad).all() and np.isfinite(hess).all()):
-            return None
-        try:
-            factor = np.linalg.cholesky(-hess)
-        except np.linalg.LinAlgError:
-            return None
-        step = np.linalg.solve(factor.T, np.linalg.solve(factor, grad))
+            return None, 0.0
+        step, _, length = _model_step(-hess, grad, radius)
         weights = weights * np.exp(np.concatenate(([0.0], step[2 * k:])))
         candidate = np.array((weights / weights.sum(), means + step[:k],
                               variances * np.exp(step[k:2 * k])))
     if not (np.isfinite(candidate).all() and np.all(candidate[0] > 0)
             and np.all(candidate[2] >= VARIANCE_FLOOR)):
-        return None
-    return candidate
+        return None, length
+    return candidate, length
 
 
 def _em_sweep(x, counts, centre, scale_ll):
@@ -482,7 +483,7 @@ def _em_sweep(x, counts, centre, scale_ll):
 
 
 def fit_em(values, k: int = _DEFAULT_K, cfg: EmConfig | None = None) -> GmmParams:
-    """Fit a k-component mixture to 1-D samples by EM, with Newton and SQUAREM jumps.
+    """Fit a k-component mixture to 1-D samples by EM, with trust-region Newton jumps.
 
     Each sweep runs over the sorted distinct values weighted by their
     counts, so the fit does not depend on the order of ``values``. Above
@@ -495,11 +496,12 @@ def fit_em(values, k: int = _DEFAULT_K, cfg: EmConfig | None = None) -> GmmParam
     keeps its digits (see the module docstring).
 
     The sweeps come in cycles (see the module docstring): two EM maps,
-    one jump, to Newton's point where the log-likelihood is concave and
-    until a jump is refused, else SQUAREM's extrapolation, kept only if
-    it is a valid mixture whose log-likelihood is no lower than that of
-    the point it jumps from (else the second map's point is taken), and
-    one plain EM step that closes the cycle. The fit converges when a
+    one jump to the maximum of the log-likelihood's quadratic model
+    within a trust region (Newton's point where the model is concave
+    and Newton's step fits), kept only if it is a valid mixture whose
+    log-likelihood is no lower than that of the point it jumps from
+    (else the second map's point is taken), and one plain EM step that
+    closes the cycle. The fit converges when a
     cycle without a refused jump raised the log-likelihood by less than
     ``cfg.tol`` relative to its start, so only a closing plain step can
     end it. ``iterations`` still counts E-steps: those after the one at
@@ -617,27 +619,25 @@ def _fit_columns(x, counts, within, scale_ll, percentiles, k: int,
     theta = np.array((np.full(k, 1.0 / k), means, variances))
     ll, resp, mapped = sweep(theta)
     trajectory = [ll]
-    anchor, step_max, refused = theta, _STEP_MAX0, False
-    evaluations, converged, newton = 0, False, True
+    radius = np.inf  # the jumps' trust region, unbounded until a jump is refused
+    evaluations, converged, refused = 0, False, False
     while mapped is not None and not converged and evaluations < cfg.max_iter:
         jumped = False
-        # Mid-cycle, theta = F(anchor) and mapped = F(theta). Jump only
-        # when a refused jump leaves room for the fallback's E-step.
+        # Mid-cycle, mapped = F(theta). Jump only when a refused jump
+        # leaves room for the fallback's E-step.
         if len(trajectory) % 3 == 2 and cfg.max_iter - evaluations >= 2:
-            candidate = _newton_point(theta, resp, table, centre) if newton else None
+            candidate, length = _newton_point(theta, resp, table, centre, radius)
             refused = candidate is not None  # a proposed jump is refused until kept
-            if not refused:
-                candidate, alpha = _squarem_point(anchor, theta, mapped, step_max)
-                if alpha == step_max:
-                    step_max *= _STEP_GROWTH
-                refused = alpha > 1.0
-            if candidate is not None:
+            if refused:
                 evaluations += 1
                 jump = sweep(candidate)
                 if jump[0] >= ll and jump[2] is not None:
                     theta, jumped, refused = candidate, True, False
                     ll, resp, mapped = jump
-            newton = newton and not refused  # after a refused jump, only SQUAREM jumps
+            if jumped and length >= radius:
+                radius *= 2.0
+            elif not jumped and length > 0:  # refused, or no valid mixture
+                radius = length / 4.0
         if not jumped:
             evaluations += 1
             theta = mapped
@@ -646,7 +646,7 @@ def _fit_columns(x, counts, within, scale_ll, percentiles, k: int,
         if len(trajectory) % 3 == 1:  # a plain step closed the cycle
             start = trajectory[-4]
             converged = not refused and ll - start < cfg.tol * max(1.0, abs(start))
-            anchor, refused = theta, False
+            refused = False
 
     mass = resp @ counts  # resp holds the posterior of the returned parameters
     if mapped is None:  # found on the last sweep, even one the cap ended on
@@ -668,7 +668,3 @@ def _fit_columns(x, counts, within, scale_ll, percentiles, k: int,
         final_rel_change=abs(ll - trajectory[-2]) / max(1.0, abs(trajectory[-2])),
         ll_trajectory=tuple(trajectory),
     )
-
-
-
-

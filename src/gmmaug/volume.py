@@ -205,7 +205,7 @@ class LabelVolume:
     spacing: tuple[float, float, float]
     labels: np.ndarray
 
-    def __post_init__(self):
+    def __post_init__(self, copy: bool = True):
         labels = np.asarray(self.labels).ravel()
         dims, spacing = _check_grid(self, "labels", labels.size)
         if not np.issubdtype(labels.dtype, np.integer):
@@ -214,7 +214,7 @@ class LabelVolume:
             raise InputError("labels must be non-negative")
         if labels.max(initial=0) > _INT32_MAX:
             raise InputError(f"labels must be at most {_INT32_MAX}, the int32 maximum")
-        _freeze(self, dims=dims, spacing=spacing, labels=labels.astype(np.int32))
+        _freeze(self, dims=dims, spacing=spacing, labels=labels.astype(np.int32, copy=copy))
 
     def grid(self) -> np.ndarray:
         return self.labels.reshape(self.dims, order="F")
@@ -440,14 +440,15 @@ def read_label_volume(path) -> LabelVolume:
     int32 range, raise InputError. Both are checked on the body of
     :func:`_parse_nifti`, widened to float64 :data:`_BLOCK` values at a
     time, so beyond that body and its int32 labels the check holds only
-    a few block-sized temporaries.
+    a few block-sized temporaries; the labels are frozen without a copy.
     """
     dims, spacing, body = _parse_nifti(path)
     labels, in_range = np.empty(body.size, dtype=np.int32), True
     for lo in range(0, body.size, _BLOCK):
         block = body[lo:lo + _BLOCK].astype(np.float64)
         rounded = np.rint(block)
-        if np.max(np.abs(block - rounded), initial=0.0) > 1e-6:
+        block -= rounded
+        if np.max(np.abs(block, out=block), initial=0.0) > 1e-6:
             raise InputError(f"{path}: voxel values are not integer labels")
         # a later block that is not integers still names that fault first
         in_range = in_range and np.max(np.abs(rounded), initial=0.0) <= _INT32_MAX
@@ -455,8 +456,10 @@ def read_label_volume(path) -> LabelVolume:
             labels[lo:lo + _BLOCK] = rounded
     if not in_range:
         raise InputError(f"{path}: label values exceed the int32 range")
-    del body, block, rounded  # the labels are copied once more as LabelVolume freezes them
-    return LabelVolume(dims, spacing, labels)
+    vol = object.__new__(LabelVolume)  # every check of the constructor, but not its copy
+    _freeze(vol, dims=dims, spacing=spacing, labels=labels)
+    vol.__post_init__(copy=False)
+    return vol
 
 
 def _mask(dims, data: np.ndarray, labels: LabelVolume | None) -> np.ndarray:
