@@ -211,23 +211,27 @@ def _voxel_code(values, window: tuple[float, float], params: GmmParams,
     the largest weight magnitude, 0 without weights. The codes are laid
     out in :func:`augment_draws`. A foreground of integers comes from
     the reader as (knots, index) (see :func:`gmmaug.volume._as_integers`),
-    and its code is those knots, normalized, and that index.
+    and its code is those knots, normalized, and that index. Float values
+    are widened whole for the hard code, a block at a time for the soft.
     """
     if isinstance(values, tuple):
         knots, index = values
         return _apply_window(knots, window), index, None, 0.0
-    values = _apply_window(values, window)
     if hard_assign:
+        values = _apply_window(values.astype(np.float64, copy=False), window)
         index = _winners(gmm._component_log_prob(params.weights, params.means, params.variances,
                                                  values))
         weight = np.subtract(values, params.means[index], out=values)
         weight /= np.sqrt(params.variances)[index]
         knots = None
     else:
-        position = np.multiply(values, _KNOT_INTERVALS, out=values)
-        index = position.astype(np.int32)
-        np.minimum(index, _KNOT_INTERVALS - 1, out=index)  # 1.0 ends the last interval
-        weight = np.subtract(position, index, out=position).astype(np.float32)
+        index, weight = np.empty(values.size, dtype=np.int32), np.empty(values.size, np.float32)
+        for lo in range(0, values.size, _BLOCK):
+            position = _apply_window(values[lo:lo + _BLOCK].astype(np.float64), window)
+            position *= _KNOT_INTERVALS
+            at = np.minimum(position.astype(np.int32), _KNOT_INTERVALS - 1,
+                            out=index[lo:lo + _BLOCK])  # 1.0 ends the last interval
+            weight[lo:lo + _BLOCK] = np.subtract(position, at, out=position)
         knots = _UNIT_KNOTS
     return knots, index, weight, float(max(weight.max(), -weight.min()))
 
@@ -346,7 +350,8 @@ def augment_draws(
     its minimum to its maximum, and each voxel's int32 index among them:
     the fit counts the index (see :func:`gmmaug.preprocess.fit_volume`)
     and the code is that index, with no float64 copy of the values and
-    no sort.
+    no sort. A float32 foreground is sorted as float32 for the fit and
+    coded a block at a time, widened whole only under ``hard_assign``.
     The volume must be skull-stripped (foreground derivable from
     positive intensities); normalization uses the percentiles recorded
     in ``stats``. Each draw is (remapped volume, perturbation, perturbed

@@ -75,8 +75,8 @@ values and the config, never on their order: every fit runs on the
 values in ascending order, held either as one sorted array or as the
 distinct values with their counts, and ends in one EM core,
 ``_fit_columns``. :func:`fit_em` sorts a copy of its input; the volume
-fit path sorts float values in place and counts integer-typed ones
-(see :func:`gmmaug.preprocess.fit_volume`). ``_fit_sorted`` finds the
+fit path sorts float values as stored and counts integer ones (see
+:func:`gmmaug.preprocess.fit_volume`). ``_fit_sorted`` finds the
 runs of equal values of a sorted array in one pass. Up to 4096 runs go
 on as distinct values and run lengths to ``_fit_counted``; more are
 folded into bins, whose edges it finds by binary search, and the
@@ -93,6 +93,7 @@ variances at sample variance / k^2, initial weights uniform.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -103,7 +104,7 @@ import numpy as np
 
 from .errors import (DegenerateComponentError, DegenerateIntensityError, InputError,
                      InsufficientDataError)
-from .volume import _field, _flat_float64, _freeze, _is_number
+from .volume import _BLOCK, _field, _flat_float64, _freeze, _is_number
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -121,10 +122,6 @@ _MASS_FLOOR = 1e-12
 # Inputs with more distinct values than this are fitted on equal-width
 # bins that keep exact within-bin moments; fewer are fitted exactly.
 _MAX_COLUMNS = 4096
-
-# Index of u^(p + q) in a row of power sums, for p, q < 3: the Hessian
-# pairs two scores that are each quadratic in u.
-_HANKEL = np.add.outer(np.arange(3), np.arange(3))
 
 
 @dataclass(frozen=True)
@@ -331,17 +328,23 @@ def _bin_sorted(x: np.ndarray):
     Returns each bin's mean, its count and the sum of squared deviations
     from that mean, so the binned columns keep the exact total mean and
     variance of the data. Both sums run over the bin's values in
-    ascending order.
+    ascending order, a group of whole bins of at most ``_BLOCK`` values
+    (or one larger bin) at a time, so no temporary is as long as ``x``.
     """
     edges = x[0] + (x[-1] - x[0]) * (np.arange(1, _MAX_COLUMNS) / _MAX_COLUMNS)
     cuts = np.concatenate(([0], np.searchsorted(x, edges), [x.size]))
     sizes = np.diff(cuts)
     starts, counts = cuts[:-1][sizes > 0], sizes[sizes > 0]
     means = np.add.reduceat(x, starts) / counts
-    dev = np.repeat(means, counts)
-    np.subtract(x, dev, out=dev)
-    dev *= dev
-    return means, counts.astype(np.float64), np.add.reduceat(dev, starts)
+    lo, ends, within = 0, starts + counts, np.empty(means.size)
+    while lo < means.size:
+        hi = max(lo + 1, int(np.searchsorted(ends, starts[lo] + _BLOCK, side="right")))
+        dev = np.repeat(means[lo:hi], counts[lo:hi])
+        np.subtract(x[starts[lo]:ends[hi - 1]], dev, out=dev)
+        dev *= dev
+        within[lo:hi] = np.add.reduceat(dev, starts[lo:hi] - starts[lo])
+        lo = hi
+    return means, counts.astype(np.float64), within
 
 
 def _model_step(curvature, grad, radius):
@@ -380,6 +383,26 @@ def _model_step(curvature, grad, radius):
     return vecs @ (coef / (gaps + shift)), floor + shift, radius
 
 
+@functools.cache
+def _jump_layout(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only flat indices of :func:`_newton_point`'s score entries, in the order it
+    lists them, of (j, l, p + q) in the covariance for each Hankel entry ((j, p), (l, q)),
+    and of its Hessian corrections, for ``k`` components."""
+    own, logits = np.arange(k), np.arange(2 * k, 3 * k - 1)
+    head = 3 * own  # score row (j, 0), followed by rows (j, 1) and (j, 2)
+    score = np.ravel_multi_index((
+        np.r_[head, head + 1, head, head + 1, head + 2, np.repeat(head, k - 1)],
+        np.r_[own, own, k + own, k + own, k + own, np.tile(logits, k)]), (3 * k, 3 * k - 1))
+    hessian = np.ravel_multi_index((
+        np.r_[own, own, k + own, k + own, np.repeat(logits, k - 1)],
+        np.r_[own, k + own, own, k + own, np.tile(logits, k - 1)]), (3 * k - 1, 3 * k - 1))
+    hankel = np.arange(5 * k * k).reshape(k, k, 5)[..., np.add.outer(np.arange(3), np.arange(3))]
+    layout = score, hankel.transpose(0, 2, 1, 3).reshape(3 * k, 3 * k), hessian
+    for index in layout:
+        index.setflags(write=False)
+    return layout
+
+
 def _newton_point(theta, resp, table, centre, radius):
     """Newton's point from ``theta`` within ``radius``: (point or None, step length).
 
@@ -397,7 +420,7 @@ def _newton_point(theta, resp, table, centre, radius):
     """
     weights, means, variances = theta
     k = weights.size
-    own = np.arange(k)
+    score_at, hankel_at, hessian_at = _jump_layout(k)
     with np.errstate(over="ignore", invalid="ignore"):
         sums = resp @ table
         # sum of counts * (delta_jl gamma_j - gamma_j gamma_l) * u^p; the
@@ -413,26 +436,20 @@ def _newton_point(theta, resp, table, centre, radius):
         # row (j, p): the u^p coefficient of component j's log-density's
         # derivatives by the means, the log variances and the logits
         offset, inv = means - centre, 1.0 / variances
-        score = np.zeros((k, 3, 3 * k - 1))
-        score[own, 0, own] = -offset * inv
-        score[own, 1, own] = inv
-        score[own, 0, k + own] = 0.5 * (offset * offset * inv - 1.0)
-        score[own, 1, k + own] = -offset * inv
-        score[own, 2, k + own] = 0.5 * inv
-        score[:, 0, 2 * k:] = np.eye(k)[:, 1:] - weights[1:]
+        score = np.zeros(3 * k * (3 * k - 1))
+        score[score_at] = np.concatenate((
+            -offset * inv, inv, 0.5 * (offset * offset * inv - 1.0), -offset * inv, 0.5 * inv,
+            (np.eye(k)[:, 1:] - weights[1:]).ravel()))
         score = score.reshape(3 * k, 3 * k - 1)
         grad = sums[:, :3].ravel() @ score
-        hankel = cov[..., _HANKEL].transpose(0, 2, 1, 3).reshape(3 * k, 3 * k)
-        hess = score.T @ hankel @ score
+        hess = score.T @ cov.ravel()[hankel_at] @ score
         # plus the posterior-weighted second derivatives of each component's log-density
         first = sums[:, 1] - offset * sums[:, 0]  # of counts * gamma_j * (x - mu_j)
         second = sums[:, 2] - offset * (sums[:, 1] + first)  # and of its square
-        hess[own, own] -= sums[:, 0] * inv
-        hess[own, k + own] -= first * inv
-        hess[k + own, own] -= first * inv
-        hess[k + own, k + own] -= 0.5 * second * inv
-        tail = weights[1:]
-        hess[2 * k:, 2 * k:] -= sums[:, 0].sum() * (np.diag(tail) - np.outer(tail, tail))
+        tail, cross = weights[1:], first * inv
+        hess.flat[hessian_at] -= np.concatenate((
+            sums[:, 0] * inv, cross, cross, 0.5 * second * inv,
+            (sums[:, 0].sum() * (np.diag(tail) - np.outer(tail, tail))).ravel()))
         if not (np.isfinite(grad).all() and np.isfinite(hess).all()):
             return None, 0.0
         step, _, length = _model_step(-hess, grad, radius)

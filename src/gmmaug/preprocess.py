@@ -5,10 +5,10 @@ interpolation between order statistics, and are always computed over
 the masked voxels only (background zeros would otherwise dominate the
 low percentile on skull-stripped images). The clip window is read off
 the sorted masked values by index, with the bits ``np.percentile``
-would give: :func:`fit_volume` sorts the float values it fits in place,
-and reads the window of integer values off their counts, the running
-totals of a histogram of their index among the integer knots; and
-:func:`clip_normalize` sorts a copy.
+would give: :func:`fit_volume` sorts the float values it fits as
+stored, and reads the window of integer values off their counts, the
+running totals of a histogram of their index among the integer knots;
+and :func:`clip_normalize` sorts a copy.
 """
 
 from __future__ import annotations
@@ -103,10 +103,12 @@ def fit_volume(
 
     ``fit``, ``stats`` and ``augment`` all fit through here, so the spreads
     a corpus yields and the fits they perturb come from one procedure.
-    ``values`` are float64, or (knots, index), as the reader hands over
-    every foreground of integers (see :func:`gmmaug.volume._as_integers`).
-    Float values are sorted and normalized in place: the window is read
-    off them by index, and normalizing keeps them sorted, for the fit.
+    ``values`` are float32 or float64, or (knots, index), as the reader
+    hands over every foreground of integers (see :func:`gmmaug.volume._as_integers`).
+    Float values are sorted in place as stored, then widened to float64
+    (a copy only for float32; widening is exact and keeps the order) and
+    normalized in place: the window is read off them by index, and
+    normalizing keeps them sorted, for the fit.
     Knots and index are left as they are, and the index is counted
     :data:`~gmmaug.volume._BLOCK` values at a time (``np.bincount``
     widens what it counts to intp, 8 bytes a value) and the counts
@@ -127,5 +129,6 @@ def fit_volume(
         window = _clip_window(distinct, lo_pct, hi_pct, np.cumsum(counts))
         return window, _fit_counted(_apply_window(distinct, window), counts, k, cfg)
     values.sort()
+    values = values.astype(np.float64, copy=False)
     window = _clip_window(values, lo_pct, hi_pct)
     return window, _fit_sorted(_apply_window(values, window), k, cfg)

@@ -20,7 +20,7 @@ which takes a Volume or a path, with or without a label mask.
 :func:`_as_integers` then decides once per volume whether the
 foreground is integers, handed over as float64 knots and an int32
 index into them, for the fit to count and the draws to code on, or
-float64 values.
+float values as stored, in native byte order.
 
 The writer always emits float32 little-endian with the data block at
 offset 352. Paths ending in ``.gz`` are compressed/decompressed
@@ -322,7 +322,7 @@ def read_volume(path) -> Volume:
 
 
 def _as_integers(values: np.ndarray) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """Foreground ``values`` as (knots, index) if they are integers within 2**16, else as float64.
+    """Foreground ``values`` as (knots, index) if they are integers within 2**16, else as stored.
 
     ``knots`` holds the float64 integers from the minimum to the maximum,
     and ``index`` each value's int32 position among them, so
@@ -331,14 +331,15 @@ def _as_integers(values: np.ndarray) -> np.ndarray | tuple[np.ndarray, np.ndarra
     Float values qualify if all are integers, span at most 2**16 and stay
     below 2**53 in magnitude, where float64 holds every integer. The
     check stops at the first block holding a non-integer, so a
-    continuous foreground pays for one block.
+    continuous foreground pays for one block. Other values keep their
+    float dtype, in native byte order.
     """
     blocks = (values[i:i + _CHECK_BLOCK] for i in range(0, values.size, _CHECK_BLOCK))
     if values.dtype.kind == "f" and not all(np.array_equal(b, np.rint(b)) for b in blocks):
-        return values.astype(np.float64, copy=False)
+        return values.astype(values.dtype.newbyteorder("="), copy=False)
     lo, hi = float(values.min()) + 0.0, float(values.max())  # + 0.0: no knot is -0.0
     if hi - lo > _MAX_INTEGER_SPAN or max(-lo, hi) >= 2.0**53:
-        return values.astype(np.float64, copy=False)
+        return values.astype(values.dtype.newbyteorder("="), copy=False)
     # each offset from the minimum is an integer within 2**16: exact as a
     # difference of floats, and formed in int32 from integer dtypes
     index = np.subtract(values, int(lo), dtype=np.int32 if values.dtype.kind in "iu" else None)
@@ -352,7 +353,7 @@ def _foreground(source, labels: LabelVolume | None = None):
     values through :func:`_as_integers`: new arrays, ``read_volume``'s
     values bit for bit once widened to float64. A file is masked on the
     body :func:`_parse_nifti` returns, so one it does not decode is
-    never widened whole.
+    never widened.
     """
     if isinstance(source, Volume):
         dims, spacing, data = source.dims, source.spacing, source.data

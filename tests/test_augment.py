@@ -593,7 +593,8 @@ class TestAugmentDraws:
         # at most 2**16 and stay below 2**53 come as (knots, index), the
         # float64 integers from their minimum to their maximum and each
         # value's int32 position among them; the code is those knots,
-        # normalized, and that index
+        # normalized, and that index. Other float values keep their
+        # stored dtype, in native byte order, and widen to the same bytes
         values = np.array([3.0, 3.0 + _MAX_INTEGER_SPAN, 7.0])
         stored = [np.array([0, 1, 100], dtype=dtype) for dtype in ("u1", "i1", "i2", "u2")]
         stored += [np.array([np.iinfo(dtype).max, np.iinfo(dtype).min], dtype=dtype)
@@ -614,10 +615,11 @@ class TestAugmentDraws:
         for floats in (values + np.array([0.0, 1.0, 0.0]),  # too wide
                        values + np.array([0.0, 0.0, 0.5]),  # not integers
                        np.array([0.5, 1.5, 2.0], dtype=np.float32),
+                       np.array([0.5, 1.5, 2.0], dtype=">f4"),
                        values + 2.0**53, values - 2.0**60):  # float64 skips integers there
             decided = _as_integers(floats)
-            assert decided.dtype == np.float64
-            assert decided.tobytes() == floats.astype(np.float64).tobytes()
+            assert decided.dtype == floats.dtype.newbyteorder("=")
+            assert decided.astype(np.float64).tobytes() == floats.astype(np.float64).tobytes()
 
     def test_a_continuous_foreground_is_checked_on_one_block(self, monkeypatch):
         values = np.linspace(0.1, 2.0, 10 * gmmaug.volume._CHECK_BLOCK)
@@ -685,7 +687,36 @@ def assert_blocks_write_the_whole_draw(vol, stats, integers):
             assert clip or outside  # the clip has something to do
 
 
+def whole_soft_code(values, window):
+    """The soft code formed over all of ``values`` widened at once, as blocks replaced it:
+    (int32 interval, float32 fraction)."""
+    position = _apply_window(values.astype(np.float64), window)
+    position *= gmmaug.augment._KNOT_INTERVALS
+    index = position.astype(np.int32)
+    np.minimum(index, gmmaug.augment._KNOT_INTERVALS - 1, out=index)
+    return index, np.subtract(position, index, out=position).astype(np.float32)
+
+
 class TestDrawKernel:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_soft_code_is_built_a_block_at_a_time(self, dtype):
+        # a window whose edges are exact in both dtypes; values on them and
+        # beyond them normalize to exactly 0 and 1
+        rng = np.random.default_rng(5)
+        values = rng.uniform(0.0, 1.0, 2 * _BLOCK + 77).astype(dtype)
+        edges = [3, _BLOCK - 1, _BLOCK, 2 * _BLOCK + 5]
+        values[edges] = (0.25, 0.75, 0.0, 1.0)
+        window = (0.25, 0.75)
+        expected_index, expected_weight = whole_soft_code(values, window)
+        assert expected_index[edges].tolist() == [0, gmmaug.augment._KNOT_INTERVALS - 1] * 2
+        assert expected_weight[edges].tolist() == [0.0, 1.0] * 2
+        knots, index, weight, reach = _voxel_code(values.copy(), window, FAR_PARAMS, False)
+        assert knots is gmmaug.augment._UNIT_KNOTS
+        assert index.dtype == np.int32 and weight.dtype == np.float32
+        assert index.tobytes() == expected_index.tobytes()
+        assert weight.tobytes() == expected_weight.tobytes()
+        assert reach == float(max(expected_weight.max(), -expected_weight.min())) == 1.0
+
     @pytest.mark.parametrize("background", [False, True], ids=["dense", "sparse"])
     @pytest.mark.parametrize("foreground", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
     def test_blocks_write_the_bytes_of_the_whole_draw(self, foreground, background):

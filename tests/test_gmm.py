@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gmmaug.gmm
+import gmmaug.volume
 from gmmaug import (
     VARIANCE_FLOOR,
     DegenerateComponentError,
@@ -302,6 +304,20 @@ PERCENTILES = st.lists(st.floats(0.0, 100.0) | st.sampled_from((0.0, 100.0)) | s
                        min_size=1, max_size=4)
 
 
+def whole_bins(x):
+    """``gmm._bin_sorted`` with the deviations formed over all of ``x`` at once: the reference."""
+    bins = gmmaug.gmm._MAX_COLUMNS
+    edges = x[0] + (x[-1] - x[0]) * (np.arange(1, bins) / bins)
+    cuts = np.concatenate(([0], np.searchsorted(x, edges), [x.size]))
+    sizes = np.diff(cuts)
+    starts, counts = cuts[:-1][sizes > 0], sizes[sizes > 0]
+    means = np.add.reduceat(x, starts) / counts
+    dev = np.repeat(means, counts)
+    np.subtract(x, dev, out=dev)
+    dev *= dev
+    return means, counts.astype(np.float64), np.add.reduceat(dev, starts)
+
+
 class TestSortedInput:
     """The helpers that read percentiles and bins off sorted values by index."""
 
@@ -380,6 +396,28 @@ class TestSortedInput:
         assert got_counts.tobytes() == expected_counts.tobytes()
         assert means.tobytes() == expected_means.tobytes()
         assert within.tobytes() == expected_within.tobytes()
+
+    @pytest.mark.parametrize("case", ["straddling", "one-large-bin", "long-runs", "strided"])
+    def test_bins_in_blocks_are_the_whole_array_bins(self, case):
+        # groups of whole bins end where no multiple of the block does; a
+        # bin, or a run of equal values, larger than a block is a group of
+        # its own; the fit path hands over every third value of repeats
+        block = gmmaug.volume._BLOCK
+        rng = np.random.Generator(np.random.Philox(15))
+        values = {
+            "straddling": lambda: rng.random(5 * block + 123),
+            "one-large-bin": lambda: np.concatenate([rng.random(3 * block),
+                                                     rng.normal(0.5, 1e-6, 2 * block)]),
+            "long-runs": lambda: np.concatenate([np.repeat(rng.random(6000),
+                                                           rng.integers(1, 200, 6000)),
+                                                 np.full(3 * block, 0.25)]),
+            "strided": lambda: np.repeat(rng.normal(0.4, 0.1, 3 * block), 3),
+        }[case]()
+        x = np.sort(values)[::3] if case == "strided" else np.sort(values)
+        expected = whole_bins(x)
+        assert (expected[1].max() > block) == (case in ("one-large-bin", "long-runs"))
+        for got, want in zip(gmmaug.gmm._bin_sorted(x), expected):
+            assert got.tobytes() == want.tobytes()
 
     def test_bins_keep_the_total_moments(self):
         rng = np.random.Generator(np.random.Philox(12))
@@ -523,6 +561,32 @@ class TestJumps:
             step, mu, length = gmmaug.gmm._model_step(curvature, grad, radius)
             assert step.tobytes() == newton.tobytes() and mu == 0.0
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_newton_point_from_fixed_layouts_is_the_assembled_one(self, k):
+        # points from Newton's step and from the trust region's sphere,
+        # each bit for bit
+        rng = np.random.default_rng(k)
+        x = np.sort(rng.random(300))
+        counts = rng.integers(1, 50, x.size).astype(np.float64)
+        centre = (counts * x).sum() / counts.sum()
+        u = x - centre
+        table = (counts * np.array((np.ones_like(u), u, u * u, u * u * u, u * u * u * u))).T
+        on_sphere = set()
+        for trial in range(40):
+            weights = rng.dirichlet(np.ones(k))
+            theta = np.array((weights, np.sort(rng.random(k)), rng.uniform(1e-3, 0.05, k)))
+            resp = gmmaug.gmm._posterior(gmmaug.gmm._component_log_prob(*theta, x))[0]
+            for radius in (np.inf, 0.05):
+                point, length = gmmaug.gmm._newton_point(theta, resp, table, centre, radius)
+                expected, expected_length = assembled_newton_point(theta, resp, table, centre,
+                                                                   radius)
+                assert length == expected_length
+                assert (point is None) == (expected is None)
+                if point is not None:
+                    assert point.tobytes() == expected.tobytes()
+                on_sphere.add(length == radius)
+        assert on_sphere == {False, True}
+
     @pytest.mark.parametrize("column", [0, 4], ids=["gradient", "hessian"])
     def test_no_newton_point_from_a_non_finite_gradient_or_hessian(self, column):
         # the counts times u^0 enter the gradient; u^4 only the Hessian
@@ -572,6 +636,54 @@ class TestJumps:
         # measured: 2.9e-7
         assert np.max(np.abs(point / theta_of(phi - np.linalg.solve(hess, grad)) - 1.0)) <= 1e-5
         assert log_likelihood(phi_of(point)) > log_likelihood(phi)
+
+
+def assembled_newton_point(theta, resp, table, centre, radius):
+    """``gmm._newton_point`` with its score, Hankel and Hessian matrices assembled piece by
+    piece, entry block by entry block: the reference for the fixed layouts."""
+    weights, means, variances = theta
+    k = weights.size
+    own = np.arange(k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = resp @ table
+        cov = np.zeros((k, k, 5))
+        row = np.empty(resp.shape[1])
+        for j, l in itertools.combinations(range(k), 2):
+            pair = table.T @ np.multiply(resp[j], resp[l], out=row)
+            cov[j, l] = cov[l, j] = -pair
+            cov[j, j] += pair
+            cov[l, l] += pair
+        offset, inv = means - centre, 1.0 / variances
+        score = np.zeros((k, 3, 3 * k - 1))
+        score[own, 0, own] = -offset * inv
+        score[own, 1, own] = inv
+        score[own, 0, k + own] = 0.5 * (offset * offset * inv - 1.0)
+        score[own, 1, k + own] = -offset * inv
+        score[own, 2, k + own] = 0.5 * inv
+        score[:, 0, 2 * k:] = np.eye(k)[:, 1:] - weights[1:]
+        score = score.reshape(3 * k, 3 * k - 1)
+        grad = sums[:, :3].ravel() @ score
+        hankel = np.add.outer(np.arange(3), np.arange(3))  # u^(p + q)
+        hankel = cov[..., hankel].transpose(0, 2, 1, 3).reshape(3 * k, 3 * k)
+        hess = score.T @ hankel @ score
+        first = sums[:, 1] - offset * sums[:, 0]
+        second = sums[:, 2] - offset * (sums[:, 1] + first)
+        hess[own, own] -= sums[:, 0] * inv
+        hess[own, k + own] -= first * inv
+        hess[k + own, own] -= first * inv
+        hess[k + own, k + own] -= 0.5 * second * inv
+        tail = weights[1:]
+        hess[2 * k:, 2 * k:] -= sums[:, 0].sum() * (np.diag(tail) - np.outer(tail, tail))
+        if not (np.isfinite(grad).all() and np.isfinite(hess).all()):
+            return None, 0.0
+        step, _, length = gmmaug.gmm._model_step(-hess, grad, radius)
+        weights = weights * np.exp(np.concatenate(([0.0], step[2 * k:])))
+        candidate = np.array((weights / weights.sum(), means + step[:k],
+                              variances * np.exp(step[k:2 * k])))
+    if not (np.isfinite(candidate).all() and np.all(candidate[0] > 0)
+            and np.all(candidate[2] >= VARIANCE_FLOOR)):
+        return None, length
+    return candidate, length
 
 
 def two_pass_sweep(x, counts, centre, scale_ll):

@@ -32,6 +32,7 @@ from gmmaug import (
     remap,
     save_stats,
     write_label_volume,
+    write_volume,
 )
 import gmmaug.augment
 import gmmaug.gmm
@@ -121,8 +122,9 @@ def test_mask_and_values_are_read_volumes(tmp_path, kind, labelled):
     assert np.array_equal(got_mask, mask)
     # integral values come as float64 knots, the integers from their
     # minimum to their maximum, and each voxel's int32 index among them,
-    # for the fit to count; other values are float64, which the fit
-    # sorts in place
+    # for the fit to count; other values, here all stored as unscaled
+    # floats, keep their stored dtype in native byte order, and widen to
+    # read_volume's values
     expected = vol.data[mask]
     if np.array_equal(expected, np.rint(expected)):
         knots, index = values
@@ -130,8 +132,8 @@ def test_mask_and_values_are_read_volumes(tmp_path, kind, labelled):
         assert knots.tobytes() == np.arange(expected.min(), expected.max() + 1.0).tobytes()
         widened = knots[index]
     else:
-        assert values.dtype == np.float64 and values.flags.writeable
-        widened = values
+        assert values.dtype == np.dtype(KINDS[kind][0]) and values.flags.writeable
+        widened = values.astype(np.float64)
     assert widened.tobytes() == expected.tobytes()
 
 
@@ -273,9 +275,31 @@ def test_nan_in_the_background_is_still_refused(tmp_path, slope, caplog, capsys)
     assert not (tmp_path / "aug_0.nii").exists()
 
 
+def test_fit_of_a_float32_file_sorts_it_as_stored(tmp_path):
+    # beyond the file bytes and the mask, the masked float32 values,
+    # about 4 bytes per foreground value at the peak, which is the read:
+    # the fit sorts them in place and widens them after the file bytes
+    # are freed; widened in the reader, as float64 values, they took 12
+    path = tmp_path / "phantom.nii"
+    vol = generate_phantom(PhantomSpec(dims=(96, 96, 96), seed=1))[0]
+    write_volume(vol, path)
+    foreground = int(np.count_nonzero(vol.data > 0))
+    del vol
+    argv = ["fit", str(path), "--out", str(tmp_path / "fit.json")]
+    assert main(argv) == 0  # lazy imports happen here
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= path.stat().st_size + 96**3 + 6 * foreground
+
+
 def test_unit_scaled_float_file_is_not_widened_whole(tmp_path):
-    # masked on the stored float32 body: the mask, the masked float32
-    # voxels and their float64 copy, never a float64 copy of the grid
+    # masked on the stored float32 body: the mask and the masked float32
+    # voxels (the bound leaves room for a float64 copy of them), never a
+    # float64 copy of the grid
     n = 48**3
     data = np.linspace(-1.0, 1.0, n).astype("<f4")
     path = tmp_path / "v.nii"
