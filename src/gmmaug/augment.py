@@ -20,8 +20,9 @@ matrix product. :func:`augment_draws` instead codes each foreground
 voxel once as an index and an optional weight, at most 9 bytes, and
 every draw is the one expression a[index] + b[index] * weight over two
 small tables (a, b) built from the perturbation. One kernel,
-:meth:`_Coded.draw_into`, builds and bounds those tables and reads the
-voxels off them a block of the grid at a time, into buffers it reuses.
+:meth:`_Coded.draw_into`, samples a seed's perturbation, builds and
+bounds its tables and reads the voxels off them a block of the grid at
+a time, into buffers it reuses.
 Either way the result lands in a zero background (clip-normalization
 zeroes every voxel outside the mask). While it draws, the generator
 holds only the foreground mask, one byte per voxel, the codes and the
@@ -205,55 +206,57 @@ def remap(
 
 def _voxel_code(values, window: tuple[float, float], params: GmmParams,
                 hard_assign: bool) -> tuple[np.ndarray | None, np.ndarray, np.ndarray | None, float]:
-    """(knots, index, weight, reach) of raw foreground ``values``, which may be overwritten.
+    """(knots, index, weight, reach) of raw foreground ``values``.
 
     No knots under hard assignment, no weight for integers; ``reach`` is
     the largest weight magnitude, 0 without weights. The codes are laid
     out in :func:`augment_draws`. A foreground of integers comes from
     the reader as (knots, index) (see :func:`gmmaug.volume._as_integers`),
     and its code is those knots, normalized, and that index. Float values
-    are widened whole for the hard code, a block at a time for the soft.
+    are widened, windowed and coded a block at a time, hard or soft.
     """
     if isinstance(values, tuple):
         knots, index = values
         return _apply_window(knots, window), index, None, 0.0
-    if hard_assign:
-        values = _apply_window(values.astype(np.float64, copy=False), window)
-        index = _winners(gmm._component_log_prob(params.weights, params.means, params.variances,
-                                                 values))
-        weight = np.subtract(values, params.means[index], out=values)
-        weight /= np.sqrt(params.variances)[index]
-        knots = None
-    else:
-        index, weight = np.empty(values.size, dtype=np.int32), np.empty(values.size, np.float32)
-        for lo in range(0, values.size, _BLOCK):
-            position = _apply_window(values[lo:lo + _BLOCK].astype(np.float64), window)
+    index = np.empty(values.size, np.min_scalar_type(params.k - 1) if hard_assign else np.int32)
+    weight = np.empty(values.size, np.float64 if hard_assign else np.float32)
+    for lo in range(0, values.size, _BLOCK):
+        position = _apply_window(values[lo:lo + _BLOCK].astype(np.float64), window)
+        at, offset = index[lo:lo + _BLOCK], weight[lo:lo + _BLOCK]
+        if hard_assign:
+            at[:] = _winners(gmm._component_log_prob(params.weights, params.means,
+                                                     params.variances, position))
+            np.subtract(position, params.means[at], out=offset)
+            offset /= np.sqrt(params.variances)[at]
+        else:
             position *= _KNOT_INTERVALS
-            at = np.minimum(position.astype(np.int32), _KNOT_INTERVALS - 1,
-                            out=index[lo:lo + _BLOCK])  # 1.0 ends the last interval
-            weight[lo:lo + _BLOCK] = np.subtract(position, at, out=position)
-        knots = _UNIT_KNOTS
+            # 1.0 ends the last interval
+            np.minimum(position.astype(np.int32), _KNOT_INTERVALS - 1, out=at)
+            offset[:] = np.subtract(position, at, out=position)
+    knots = None if hard_assign else _UNIT_KNOTS
     return knots, index, weight, float(max(weight.max(), -weight.min()))
 
 
 class _Coded:
-    """A volume fitted once and coded, and the one kernel that draws from its code.
+    """A volume fitted once and coded, and the one kernel that draws from its code by seed.
 
-    Built as :func:`augment_draws` describes: the foreground of ``vol``
-    is read, fitted and reduced to its code, and only the mask, the fit
-    and the code are kept, with three block buffers that every draw
-    reuses.
+    Built as :func:`augment_draws` describes: of ``vol`` it keeps the mask, the fit and
+    the code (``knots``, ``index``, ``weight`` and ``reach``, see :func:`_voxel_code`),
+    and ``stats``, with three block buffers that every draw reuses.
     """
 
-    def __init__(self, vol, stats: PopulationStats, cfg: EmConfig | None, hard_assign: bool,
-                 clip: bool):
+    def __init__(self, vol, stats: PopulationStats, cfg: EmConfig | None = None, *,
+                 hard_assign: bool = False, reject_order_inversion: bool = False,
+                 clip: bool = True):
         self.dims, self.spacing, self.mask, values = _foreground(vol)
         # the fit sorts float values in place and leaves knots and index as they are
         window, self.params = fit_volume(values if isinstance(values, tuple) else values.copy(),
                                          stats.k, cfg, stats.clip_lo_pct, stats.clip_hi_pct)
-        self.code = _voxel_code(values, window, self.params, hard_assign)
-        self.hard_assign, self.clip = hard_assign, clip
-        size = min(_BLOCK, self.code[1].size)
+        self.knots, self.index, self.weight, self.reach = _voxel_code(values, window,
+                                                                      self.params, hard_assign)
+        self.stats, self.hard_assign, self.clip = stats, hard_assign, clip
+        self.reject_order_inversion = reject_order_inversion
+        size = min(_BLOCK, self.index.size)
         self._at, self._a, self._b = np.empty(size, dtype=np.intp), np.empty(size), np.empty(size)
 
     def _tables(self, pert: PerturbedGmm) -> tuple[np.ndarray, np.ndarray | None, bool]:
@@ -267,35 +270,39 @@ class _Coded:
         a finite bound table proves the draw finite without a pass over
         its voxels.
         """
-        knots, _, weight, reach = self.code
-        if knots is None:
+        if self.knots is None:
             a, b = pert.means, np.sqrt(pert.variances)
         else:
-            a = _remapped(knots, pert, self.hard_assign)
-            b = None if weight is None else np.diff(a)
+            a = _remapped(self.knots, pert, self.hard_assign)
+            b = None if self.weight is None else np.diff(a)
         bound = np.abs(a)
-        if weight is not None:
+        if self.weight is not None:
             with np.errstate(over="ignore", invalid="ignore"):
-                bound[:b.size] += np.abs(b) * reach
+                bound[:b.size] += np.abs(b) * self.reach
         return a, b, bool(np.isfinite(bound).all())
 
-    def draw_into(self, out: np.ndarray, pert: PerturbedGmm) -> bool:
-        """Store the draw under ``pert`` in the masked voxels of the flat ``out``: whether it fits.
+    def draw_into(self, out: np.ndarray, seed: int) -> tuple[Perturbation, PerturbedGmm, bool]:
+        """Store the draw of ``seed`` in the masked voxels of the flat ``out``.
 
-        The grid is walked :data:`~gmmaug.volume._BLOCK` voxels at a time;
-        the masked voxels of a block advance the offset into the code, and
+        Returns (perturbation, perturbed fit, whether the draw fits
+        ``out``'s dtype); the perturbation is ``seed``'s, redrawn under
+        ``reject_order_inversion`` (see :func:`sample_perturbation`). The
+        grid is walked :data:`~gmmaug.volume._BLOCK` voxels at a time; the
+        masked voxels of a block advance the offset into the code, and
         their index, a[index] and b[index] are gathered into the reused
         buffers. Each block is a[index] + b[index] * weight (a[index]
         without a weight) in float64, clipped to [0, 1] unless clipping is
         off, and stored into ``out``, cast to its dtype. A draw its tables
         do not prove finite is scanned block by block, and the first
-        block holding NaN or an infinity raises InputError. The result is
-        False when a value overflowed ``out``'s dtype (float32 can); the
-        draw goes on, so that a later NaN or infinity is still the error
+        block holding NaN or an infinity raises InputError. A value that
+        overflows ``out``'s dtype (float32 can) does not fit; the draw
+        goes on, so that a later NaN or infinity is still the error
         raised. Voxels outside the mask are not touched.
         """
-        _, index, weight, _ = self.code
-        a, b, proved = self._tables(pert)
+        pert = sample_perturbation(self.stats, seed,
+                                   self.params.means if self.reject_order_inversion else None)
+        perturbed = apply_perturbation(self.params, pert)
+        a, b, proved = self._tables(perturbed)
         fits, start = True, 0
         for lo in range(0, out.size, _BLOCK):
             held = self.mask[lo:lo + _BLOCK]
@@ -303,12 +310,12 @@ class _Coded:
             if stop == start:
                 continue
             at = self._at[:stop - start]
-            np.copyto(at, index[start:stop])
+            np.copyto(at, self.index[start:stop])
             # every index is in range; under mode="raise" np.take would buffer its out
             drawn = np.take(a, at, out=self._a[:at.size], mode="clip")
-            if weight is not None:
+            if self.weight is not None:
                 step = np.take(b, at, out=self._b[:at.size], mode="clip")
-                step *= weight[start:stop]
+                step *= self.weight[start:stop]
                 drawn += step
             if self.clip:
                 np.clip(drawn, 0.0, 1.0, out=drawn)
@@ -320,14 +327,15 @@ class _Coded:
             except FloatingPointError:
                 fits = False
             start = stop
-        return fits
+        return pert, perturbed, fits
 
-
-def _perturbed(stats: PopulationStats, params: GmmParams, seed: int,
-               reject_order_inversion: bool) -> tuple[Perturbation, PerturbedGmm]:
-    """The perturbation of ``seed`` and the fit ``params`` perturbed by it."""
-    pert = sample_perturbation(stats, seed, params.means if reject_order_inversion else None)
-    return pert, apply_perturbation(params, pert)
+    def draw(self, seed: int) -> tuple[Volume, Perturbation, PerturbedGmm]:
+        """The draw of ``seed`` as a fresh float64 volume on a zero background, as
+        :func:`augment_draws` yields it: (volume, perturbation, perturbed mixture)."""
+        data = np.zeros(self.mask.size)
+        pert, perturbed, _ = self.draw_into(data, seed)
+        # the kernel has scanned every draw its tables do not prove finite
+        return _finite_volume(self.dims, self.spacing, data), pert, perturbed
 
 
 def augment_draws(
@@ -350,14 +358,14 @@ def augment_draws(
     its minimum to its maximum, and each voxel's int32 index among them:
     the fit counts the index (see :func:`gmmaug.preprocess.fit_volume`)
     and the code is that index, with no float64 copy of the values and
-    no sort. A float32 foreground is sorted as float32 for the fit and
-    coded a block at a time, widened whole only under ``hard_assign``.
-    The volume must be skull-stripped (foreground derivable from
-    positive intensities); normalization uses the percentiles recorded
-    in ``stats``. Each draw is (remapped volume, perturbation, perturbed
-    mixture), and ``perturbed.base`` is the fit. With
-    ``reject_order_inversion`` perturbations that would invert the order
-    of the fitted means are redrawn from the same seed's stream.
+    no sort. A float foreground is sorted as stored for the fit and
+    coded a block at a time, soft or hard. The volume must be
+    skull-stripped (foreground derivable from positive intensities);
+    normalization uses the percentiles recorded in ``stats``. Each draw
+    is (remapped volume, perturbation, perturbed mixture), and
+    ``perturbed.base`` is the fit. With ``reject_order_inversion``
+    perturbations that would invert the order of the fitted means are
+    redrawn from the same seed's stream.
 
     After the fit each foreground voxel is reduced to a code, an index
     and an optional weight (:func:`_voxel_code`), and every draw reads
@@ -373,9 +381,9 @@ def augment_draws(
     its uint8 component j and float64 offset D (9 bytes). The integer
     and hard codes equal :func:`remap` in float64.
 
-    :meth:`_Coded.draw_into` is the one draw kernel: it builds and
-    bounds a draw's tables (a, b) and walks the grid in blocks of
-    65536 voxels, reading each block's voxels off the tables into
+    :meth:`_Coded.draw_into` is the one draw kernel: it samples a
+    seed's perturbation, builds and bounds its tables (a, b) and walks
+    the grid in blocks of 65536 voxels, reading each block's voxels off the tables into
     buffers it reuses, so beyond its output a draw allocates only its
     tables and a few block-sized arrays. A draw whose tables bound
     every voxel's magnitude by a finite number is not scanned for NaN
@@ -389,19 +397,11 @@ def augment_draws(
     A caller that keeps no other reference to ``vol`` and releases each
     draw before asking for the next holds one output volume at a time.
     """
-    coded = _Coded(vol, stats, cfg, hard_assign, clip)
+    coded = _Coded(vol, stats, cfg, hard_assign=hard_assign,
+                   reject_order_inversion=reject_order_inversion, clip=clip)
     del vol
-
-    def draw(perturbed: PerturbedGmm) -> Volume:
-        data = np.zeros(coded.mask.size)
-        coded.draw_into(data, perturbed)
-        # the kernel has scanned every draw its tables do not prove finite
-        return _finite_volume(coded.dims, coded.spacing, data)
-
     for seed in seeds:
-        pert, perturbed = _perturbed(stats, coded.params, seed, reject_order_inversion)
-        # no local keeps the draw, so the caller's release frees it
-        yield draw(perturbed), pert, perturbed
+        yield coded.draw(seed)  # no local keeps the draw, so the caller's release frees it
 
 
 def augment_volume(

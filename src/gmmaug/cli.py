@@ -88,15 +88,15 @@ def cmd_augment(args) -> int:
     if args.n < 1 or args.seed < 0:
         raise InputError(f"need --n >= 1 and --seed >= 0, got --n {args.n} --seed {args.seed}")
     stats = load_stats(args.stats)
-    coded = aug._Coded(args.input, stats, _em_config(args), args.hard_assign, not args.no_clip)
+    coded = aug._Coded(args.input, stats, _em_config(args), hard_assign=args.hard_assign,
+                       reject_order_inversion=args.reject_order_inversion, clip=not args.no_clip)
     # each draw is written before the next overwrites it, so one float32
     # body on a zero background serves them all
     header, body = _pack_header(coded.dims, coded.spacing), np.zeros(coded.mask.size, dtype="<f4")
     for i in range(args.n):
-        pert, perturbed = aug._perturbed(stats, coded.params, args.seed + i,
-                                         args.reject_order_inversion)
         path = f"{args.out_prefix}_{i}.nii"
-        if not coded.draw_into(body, perturbed):
+        pert, perturbed, fits = coded.draw_into(body, args.seed + i)
+        if not fits:
             raise _beyond_float32(path)
         _write_float32(path, header, body)
         sidecar = aug.provenance_dict(pert, perturbed)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import gmmaug.augment
+import gmmaug.gmm
 import gmmaug.volume
 from gmmaug import (
     VARIANCE_FLOOR,
@@ -638,12 +639,11 @@ class TestAugmentDraws:
 def whole_draw(coded, perturbed):
     """A draw the way the kernel's blocks replaced: every foreground voxel gathered at once,
     clipped, and scattered into a float64 zero background."""
-    _, index, weight, _ = coded.code
     a, b, _ = coded._tables(perturbed)
-    drawn = np.take(a, index)
-    if weight is not None:
-        step = np.take(b, index)
-        step *= weight
+    drawn = np.take(a, coded.index)
+    if coded.weight is not None:
+        step = np.take(b, coded.index)
+        step *= coded.weight
         drawn += step
     if coded.clip:
         np.clip(drawn, 0.0, 1.0, out=drawn)
@@ -667,24 +667,29 @@ def block_volume(foreground, background, integers):
     return Volume((values.size, 1, 1), (1, 1, 1), values)
 
 
-def assert_blocks_write_the_whole_draw(vol, stats, integers):
-    """Every code of ``vol``, clipped or not: the kernel's float64 and float32 draws are the
-    whole-foreground draw, byte for byte."""
+def assert_blocks_write_the_whole_draw(vol, stats, integers, reject_order_inversion=False):
+    """Every code of ``vol``, clipped or not: the kernel's float64 and float32 draws of each
+    seed are the whole-foreground draw under that seed's perturbation, byte for byte."""
     for hard_assign in (False, True):
         for clip in (True, False):
-            coded = gmmaug.augment._Coded(vol, stats, None, hard_assign, clip)
-            assert coded.code[1].size == np.count_nonzero(foreground_mask(vol))
-            assert (coded.code[0] is None) == (hard_assign and not integers)
-            body, outside = np.zeros(vol.n_voxels, dtype="<f4"), 0
-            draws = augment_draws(vol, stats, range(3), hard_assign=hard_assign, clip=clip)
-            for out, _, perturbed in draws:
+            flags = dict(hard_assign=hard_assign, reject_order_inversion=reject_order_inversion,
+                         clip=clip)
+            coded = gmmaug.augment._Coded(vol, stats, **flags)
+            assert coded.index.size == np.count_nonzero(foreground_mask(vol))
+            assert (coded.knots is None) == (hard_assign and not integers)
+            body, outside, redrawn = np.zeros(vol.n_voxels, dtype="<f4"), 0, 0
+            for seed, (out, pert, perturbed) in enumerate(augment_draws(vol, stats, range(3),
+                                                                        **flags)):
                 expected = whole_draw(coded, perturbed)
                 assert out.data.tobytes() == expected.tobytes()
-                assert coded.draw_into(body, perturbed)
+                *kernel_draw, fits = coded.draw_into(body, seed)
+                assert fits and provenance_dict(*kernel_draw) == provenance_dict(pert, perturbed)
                 # write_volume writes the float64 draw cast to float32
                 assert body.tobytes() == expected.astype("<f4").tobytes()
                 outside += np.count_nonzero((expected < 0.0) | (expected > 1.0))
+                redrawn += pert.q_mu.tobytes() != sample_perturbation(stats, seed).q_mu.tobytes()
             assert clip or outside  # the clip has something to do
+            assert bool(redrawn) == reject_order_inversion  # and so has the redraw
 
 
 def whole_soft_code(values, window):
@@ -697,13 +702,25 @@ def whole_soft_code(values, window):
     return index, np.subtract(position, index, out=position).astype(np.float32)
 
 
+def whole_hard_code(values, window, params):
+    """The hard code formed over all of ``values`` widened at once, as blocks replaced it:
+    (uint8 argmax component, float64 offset D)."""
+    normalized = _apply_window(values.astype(np.float64), window)
+    log_prob = gmmaug.gmm._component_log_prob(params.weights, params.means, params.variances,
+                                              normalized)
+    index = np.argmax(log_prob, axis=0).astype(np.uint8)
+    offset = np.subtract(normalized, params.means[index])
+    offset /= np.sqrt(params.variances)[index]
+    return index, offset
+
+
 class TestDrawKernel:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_soft_code_is_built_a_block_at_a_time(self, dtype):
         # a window whose edges are exact in both dtypes; values on them and
         # beyond them normalize to exactly 0 and 1
         rng = np.random.default_rng(5)
-        values = rng.uniform(0.0, 1.0, 2 * _BLOCK + 77).astype(dtype)
+        values = rng.uniform(0.0, 1.0, 8 * _BLOCK + 77).astype(dtype)
         edges = [3, _BLOCK - 1, _BLOCK, 2 * _BLOCK + 5]
         values[edges] = (0.25, 0.75, 0.0, 1.0)
         window = (0.25, 0.75)
@@ -716,6 +733,23 @@ class TestDrawKernel:
         assert index.tobytes() == expected_index.tobytes()
         assert weight.tobytes() == expected_weight.tobytes()
         assert reach == float(max(expected_weight.max(), -expected_weight.min())) == 1.0
+        # the hard code too, in blocks that hold no foreground-sized temporary
+        params = make_params((0.3, 0.3, 0.4), (0.2, 0.5, 0.8), (0.01, 0.02, 0.01))
+        expected_index, expected_weight = whole_hard_code(values, window, params)
+        assert len(set(expected_index.tolist())) == 3
+        stored = values.copy()
+        tracemalloc.start()
+        try:
+            knots, index, weight, reach = _voxel_code(values, window, params, True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert knots is None and index.dtype == np.uint8 and weight.dtype == np.float64
+        assert index.tobytes() == expected_index.tobytes()
+        assert weight.tobytes() == expected_weight.tobytes()
+        assert reach == float(np.abs(expected_weight).max())
+        assert peak - index.nbytes - weight.nbytes <= 64 * _BLOCK
+        assert values.tobytes() == stored.tobytes()  # the values are read, not overwritten
 
     @pytest.mark.parametrize("background", [False, True], ids=["dense", "sparse"])
     @pytest.mark.parametrize("foreground", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
@@ -725,6 +759,14 @@ class TestDrawKernel:
             vol = block_volume(foreground, background, integers)
             assert np.count_nonzero(foreground_mask(vol)) == foreground
             assert_blocks_write_the_whole_draw(vol, stats, integers)
+
+    @pytest.mark.parametrize("integers", [False, True], ids=["float", "integer"])
+    def test_redrawn_seeds_write_the_bytes_of_the_whole_draw(self, integers):
+        # spreads wider than the gaps between the fitted means: some seeds
+        # invert their order and are redrawn under reject_order_inversion
+        stats = make_stats((0.5, 0.5, 0.5), (1e-3, 1e-3, 3e-3))
+        vol = block_volume(_BLOCK + 1, True, integers)
+        assert_blocks_write_the_whole_draw(vol, stats, integers, reject_order_inversion=True)
 
     @pytest.mark.parametrize("integers", [False, True], ids=["float", "integer"])
     def test_empty_blocks_write_the_bytes_of_the_whole_draw(self, integers):

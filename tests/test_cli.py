@@ -27,6 +27,8 @@ from gmmaug import (
     fit_em,
     foreground_mask,
     generate_phantom,
+    load_stats,
+    provenance_dict,
     read_volume,
     write_volume,
 )
@@ -525,6 +527,31 @@ class TestAugment:
                 assert batch_bytes == (tmp_path / f"single{i}_0.{ext}").read_bytes()
 
     @pytest.mark.parametrize("integers, flags", [
+        (False, []), (False, ["--hard-assign"]), (True, []),
+    ], ids=["soft", "hard", "int16"])
+    def test_draw_into_writes_the_augment_draw_of_its_seed(
+        self, tmp_path, phantom_file, spread_stats_file, integers, flags
+    ):
+        # draw i of `augment --seed s0` is the kernel's draw of seed s0 + i, in
+        # whatever order the seeds are drawn: the body and the sidecar
+        if integers:  # as stored by a scanner: int16 intensities
+            vol = read_volume(phantom_file)
+            body = np.rint(vol.data * 700.0).astype("<i2").tobytes()
+            phantom_file = tmp_path / "int16.nii"
+            phantom_file.write_bytes(build_nifti_bytes(vol.dims, body, 4))
+        assert main(["augment", str(phantom_file), "--stats", str(spread_stats_file), *flags,
+                     "--seed", "40", "--n", "3", "--out-prefix", str(tmp_path / "a")]) == 0
+        coded = gmmaug.augment._Coded(phantom_file, load_stats(spread_stats_file),
+                                      hard_assign=bool(flags))
+        body = np.zeros(coded.mask.size, dtype="<f4")
+        for seed in (42, 40, 41):
+            pert, perturbed, fits = coded.draw_into(body, seed)
+            written = (tmp_path / f"a_{seed - 40}.nii").read_bytes()
+            assert fits and written[-body.nbytes:] == body.tobytes()
+            sidecar = json.loads((tmp_path / f"a_{seed - 40}.json").read_text())
+            assert sidecar == provenance_dict(pert, perturbed)
+
+    @pytest.mark.parametrize("integers, flags", [
         (False, []), (False, ["--hard-assign"]), (True, ["--hard-assign"]),
     ], ids=["flags0", "flags1", "integers-hard"])
     def test_draws_share_one_foreground_posterior(
@@ -635,10 +662,10 @@ class TestAugment:
         assert main([*common, "--n", "1"]) == 0  # lazy imports happen here
         peaks, draw_into = [], gmmaug.augment._Coded.draw_into
 
-        def traced(coded, out, pert):
+        def traced(coded, out, seed):
             peaks.append(tracemalloc.get_traced_memory()[1])  # of all before this draw
             tracemalloc.reset_peak()
-            return draw_into(coded, out, pert)
+            return draw_into(coded, out, seed)
 
         monkeypatch.setattr(gmmaug.augment._Coded, "draw_into", traced)
         tracemalloc.start()
