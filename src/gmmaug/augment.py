@@ -20,9 +20,10 @@ matrix product. :func:`augment_draws` instead codes each foreground
 voxel once as an index and an optional weight, at most 9 bytes, and
 every draw is the one expression a[index] + b[index] * weight over two
 small tables (a, b) built from the perturbation. One kernel,
-:meth:`_Coded.draw_into`, samples a seed's perturbation, builds and
-bounds its tables and reads the voxels off them a block of the grid at
-a time, into buffers it reuses.
+:meth:`_Coded.draw_into`, samples a seed's perturbation, builds its
+tables and reads the voxels off them a block of the grid at a time,
+into buffers it reuses; a draw is scanned for NaN and infinities unless
+it is clipped and its tables are finite.
 Either way the result lands in a zero background (clip-normalization
 zeroes every voxel outside the mask). While it draws, the generator
 holds only the foreground mask, one byte per voxel, the codes and the
@@ -205,19 +206,20 @@ def remap(
 
 
 def _voxel_code(values, window: tuple[float, float], params: GmmParams,
-                hard_assign: bool) -> tuple[np.ndarray | None, np.ndarray, np.ndarray | None, float]:
-    """(knots, index, weight, reach) of raw foreground ``values``.
+                hard_assign: bool) -> tuple[np.ndarray | None, np.ndarray, np.ndarray | None]:
+    """(knots, index, weight) of raw foreground ``values``.
 
-    No knots under hard assignment, no weight for integers; ``reach`` is
-    the largest weight magnitude, 0 without weights. The codes are laid
-    out in :func:`augment_draws`. A foreground of integers comes from
-    the reader as (knots, index) (see :func:`gmmaug.volume._as_integers`),
-    and its code is those knots, normalized, and that index. Float values
-    are widened, windowed and coded a block at a time, hard or soft.
+    No knots under hard assignment, no weight for integers; every weight
+    is finite, a fraction in [0, 1] or the offset D of a value in [0, 1].
+    The codes are laid out in :func:`augment_draws`. A foreground of
+    integers comes from the reader as (knots, index) (see
+    :func:`gmmaug.volume._as_integers`), and its code is those knots,
+    normalized, and that index. Float values are widened, windowed and
+    coded a block at a time, hard or soft.
     """
     if isinstance(values, tuple):
         knots, index = values
-        return _apply_window(knots, window), index, None, 0.0
+        return _apply_window(knots, window), index, None
     index = np.empty(values.size, np.min_scalar_type(params.k - 1) if hard_assign else np.int32)
     weight = np.empty(values.size, np.float64 if hard_assign else np.float32)
     for lo in range(0, values.size, _BLOCK):
@@ -233,16 +235,15 @@ def _voxel_code(values, window: tuple[float, float], params: GmmParams,
             # 1.0 ends the last interval
             np.minimum(position.astype(np.int32), _KNOT_INTERVALS - 1, out=at)
             offset[:] = np.subtract(position, at, out=position)
-    knots = None if hard_assign else _UNIT_KNOTS
-    return knots, index, weight, float(max(weight.max(), -weight.min()))
+    return None if hard_assign else _UNIT_KNOTS, index, weight
 
 
 class _Coded:
     """A volume fitted once and coded, and the one kernel that draws from its code by seed.
 
     Built as :func:`augment_draws` describes: of ``vol`` it keeps the mask, the fit and
-    the code (``knots``, ``index``, ``weight`` and ``reach``, see :func:`_voxel_code`),
-    and ``stats``, with three block buffers that every draw reuses.
+    the code (``knots``, ``index`` and ``weight``, see :func:`_voxel_code`), and
+    ``stats``, with three block buffers that every draw reuses.
     """
 
     def __init__(self, vol, stats: PopulationStats, cfg: EmConfig | None = None, *,
@@ -252,34 +253,20 @@ class _Coded:
         # the fit sorts float values in place and leaves knots and index as they are
         window, self.params = fit_volume(values if isinstance(values, tuple) else values.copy(),
                                          stats.k, cfg, stats.clip_lo_pct, stats.clip_hi_pct)
-        self.knots, self.index, self.weight, self.reach = _voxel_code(values, window,
-                                                                      self.params, hard_assign)
+        self.knots, self.index, self.weight = _voxel_code(values, window, self.params,
+                                                          hard_assign)
         self.stats, self.hard_assign, self.clip = stats, hard_assign, clip
         self.reject_order_inversion = reject_order_inversion
         size = min(_BLOCK, self.index.size)
         self._at, self._a, self._b = np.empty(size, dtype=np.intp), np.empty(size), np.empty(size)
 
-    def _tables(self, pert: PerturbedGmm) -> tuple[np.ndarray, np.ndarray | None, bool]:
-        """The tables (a, b) of a draw under ``pert``, and whether they prove it finite.
-
-        (a, b) is the remap on the knots and its steps, or (mu', sigma')
-        without knots; there is no ``b`` without a weight. Each voxel is
-        a[index] + b[index] * weight, or a[index], so its magnitude is at
-        most |a[i]| + |b[i]| * reach, or |a[i]|, and rounding, being
-        monotone, keeps the computed voxel within the computed bound: so
-        a finite bound table proves the draw finite without a pass over
-        its voxels.
-        """
+    def _tables(self, pert: PerturbedGmm) -> tuple[np.ndarray, np.ndarray | None]:
+        """The tables (a, b) of a draw under ``pert``: the remap on the knots and its steps,
+        or (mu', sigma') without knots; there is no ``b`` without a weight."""
         if self.knots is None:
-            a, b = pert.means, np.sqrt(pert.variances)
-        else:
-            a = _remapped(self.knots, pert, self.hard_assign)
-            b = None if self.weight is None else np.diff(a)
-        bound = np.abs(a)
-        if self.weight is not None:
-            with np.errstate(over="ignore", invalid="ignore"):
-                bound[:b.size] += np.abs(b) * self.reach
-        return a, b, bool(np.isfinite(bound).all())
+            return pert.means, np.sqrt(pert.variances)
+        a = _remapped(self.knots, pert, self.hard_assign)
+        return a, None if self.weight is None else np.diff(a)
 
     def draw_into(self, out: np.ndarray, seed: int) -> tuple[Perturbation, PerturbedGmm, bool]:
         """Store the draw of ``seed`` in the masked voxels of the flat ``out``.
@@ -292,17 +279,21 @@ class _Coded:
         their index, a[index] and b[index] are gathered into the reused
         buffers. Each block is a[index] + b[index] * weight (a[index]
         without a weight) in float64, clipped to [0, 1] unless clipping is
-        off, and stored into ``out``, cast to its dtype. A draw its tables
-        do not prove finite is scanned block by block, and the first
-        block holding NaN or an infinity raises InputError. A value that
-        overflows ``out``'s dtype (float32 can) does not fit; the draw
-        goes on, so that a later NaN or infinity is still the error
-        raised. Voxels outside the mask are not touched.
+        off, and stored into ``out``, cast to its dtype. A clipped draw off
+        finite tables is finite: a finite a[i] plus a finite b[i] times a
+        finite weight can overflow to an infinity, which the clip maps to
+        0 or 1, but is never NaN. Any other draw is scanned block by
+        block, and the first block holding NaN or an infinity raises
+        InputError. A value that overflows ``out``'s dtype (float32 can)
+        does not fit; the draw goes on, so that a later NaN or infinity
+        is still the error raised. Voxels outside the mask are not
+        touched.
         """
         pert = sample_perturbation(self.stats, seed,
                                    self.params.means if self.reject_order_inversion else None)
         perturbed = apply_perturbation(self.params, pert)
-        a, b, proved = self._tables(perturbed)
+        a, b = self._tables(perturbed)
+        proved = self.clip and np.isfinite(a).all() and (b is None or np.isfinite(b).all())
         fits, start = True, 0
         for lo in range(0, out.size, _BLOCK):
             held = self.mask[lo:lo + _BLOCK]
@@ -334,7 +325,7 @@ class _Coded:
         :func:`augment_draws` yields it: (volume, perturbation, perturbed mixture)."""
         data = np.zeros(self.mask.size)
         pert, perturbed, _ = self.draw_into(data, seed)
-        # the kernel has scanned every draw its tables do not prove finite
+        # the kernel has scanned every draw that is not clipped off finite tables
         return _finite_volume(self.dims, self.spacing, data), pert, perturbed
 
 
@@ -382,12 +373,14 @@ def augment_draws(
     and hard codes equal :func:`remap` in float64.
 
     :meth:`_Coded.draw_into` is the one draw kernel: it samples a
-    seed's perturbation, builds and bounds its tables (a, b) and walks
-    the grid in blocks of 65536 voxels, reading each block's voxels off the tables into
+    seed's perturbation, builds its tables (a, b) and walks the grid in
+    blocks of 65536 voxels, reading each block's voxels off the tables into
     buffers it reuses, so beyond its output a draw allocates only its
-    tables and a few block-sized arrays. A draw whose tables bound
-    every voxel's magnitude by a finite number is not scanned for NaN
-    and infinities; any other draw is scanned block by block.
+    tables and a few block-sized arrays. A clipped draw off finite
+    tables is not scanned for NaN and infinities: an overflow there is
+    an infinity, never NaN, and the clip maps it into [0, 1]. Every
+    unclipped draw, and every draw off non-finite tables, is scanned
+    block by block.
     ``gmmaug augment`` runs the same kernel into one float32 body that
     it reuses for every draw.
 

@@ -99,8 +99,8 @@ def _is_seed(value) -> bool:
 
 
 def _flat_float64(record, *names) -> list[np.ndarray]:
-    """The named fields of ``record`` as flat, C-contiguous float64 arrays."""
-    return [np.asarray(getattr(record, name), dtype=np.float64).ravel() for name in names]
+    """The named fields of ``record`` as flat float64 copies, which no caller holds."""
+    return [np.array(getattr(record, name), dtype=np.float64).ravel() for name in names]
 
 
 def _freeze(record, **fields) -> None:
@@ -157,8 +157,10 @@ class Volume:
     """A 3-D scalar grid with voxel spacing.
 
     ``data`` is a flat float64 array in x-fastest order of length
-    ``dims[0] * dims[1] * dims[2]``. Instances are immutable and the
-    data buffer is marked read-only, so they are safe to share.
+    ``dims[0] * dims[1] * dims[2]``. Instances are frozen and ``data``
+    is read-only, but a C-contiguous float64 array is wrapped without a
+    copy (a copy would cost 8 bytes a voxel), so a caller that writes
+    its array afterwards changes ``data``, unchecked.
     """
 
     dims: tuple[int, int, int]
@@ -166,7 +168,7 @@ class Volume:
     data: np.ndarray
 
     def __post_init__(self, scan: bool = True):
-        (data,) = _flat_float64(self, "data")
+        data = np.asarray(self.data, dtype=np.float64).ravel()
         dims, spacing = _check_grid(self, "data", data.size)
         if scan and not np.all(np.isfinite(data)):
             raise InputError("volume data contains NaN or Inf")
@@ -423,7 +425,7 @@ def write_volume(vol: Volume, path) -> None:
 
 
 def write_label_volume(labels: LabelVolume, path) -> None:
-    """Write labels through the float32 writer.
+    """Write labels through the float32 writer, cast straight from int32 to float32.
 
     float32 holds every integer up to 2**24 exactly but not all above it,
     where two labels could read back as one; a label above 2**24 raises
@@ -431,7 +433,8 @@ def write_label_volume(labels: LabelVolume, path) -> None:
     """
     if labels.labels.max() > 2**24:
         raise InputError(f"labels above 2**24 = {2**24} may change in a float32 label file")
-    write_volume(Volume(labels.dims, labels.spacing, labels.labels.astype(np.float64)), path)
+    header = _pack_header(labels.dims, labels.spacing)
+    _write_float32(path, header, labels.labels.astype("<f4"))
 
 
 def read_label_volume(path) -> LabelVolume:

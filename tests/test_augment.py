@@ -500,6 +500,8 @@ class TestAugmentDraws:
     ], ids=["soft", "hard", "int16-soft", "int16-hard"])
     def test_draws_are_proved_finite_without_a_scan(self, default_phantom, monkeypatch,
                                                     integers, hard_assign):
+        # clipped off finite tables: an overflow is an infinity, never NaN, and the clip maps
+        # it into [0, 1]
         vol, _ = default_phantom
         if integers:
             vol = Volume(vol.dims, vol.spacing, np.rint(vol.data * 700.0))
@@ -510,12 +512,40 @@ class TestAugmentDraws:
             scanned.append(np.size(x))
             return isfinite(x, *args, **kwargs)
 
+        draws = augment_draws(vol, SPREAD_STATS, range(3), hard_assign=hard_assign)
+        outs = [next(draws)[0]]  # the read and the fit happen here
         monkeypatch.setattr(np, "isfinite", spy)
-        draws = list(augment_draws(vol, SPREAD_STATS, range(3), hard_assign=hard_assign,
-                                   clip=False))
-        # the tables are scanned, never the voxels
-        assert scanned and max(scanned) <= gmmaug.augment._KNOT_INTERVALS + 1
-        for out, _, _ in draws:
+        outs += [out for out, _, _ in draws]
+        # the tables (a, b) of the two draws are scanned, never the voxels
+        tables = 2 if integers else 4
+        assert len(scanned) == tables and max(scanned) <= gmmaug.augment._KNOT_INTERVALS + 1
+        for out in outs:
+            assert isfinite(out.data).all() and not out.data.flags.writeable
+
+    @pytest.mark.parametrize("integers, hard_assign", [
+        (False, False), (False, True), (True, False), (True, True),
+    ], ids=["soft", "hard", "int16-soft", "int16-hard"])
+    def test_unclipped_draws_are_scanned_a_block_at_a_time(self, default_phantom, monkeypatch,
+                                                           integers, hard_assign):
+        vol, _ = default_phantom
+        if integers:
+            vol = Volume(vol.dims, vol.spacing, np.rint(vol.data * 700.0))
+        mask = foreground_mask(vol)
+        held = [np.count_nonzero(mask[lo:lo + _BLOCK]) for lo in range(0, mask.size, _BLOCK)]
+        scanned = []
+        isfinite = np.isfinite
+
+        def spy(x, *args, **kwargs):
+            scanned.append(np.size(x))
+            return isfinite(x, *args, **kwargs)
+
+        draws = augment_draws(vol, SPREAD_STATS, range(3), hard_assign=hard_assign, clip=False)
+        outs = [next(draws)[0]]
+        monkeypatch.setattr(np, "isfinite", spy)
+        outs += [out for out, _, _ in draws]
+        # no table; every foreground voxel once a draw, in the blocks of the grid that hold it
+        assert len(held) > 1 and scanned == [n for n in held if n] * 2
+        for out in outs:
             assert isfinite(out.data).all() and not out.data.flags.writeable
 
     def test_draw_the_tables_do_not_prove_finite_is_scanned(self, default_phantom, monkeypatch):
@@ -535,23 +565,61 @@ class TestAugmentDraws:
 
         def unread(values, pert, hard_assign=False):
             a = remapped(values, pert, hard_assign)
-            a[unheld] = np.inf
+            a[unheld] = np.nan
             return a
 
-        def infinite(values, pert, hard_assign=False):
-            return np.full_like(remapped(values, pert, hard_assign), np.inf)
+        def poisoned(values, pert, hard_assign=False):
+            return np.full_like(remapped(values, pert, hard_assign), np.nan)
 
         monkeypatch.setattr(gmmaug.augment, "_remapped", unread)
-        draws = augment_draws(vol, SPREAD_STATS, [0, 1], clip=False)
+        draws = augment_draws(vol, SPREAD_STATS, [0, 1])
         next(draws)  # the read and the fit happen here
         monkeypatch.setattr(np, "isfinite", spy)
         out, _, _ = next(draws)
-        # the bound table, then every foreground voxel once, a block at a time
+        # a clipped draw off a NaN it never reads: the table a, then every foreground voxel
+        # once, a block at a time
         assert scanned[0] == knots.size and max(scanned[1:]) <= _BLOCK < n_voxels
         assert sum(scanned[1:]) == held.size and isfinite(out.data).all()
-        monkeypatch.setattr(gmmaug.augment, "_remapped", infinite)
+        monkeypatch.setattr(gmmaug.augment, "_remapped", poisoned)
         with pytest.raises(InputError, match="volume data contains NaN or Inf"):
-            next(augment_draws(vol, SPREAD_STATS, [0], clip=False))
+            next(augment_draws(vol, SPREAD_STATS, [0]))
+
+    @pytest.mark.parametrize("integers, hard_assign", [
+        (False, False), (True, False), (True, True),
+    ], ids=["soft", "int16-soft", "int16-hard"])
+    def test_clipped_draw_off_non_finite_tables(self, default_phantom, monkeypatch, integers,
+                                                hard_assign):
+        vol, _ = default_phantom
+        if integers:
+            vol = Volume(vol.dims, vol.spacing, np.rint(vol.data * 700.0))
+        remapped = gmmaug.augment._remapped
+        coded = gmmaug.augment._Coded(vol, SPREAD_STATS, hard_assign=hard_assign)
+        expected, _, _ = coded.draw(0)
+        # the last knot is read: by the voxels that hold the largest integer, or by those
+        # clipped to the window's top, whose interval it closes
+        assert coded.index.max() == coded.knots.size - (1 if integers else 2)
+
+        def poisoning(knot, value):
+            def poisoned(values, pert, hard_assign=False):
+                a = remapped(values, pert, hard_assign)
+                a[knot] = value
+                return a
+            return poisoned
+
+        monkeypatch.setattr(gmmaug.augment, "_remapped", poisoning(-1, np.nan))
+        with pytest.raises(InputError, match="volume data contains NaN or Inf"):
+            coded.draw(0)
+        if not integers:
+            return
+        # the first knot, which the voxels that hold the smallest integer read, maps to
+        # +inf, and the clip writes 1.0 there; every other voxel keeps its bytes
+        monkeypatch.setattr(gmmaug.augment, "_remapped", poisoning(0, np.inf))
+        out, _, _ = coded.draw(0)
+        at = np.zeros(coded.mask.size, dtype=bool)
+        at[coded.mask] = coded.index == 0
+        assert np.count_nonzero(at) and np.all(expected.data[at] < 1.0)
+        assert np.all(out.data[at] == 1.0)
+        assert out.data[~at].tobytes() == expected.data[~at].tobytes()
 
     @pytest.mark.parametrize("case", ["hard_assign", "int16", "int16_hard"])
     def test_exact_paths_write_the_bytes_of_remap(self, default_phantom, tmp_path, case):
@@ -609,7 +677,7 @@ class TestAugmentDraws:
             assert knots[index].tobytes() == integral.astype(np.float64).tobytes()
             normalized = _apply_window(integral.astype(np.float64), (lo, hi))
             code = _voxel_code((knots, index), (lo, hi), FAR_PARAMS, hard_assign)
-            assert code[1] is index and code[2:] == (None, 0.0)
+            assert code[1] is index and code[2] is None
             assert code[0][index].tobytes() == normalized.tobytes()
         knots, _ = _as_integers(np.array([-0.0, 2.0]))
         assert not np.signbit(knots).any()  # -0.0 widens to the knot 0.0, as an integer does
@@ -639,7 +707,7 @@ class TestAugmentDraws:
 def whole_draw(coded, perturbed):
     """A draw the way the kernel's blocks replaced: every foreground voxel gathered at once,
     clipped, and scattered into a float64 zero background."""
-    a, b, _ = coded._tables(perturbed)
+    a, b = coded._tables(perturbed)
     drawn = np.take(a, coded.index)
     if coded.weight is not None:
         step = np.take(b, coded.index)
@@ -727,12 +795,11 @@ class TestDrawKernel:
         expected_index, expected_weight = whole_soft_code(values, window)
         assert expected_index[edges].tolist() == [0, gmmaug.augment._KNOT_INTERVALS - 1] * 2
         assert expected_weight[edges].tolist() == [0.0, 1.0] * 2
-        knots, index, weight, reach = _voxel_code(values.copy(), window, FAR_PARAMS, False)
+        knots, index, weight = _voxel_code(values.copy(), window, FAR_PARAMS, False)
         assert knots is gmmaug.augment._UNIT_KNOTS
         assert index.dtype == np.int32 and weight.dtype == np.float32
         assert index.tobytes() == expected_index.tobytes()
         assert weight.tobytes() == expected_weight.tobytes()
-        assert reach == float(max(expected_weight.max(), -expected_weight.min())) == 1.0
         # the hard code too, in blocks that hold no foreground-sized temporary
         params = make_params((0.3, 0.3, 0.4), (0.2, 0.5, 0.8), (0.01, 0.02, 0.01))
         expected_index, expected_weight = whole_hard_code(values, window, params)
@@ -740,14 +807,13 @@ class TestDrawKernel:
         stored = values.copy()
         tracemalloc.start()
         try:
-            knots, index, weight, reach = _voxel_code(values, window, params, True)
+            knots, index, weight = _voxel_code(values, window, params, True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert knots is None and index.dtype == np.uint8 and weight.dtype == np.float64
         assert index.tobytes() == expected_index.tobytes()
         assert weight.tobytes() == expected_weight.tobytes()
-        assert reach == float(np.abs(expected_weight).max())
         assert peak - index.nbytes - weight.nbytes <= 64 * _BLOCK
         assert values.tobytes() == stored.tobytes()  # the values are read, not overwritten
 

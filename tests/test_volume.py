@@ -411,6 +411,24 @@ class TestLabelVolumeIO:
         own = np.zeros(8, dtype=np.int32)
         assert LabelVolume((2, 2, 2), (1, 1, 1), own).labels is not own and own.flags.writeable
 
+    def test_label_file_is_cast_straight_to_float32(self, tmp_path, default_phantom):
+        # the bytes of write_volume over the labels widened to float64, without that float64
+        # grid: the labels, their float32 body and one block's worth of small objects
+        _, phantom_labels = default_phantom
+        edges = LabelVolume((3, 1, 1), (1, 1, 1), np.array([0, 1, 2**24]))
+        for labels in (phantom_labels, edges):
+            direct, widened = tmp_path / "direct.nii", tmp_path / "widened.nii"
+            write_volume(Volume(labels.dims, labels.spacing, labels.labels.astype(np.float64)),
+                         widened)
+            tracemalloc.start()
+            try:
+                write_label_volume(labels, direct)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert direct.read_bytes() == widened.read_bytes()
+            assert peak <= 4 * labels.labels.size + 8 * _BLOCK
+
     def test_largest_float32_exact_label_round_trips(self, tmp_path):
         labels = LabelVolume((3, 1, 1), (1, 1, 1), np.array([2**24, 2**24 - 1, 0]))
         path = tmp_path / "lab.nii"
@@ -495,6 +513,41 @@ class TestVolumeInvariants:
                 setattr(record, names[0], None)
         assert records[0][0].data.tolist() == [0.0, 2.0, 1.0, 3.0]
         assert source.flags.writeable  # the caller's array stays writable
+
+    def test_k_length_records_copy_the_caller_arrays(self):
+        # writing the caller's array afterwards cannot unsort the means or unbalance the
+        # weights of a record that has checked them
+        weights, means, variances = np.array([0.5, 0.5]), np.array([0.2, 0.8]), np.full(2, 0.01)
+        params = GmmParams(k=2, weights=weights, means=means, variances=variances,
+                           log_likelihood=0.0, iterations=1)
+        q_mu, q_var = np.array([0.1, 0.2]), np.zeros(2)
+        pert = Perturbation(q_mu=q_mu, q_var=q_var, seed=0)
+        shifted, spread = np.array([0.1, 0.9]), np.full(2, 0.02)
+        perturbed = PerturbedGmm(base=params, means=shifted, variances=spread)
+        mu_mean, mu_std = np.array([0.2, 0.8]), np.full(2, 0.01)
+        var_mean, var_std = np.full(2, 0.01), np.zeros(2)
+        stats = PopulationStats(k=2, mu_mean=mu_mean, mu_std=mu_std, var_mean=var_mean,
+                                var_std=var_std, n_images=2)
+        records = [
+            (params, [weights, means, variances], ["weights", "means", "variances"]),
+            (pert, [q_mu, q_var], ["q_mu", "q_var"]),
+            (perturbed, [shifted, spread], ["means", "variances"]),
+            (stats, [mu_mean, mu_std, var_mean, var_std],
+             ["mu_mean", "mu_std", "var_mean", "var_std"]),
+        ]
+        for record, sources, names in records:
+            kept = [getattr(record, name).tolist() for name in names]
+            for source in sources:
+                assert source.flags.writeable
+                source[0] = 0.9
+            assert [getattr(record, name).tolist() for name in names] == kept
+
+    def test_volume_wraps_a_float64_array_without_a_copy(self):
+        # the one record that does not copy: a copy would cost 8 bytes a voxel
+        data = np.zeros(8)
+        vol = Volume((2, 2, 2), (1, 1, 1), data)
+        data[0] = 1.0
+        assert vol.data[0] == 1.0 and not vol.data.flags.writeable
 
     def test_grid_view_is_x_fastest(self):
         vol = Volume((2, 3, 4), (1, 1, 1), np.arange(24, dtype=float))
