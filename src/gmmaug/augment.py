@@ -22,14 +22,14 @@ every draw is the one expression a[index] + b[index] * weight over two
 small tables (a, b) built from the perturbation. One kernel,
 :meth:`_Coded.draw_into`, samples a seed's perturbation, builds its
 tables and reads the voxels off them a block of the grid at a time,
-into buffers it reuses; a draw is scanned for NaN and infinities unless
-it is clipped and its tables are finite.
-Either way the result lands in a zero background (clip-normalization
-zeroes every voxel outside the mask). While it draws, the generator
-holds only the foreground mask, one byte per voxel, the codes and the
-kernel's block buffers, and each draw is a fresh float64 volume;
-``gmmaug augment`` instead runs the kernel into one float32 body,
-allocated once and written after each draw.
+into three block buffers it reuses, the rows of one scratch array; a
+draw is scanned for NaN and infinities unless it is clipped and its
+tables are finite. It is the one way to draw: :func:`augment_draws`
+runs it into a fresh float64 zero background (clip-normalization
+zeroes every voxel outside the mask), and ``gmmaug augment`` into one
+float32 body, allocated once and written after each draw. While it
+draws, the generator holds only the foreground mask, one byte per
+voxel, the codes and the kernel's scratch array.
 
 Randomness comes from a Philox (counter-based) generator keyed with the
 caller's seed; the draw order is fixed as q_mu then q_var for component
@@ -220,7 +220,7 @@ def _voxel_code(values, window: tuple[float, float], params: GmmParams,
     if isinstance(values, tuple):
         knots, index = values
         return _apply_window(knots, window), index, None
-    index = np.empty(values.size, np.min_scalar_type(params.k - 1) if hard_assign else np.int32)
+    index = np.empty(values.size, np.min_scalar_type(params.k - 1) if hard_assign else np.uint16)
     weight = np.empty(values.size, np.float64 if hard_assign else np.float32)
     for lo in range(0, values.size, _BLOCK):
         position = _apply_window(values[lo:lo + _BLOCK].astype(np.float64), window)
@@ -232,8 +232,8 @@ def _voxel_code(values, window: tuple[float, float], params: GmmParams,
             offset /= np.sqrt(params.variances)[at]
         else:
             position *= _KNOT_INTERVALS
-            # 1.0 ends the last interval
-            np.minimum(position.astype(np.int32), _KNOT_INTERVALS - 1, out=at)
+            # 1.0 ends the last interval; position lies in [0, 4096]
+            np.minimum(position.astype(np.uint16), _KNOT_INTERVALS - 1, out=at)
             offset[:] = np.subtract(position, at, out=position)
     return None if hard_assign else _UNIT_KNOTS, index, weight
 
@@ -243,7 +243,8 @@ class _Coded:
 
     Built as :func:`augment_draws` describes: of ``vol`` it keeps the mask, the fit and
     the code (``knots``, ``index`` and ``weight``, see :func:`_voxel_code`), and
-    ``stats``, with three block buffers that every draw reuses.
+    ``stats``, with one scratch array whose three rows are the block buffers
+    that every draw reuses.
     """
 
     def __init__(self, vol, stats: PopulationStats, cfg: EmConfig | None = None, *,
@@ -257,8 +258,9 @@ class _Coded:
                                                           hard_assign)
         self.stats, self.hard_assign, self.clip = stats, hard_assign, clip
         self.reject_order_inversion = reject_order_inversion
-        size = min(_BLOCK, self.index.size)
-        self._at, self._a, self._b = np.empty(size, dtype=np.intp), np.empty(size), np.empty(size)
+        # one allocation holds the three block buffers: the index row, then a and b
+        scratch = np.empty((3, min(_BLOCK, self.index.size)))
+        self._at, self._a, self._b = scratch[0].view(np.intp), scratch[1], scratch[2]
 
     def _tables(self, pert: PerturbedGmm) -> tuple[np.ndarray, np.ndarray | None]:
         """The tables (a, b) of a draw under ``pert``: the remap on the knots and its steps,
@@ -320,14 +322,6 @@ class _Coded:
             start = stop
         return pert, perturbed, fits
 
-    def draw(self, seed: int) -> tuple[Volume, Perturbation, PerturbedGmm]:
-        """The draw of ``seed`` as a fresh float64 volume on a zero background, as
-        :func:`augment_draws` yields it: (volume, perturbation, perturbed mixture)."""
-        data = np.zeros(self.mask.size)
-        pert, perturbed, _ = self.draw_into(data, seed)
-        # the kernel has scanned every draw that is not clipped off finite tables
-        return _finite_volume(self.dims, self.spacing, data), pert, perturbed
-
 
 def augment_draws(
     vol: Volume | str | os.PathLike,
@@ -366,8 +360,8 @@ def augment_draws(
     index is the reader's, there is no weight, and ``a`` is the exact
     remap, soft or hard, on the integer knots (4 bytes). Otherwise a
     soft draw's ``a`` is the exact remap at 4097 uniform knots on
-    [0, 1] and ``b`` its steps, and a voxel keeps its int32 interval
-    and float32 fraction (8 bytes; within 1e-7 of :func:`remap`).
+    [0, 1] and ``b`` its steps, and a voxel keeps its uint16 interval
+    and float32 fraction (6 bytes; within 1e-7 of :func:`remap`).
     Under ``hard_assign`` (a, b) is (mu', sigma'), and a voxel keeps
     its uint8 component j and float64 offset D (9 bytes). The integer
     and hard codes equal :func:`remap` in float64.
@@ -375,18 +369,17 @@ def augment_draws(
     :meth:`_Coded.draw_into` is the one draw kernel: it samples a
     seed's perturbation, builds its tables (a, b) and walks the grid in
     blocks of 65536 voxels, reading each block's voxels off the tables into
-    buffers it reuses, so beyond its output a draw allocates only its
-    tables and a few block-sized arrays. A clipped draw off finite
-    tables is not scanned for NaN and infinities: an overflow there is
-    an infinity, never NaN, and the clip maps it into [0, 1]. Every
-    unclipped draw, and every draw off non-finite tables, is scanned
-    block by block.
-    ``gmmaug augment`` runs the same kernel into one float32 body that
-    it reuses for every draw.
+    three block buffers it reuses, the rows of one scratch array, so
+    beyond its output a draw allocates only its tables and a few
+    block-sized arrays. A clipped draw off finite tables is not scanned
+    for NaN and infinities: an overflow there is an infinity, never NaN,
+    and the clip maps it into [0, 1]. Every unclipped draw, and every
+    draw off non-finite tables, is scanned block by block. Each draw
+    here is the kernel run into a fresh float64 zero background;
+    ``gmmaug augment`` runs it into one float32 body that it reuses.
 
     The generator keeps only the mask and these codes: it drops ``vol``
-    before the fit, and each draw is a fresh float64 volume on a zero
-    background; from a path it never holds the whole volume as float64.
+    before the fit; from a path it never holds the whole volume as float64.
     A caller that keeps no other reference to ``vol`` and releases each
     draw before asking for the next holds one output volume at a time.
     """
@@ -394,7 +387,11 @@ def augment_draws(
                    reject_order_inversion=reject_order_inversion, clip=clip)
     del vol
     for seed in seeds:
-        yield coded.draw(seed)  # no local keeps the draw, so the caller's release frees it
+        data = np.zeros(coded.mask.size)
+        pert, perturbed, _ = coded.draw_into(data, seed)
+        # the kernel has scanned every draw that is not clipped off finite tables
+        yield _finite_volume(coded.dims, coded.spacing, data), pert, perturbed
+        del data  # before the next draw, so the caller's release frees this one
 
 
 def augment_volume(

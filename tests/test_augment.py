@@ -54,6 +54,19 @@ def make_params(weights, means, variances):
                      log_likelihood=0.0, iterations=0)
 
 
+def zero_body_draw(coded, seed):
+    """``coded``'s draw of ``seed`` into a float64 zero background, as augment_draws runs it:
+    (draw, perturbation, perturbed mixture)."""
+    data = np.zeros(coded.mask.size)
+    pert, perturbed, _ = coded.draw_into(data, seed)
+    return data, pert, perturbed
+
+
+def scratch_owner(array):
+    """The array that owns ``array``'s memory."""
+    return array if array.base is None else scratch_owner(array.base)
+
+
 ZERO_STATS = make_stats((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
 SPREAD_STATS = make_stats((0.03, 0.06, 0.08), (1e-3, 1e-3, 3e-3))
 
@@ -443,7 +456,7 @@ class TestAugmentVolume:
 
 class TestAugmentDraws:
     @pytest.mark.parametrize("integers, hard_assign, code_bytes", [
-        (False, False, 8), (False, True, 9), (True, False, 4), (True, True, 4),
+        (False, False, 6), (False, True, 9), (True, False, 4), (True, True, 4),
     ], ids=["soft", "hard", "int16-soft", "int16-hard"])
     def test_generator_holds_only_mask_and_voxel_codes(self, separated_spec, integers,
                                                        hard_assign, code_bytes):
@@ -470,11 +483,11 @@ class TestAugmentDraws:
         finally:
             tracemalloc.stop()
         assert source() is None
-        # each foreground voxel's code (soft: int32 knot interval and
+        # each foreground voxel's code (soft: uint16 knot interval and
         # float32 fraction; hard: uint8 component and float64 offset;
         # integer intensities, soft or hard: an int32 index among their
         # few hundred integer knots), the bool mask, the draw kernel's
-        # three 8-byte buffers of one block, and small objects
+        # one scratch array of three 8-byte buffers of one block, and small objects
         buffers = 24 * min(_BLOCK, foreground)
         assert held <= code_bytes * foreground + n_voxels + buffers + 64 * 1024
 
@@ -594,7 +607,7 @@ class TestAugmentDraws:
             vol = Volume(vol.dims, vol.spacing, np.rint(vol.data * 700.0))
         remapped = gmmaug.augment._remapped
         coded = gmmaug.augment._Coded(vol, SPREAD_STATS, hard_assign=hard_assign)
-        expected, _, _ = coded.draw(0)
+        expected, _, _ = zero_body_draw(coded, 0)
         # the last knot is read: by the voxels that hold the largest integer, or by those
         # clipped to the window's top, whose interval it closes
         assert coded.index.max() == coded.knots.size - (1 if integers else 2)
@@ -608,18 +621,18 @@ class TestAugmentDraws:
 
         monkeypatch.setattr(gmmaug.augment, "_remapped", poisoning(-1, np.nan))
         with pytest.raises(InputError, match="volume data contains NaN or Inf"):
-            coded.draw(0)
+            zero_body_draw(coded, 0)
         if not integers:
             return
         # the first knot, which the voxels that hold the smallest integer read, maps to
         # +inf, and the clip writes 1.0 there; every other voxel keeps its bytes
         monkeypatch.setattr(gmmaug.augment, "_remapped", poisoning(0, np.inf))
-        out, _, _ = coded.draw(0)
+        out, _, _ = zero_body_draw(coded, 0)
         at = np.zeros(coded.mask.size, dtype=bool)
         at[coded.mask] = coded.index == 0
-        assert np.count_nonzero(at) and np.all(expected.data[at] < 1.0)
-        assert np.all(out.data[at] == 1.0)
-        assert out.data[~at].tobytes() == expected.data[~at].tobytes()
+        assert np.count_nonzero(at) and np.all(expected[at] < 1.0)
+        assert np.all(out[at] == 1.0)
+        assert out[~at].tobytes() == expected[~at].tobytes()
 
     @pytest.mark.parametrize("case", ["hard_assign", "int16", "int16_hard"])
     def test_exact_paths_write_the_bytes_of_remap(self, default_phantom, tmp_path, case):
@@ -761,8 +774,8 @@ def assert_blocks_write_the_whole_draw(vol, stats, integers, reject_order_invers
 
 
 def whole_soft_code(values, window):
-    """The soft code formed over all of ``values`` widened at once, as blocks replaced it:
-    (int32 interval, float32 fraction)."""
+    """The soft code formed over all of ``values`` widened at once, as blocks and a uint16
+    interval replaced it: (int32 interval, float32 fraction)."""
     position = _apply_window(values.astype(np.float64), window)
     position *= gmmaug.augment._KNOT_INTERVALS
     index = position.astype(np.int32)
@@ -797,8 +810,9 @@ class TestDrawKernel:
         assert expected_weight[edges].tolist() == [0.0, 1.0] * 2
         knots, index, weight = _voxel_code(values.copy(), window, FAR_PARAMS, False)
         assert knots is gmmaug.augment._UNIT_KNOTS
-        assert index.dtype == np.int32 and weight.dtype == np.float32
-        assert index.tobytes() == expected_index.tobytes()
+        # every interval fits the uint16 index and widens back to the int32 one
+        assert index.dtype == np.uint16 and weight.dtype == np.float32
+        assert index.astype(np.int32).tobytes() == expected_index.tobytes()
         assert weight.tobytes() == expected_weight.tobytes()
         # the hard code too, in blocks that hold no foreground-sized temporary
         params = make_params((0.3, 0.3, 0.4), (0.2, 0.5, 0.8), (0.01, 0.02, 0.01))
@@ -862,3 +876,39 @@ class TestDrawKernel:
                     tracemalloc.stop()
                 # the tables and a few small arrays, whatever the grid size
                 assert peak - out.data.nbytes <= 1024 * 1024
+
+    @pytest.mark.parametrize("integers, hard_assign", [
+        (False, False), (False, True), (True, False),
+    ], ids=["soft", "hard", "int16"])
+    def test_block_buffers_share_one_scratch_array(self, default_phantom, integers,
+                                                   hard_assign):
+        vol, _ = default_phantom
+        if integers:
+            vol = Volume(vol.dims, vol.spacing, np.rint(vol.data * 700.0).astype(np.int16))
+        coded = gmmaug.augment._Coded(vol, SPREAD_STATS, hard_assign=hard_assign)
+        buffers = (coded._at, coded._a, coded._b)
+        assert [b.dtype for b in buffers] == [np.intp, np.float64, np.float64]
+        assert {b.size for b in buffers} == {min(_BLOCK, coded.index.size)}
+        assert len({id(scratch_owner(b)) for b in buffers}) == 1
+        for i, first in enumerate(buffers):
+            for second in buffers[i + 1:]:
+                assert not np.shares_memory(first, second)
+        if not (integers or hard_assign):  # the soft float code: 6 bytes a voxel
+            assert coded.index.dtype == np.uint16
+            assert coded.index.nbytes + coded.weight.nbytes == 6 * coded.index.size
+
+    @pytest.mark.parametrize("clip", [True, False], ids=["clip", "no_clip"])
+    @pytest.mark.parametrize("integers, hard_assign", [
+        (False, False), (False, True), (True, False),
+    ], ids=["soft", "hard", "int16"])
+    def test_augment_draws_yields_the_kernel_draw(self, default_phantom, integers, hard_assign,
+                                                  clip):
+        vol, _ = default_phantom
+        if integers:
+            vol = Volume(vol.dims, vol.spacing, np.rint(vol.data * 700.0).astype(np.int16))
+        flags = dict(hard_assign=hard_assign, clip=clip)
+        coded = gmmaug.augment._Coded(vol, SPREAD_STATS, **flags)
+        for seed, (out, *drawn) in enumerate(augment_draws(vol, SPREAD_STATS, range(3), **flags)):
+            data, *kernel_drawn = zero_body_draw(coded, seed)
+            assert out.data.dtype == np.float64 and out.data.tobytes() == data.tobytes()
+            assert provenance_dict(*kernel_drawn) == provenance_dict(*drawn)
